@@ -59,11 +59,15 @@ if ! cmp -s "$tmpdir/fuzz_p.norm" "$tmpdir/fuzz_r.norm"; then
 fi
 echo "byte-identical verdicts across persistent and rebuild modes"
 
-echo "== telemetry trace smoke =="
+echo "== telemetry trace smoke (vs committed expectation) =="
+# The trace is byte-deterministic, so it diffs against a checked-in
+# expectation: a refactor that drops, adds or reorders an event fails here,
+# not only one that makes two runs disagree.
 dune exec bin/main.exe -- trace test/corpus/regressions/uaf_then_double_free.scn \
   > "$tmpdir/trace1.ndjson"
-if ! test -s "$tmpdir/trace1.ndjson"; then
-  echo "FAIL: trace produced no output" >&2
+if ! cmp -s test/expect/trace_uaf_then_double_free.ndjson "$tmpdir/trace1.ndjson"; then
+  echo "FAIL: trace drifted from test/expect/trace_uaf_then_double_free.ndjson" >&2
+  diff test/expect/trace_uaf_then_double_free.ndjson "$tmpdir/trace1.ndjson" >&2 || true
   exit 1
 fi
 dune exec bin/main.exe -- check-ndjson "$tmpdir/trace1.ndjson"

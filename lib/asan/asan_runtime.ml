@@ -37,15 +37,8 @@ let create_exposed_named name config =
   Memsim.Heap.set_evict_hook heap (E.poison_evict m);
   let counters = Counters.create () in
   let hists = Histogram.create_set () in
-  let report ?base ~addr ~size () =
-    counters.Counters.errors <- counters.Counters.errors + 1;
-    let r =
-      Report.make
-        ~kind:(Report.classify_access heap ~addr ~base)
-        ~addr ~size ~detected_by:name
-    in
-    Trace.emit_report ~tool:name ~kind:(Report.kind_name r.Report.kind) ~addr;
-    Some r
+  let report ~anchor ~addr ~size =
+    San.report_access ~name heap counters ~anchor ~addr ~size
   in
   let malloc ?kind size =
     counters.Counters.mallocs <- counters.Counters.mallocs + 1;
@@ -77,7 +70,7 @@ let create_exposed_named name config =
   in
   (* ASan's instruction checks are single-load fast-path events; its linear
      region scans are the slow path. *)
-  let region ?base ~lo ~hi ~size () =
+  let region ~anchor ~lo ~hi ~size =
     counters.Counters.region_checks <- counters.Counters.region_checks + 1;
     let loads_before = if Trace.is_on () then Shadow_mem.loads m else 0 in
     let bad = region_is_safe m ~lo ~hi in
@@ -89,7 +82,7 @@ let create_exposed_named name config =
     end;
     match bad with
     | None -> None
-    | Some bad -> report ?base ~addr:bad ~size ()
+    | Some bad -> report ~anchor ~addr:bad ~size
   in
   let access ~base ~addr ~width =
     (* ASan ignores the anchor: instruction-level protection only. *)
@@ -103,15 +96,17 @@ let create_exposed_named name config =
         Trace.emit_shadow_load ~tool:name ~count:1;
         Trace.emit_access ~tool:name ~addr ~width ~fast:true
       end;
-      if ok then None else report ~addr ~size:width ()
+      if ok then None else report ~anchor:Report.no_anchor ~addr ~size:width
     end
     else begin
-      let r = region ~lo:addr ~hi:(addr + width) ~size:width () in
+      let r =
+        region ~anchor:Report.no_anchor ~lo:addr ~hi:(addr + width) ~size:width
+      in
       Trace.emit_access ~tool:name ~addr ~width ~fast:false;
       r
     end
   in
-  let check_region ~lo ~hi = region ~base:lo ~lo ~hi ~size:(hi - lo) () in
+  let check_region ~lo ~hi = region ~anchor:lo ~lo ~hi ~size:(hi - lo) in
   let snapshot, restore =
     San.snapshot_slot
       ~cap:(fun () ->

@@ -137,28 +137,30 @@ let poison_evict m (obj : Memobj.t) =
   Shadow_mem.fill_range m ~lo:(obj.block_base / 8)
     ~hi:(Memobj.block_end obj / 8) State_code.unallocated
 
+(* Top-level rather than local to [lower_bound], so the reverse-traversal
+   cache-miss path builds no closure. *)
+let rec try_jump m p d =
+  if d < 0 then p
+  else begin
+    let cand = p - (1 lsl d) in
+    if cand < 0 then try_jump m p (d - 1)
+    else
+      let v = Shadow_mem.load m cand in
+      if State_code.is_folded v && State_code.degree v >= d then
+        (* the fold covers [cand, cand + 2^d) = [cand, p): extend left *)
+        try_jump m cand d
+      else try_jump m p (d - 1)
+  end
+
 let lower_bound m ~addr =
   let start = addr / 8 in
   (* largest d such that a degree-d fold at [p - 2^d] would not cross the
      shadow's origin *)
-  let rec try_jump p d =
-    if d < 0 then p
-    else begin
-      let cand = p - (1 lsl d) in
-      if cand < 0 then try_jump p (d - 1)
-      else
-        let v = Shadow_mem.load m cand in
-        if State_code.is_folded v && State_code.degree v >= d then
-          (* the fold covers [cand, cand + 2^d) = [cand, p): extend left *)
-          try_jump cand d
-        else try_jump p (d - 1)
-    end
-  in
   let max_d =
     min State_code.max_degree
       (if start <= 1 then 0 else Giantsan_util.Bitops.log2_floor start)
   in
-  8 * try_jump start max_d
+  8 * try_jump m start max_d
 
 let upper_bound m ~addr =
   let arena_end = 8 * Shadow_mem.segments m in

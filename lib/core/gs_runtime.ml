@@ -15,31 +15,13 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
   (* quarantine-residency bookkeeping (telemetry only): the free sequence
      number each block entered quarantine at, keyed by object id *)
   let quarantined_at : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let report ?base ~addr ~size () =
-    counters.Counters.errors <- counters.Counters.errors + 1;
-    let r =
-      Report.make
-        ~kind:(Report.classify_access heap ~addr ~base)
-        ~addr ~size ~detected_by:name
-    in
-    Trace.emit_report ~tool:name ~kind:(Report.kind_name r.Report.kind) ~addr;
-    Some r
+  let report ~anchor ~addr ~size =
+    San.report_access ~name heap counters ~anchor ~addr ~size
   in
-  let count_region outcome =
-    counters.Counters.region_checks <- counters.Counters.region_checks + 1;
-    match outcome with
-    | Region_check.Safe_fast ->
-      counters.Counters.fast_checks <- counters.Counters.fast_checks + 1
-    | Region_check.Safe_word ->
-      counters.Counters.fast_checks <- counters.Counters.fast_checks + 1;
-      counters.Counters.word_checks <- counters.Counters.word_checks + 1
-    | Region_check.Safe_slow | Region_check.Bad _ ->
-      counters.Counters.slow_checks <- counters.Counters.slow_checks + 1
-  in
-  let ci ?anchor ~l ~r ~size () =
+  let ci ~anchor ~l ~r ~size =
     let loads_before = if Trace.is_on () then Shadow_mem.loads m else 0 in
     let outcome = Region_check.check_unaligned m ~l ~r in
-    count_region outcome;
+    Region_check.count counters outcome;
     if Trace.is_on () then begin
       let loads = Shadow_mem.loads m - loads_before in
       Histogram.observe hists.Histogram.h_loads_per_check loads;
@@ -55,7 +37,7 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
     | Region_check.Safe_fast | Region_check.Safe_slow | Region_check.Safe_word
       ->
       None
-    | Region_check.Bad addr -> report ?base:anchor ~addr ~size ()
+    | Region_check.Bad addr -> report ~anchor ~addr ~size
   in
   let malloc ?kind size =
     counters.Counters.mallocs <- counters.Counters.mallocs + 1;
@@ -103,66 +85,81 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
       | None -> ());
       r
   in
-  let traced_access ~addr ~width check =
-    if Trace.is_on () then begin
-      Histogram.observe hists.Histogram.h_access_width width;
-      let slow_before = counters.Counters.slow_checks in
-      let r = check () in
-      Trace.emit_access ~tool:name ~addr ~width
-        ~fast:(counters.Counters.slow_checks = slow_before);
-      r
+  (* The per-access telemetry, taken once per call when tracing is on: the
+     width histogram before the check, then an Access event that is slow
+     iff the check bumped [slow_checks]. *)
+  let trace_enter ~width =
+    Histogram.observe hists.Histogram.h_access_width width;
+    counters.Counters.slow_checks
+  in
+  let trace_leave ~addr ~width slow_before =
+    Trace.emit_access ~tool:name ~addr ~width
+      ~fast:(counters.Counters.slow_checks = slow_before)
+  in
+  let check_access ~base ~addr ~width =
+    if base > 0 && addr >= base then
+      (* anchor-based: protect everything between the anchor and the
+         access *)
+      ci ~anchor:base ~l:base ~r:(addr + width) ~size:width
+    else if base > 0 && check_underflow then begin
+      counters.Counters.underflow_checks <-
+        counters.Counters.underflow_checks + 1;
+      match ci ~anchor:base ~l:addr ~r:base ~size:width with
+      | Some r -> Some r
+      | None ->
+        if addr + width > base then
+          ci ~anchor:base ~l:base ~r:(addr + width) ~size:width
+        else None
     end
-    else check ()
+    else
+      (* no anchor (or underflow anchoring disabled, the §5.4 degraded
+         mode): check only the accessed bytes *)
+      ci ~anchor:Report.no_anchor ~l:addr ~r:(addr + width) ~size:width
   in
   let access ~base ~addr ~width =
-    traced_access ~addr ~width (fun () ->
-        if base > 0 && addr >= base then
-          (* anchor-based: protect everything between the anchor and the
-             access *)
-          ci ~anchor:base ~l:base ~r:(addr + width) ~size:width ()
-        else if base > 0 && check_underflow then begin
-          counters.Counters.underflow_checks <-
-            counters.Counters.underflow_checks + 1;
-          match ci ~anchor:base ~l:addr ~r:base ~size:width () with
-          | Some r -> Some r
-          | None ->
-            if addr + width > base then
-              ci ~anchor:base ~l:base ~r:(addr + width) ~size:width ()
-            else None
-        end
-        else
-          (* no anchor (or underflow anchoring disabled, the §5.4 degraded
-             mode): check only the accessed bytes *)
-          ci ~l:addr ~r:(addr + width) ~size:width ())
+    if Trace.is_on () then begin
+      let slow_before = trace_enter ~width in
+      let r = check_access ~base ~addr ~width in
+      trace_leave ~addr ~width slow_before;
+      r
+    end
+    else check_access ~base ~addr ~width
   in
-  let check_region ~lo ~hi =
-    ci ~anchor:lo ~l:lo ~r:hi ~size:(hi - lo) ()
+  let check_region ~lo ~hi = ci ~anchor:lo ~l:lo ~r:hi ~size:(hi - lo) in
+  let check_cached (cache : San.cache) ~off ~width =
+    match Quasi_bound.access m counters cache ~off ~width with
+    | Quasi_bound.Ok_cached ->
+      Trace.emit_cache_hit ~tool:name ~off;
+      None
+    | Quasi_bound.Ok_checked ->
+      if Trace.is_on () then
+        Trace.emit_cache_update ~tool:name ~ub:(San.cache_ub cache);
+      None
+    | Quasi_bound.Bad addr ->
+      report ~anchor:cache.San.cache_base ~addr ~size:width
   in
   let cached_access (cache : San.cache) ~off ~width =
-    let addr = cache.San.cache_base + off in
-    if off < 0 && not check_underflow then
-      (* degraded §5.4 mode: unanchored check of the accessed bytes only *)
-      traced_access ~addr ~width (fun () ->
-          ci ~l:addr ~r:(addr + width) ~size:width ())
-    else if use_cache then
-      traced_access ~addr ~width (fun () ->
-          match Quasi_bound.access m counters cache ~off ~width with
-          | Quasi_bound.Ok_cached ->
-            Trace.emit_cache_hit ~tool:name ~off;
-            None
-          | Quasi_bound.Ok_checked ->
-            Trace.emit_cache_update ~tool:name ~ub:(San.cache_ub cache);
-            None
-          | Quasi_bound.Bad addr ->
-            report ~base:cache.San.cache_base ~addr ~size:width ())
-    else access ~base:cache.San.cache_base ~addr ~width
+    let base = cache.San.cache_base in
+    if use_cache && (off >= 0 || check_underflow) then
+      if Trace.is_on () then begin
+        let slow_before = trace_enter ~width in
+        let r = check_cached cache ~off ~width in
+        trace_leave ~addr:(base + off) ~width slow_before;
+        r
+      end
+      else check_cached cache ~off ~width
+    else
+      (* no history caching, or a negative offset in the degraded §5.4
+         mode: exactly the uncached access (which, with underflow
+         anchoring off, checks only the accessed bytes) *)
+      access ~base ~addr:(base + off) ~width
   in
   let flush_cache cache =
     if not use_cache then None
     else
       match Quasi_bound.flush m counters cache with
       | None -> None
-      | Some addr -> report ~base:cache.San.cache_base ~addr ~size:0 ()
+      | Some addr -> report ~anchor:cache.San.cache_base ~addr ~size:0
   in
   let snapshot, restore =
     San.snapshot_slot

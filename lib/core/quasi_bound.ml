@@ -4,16 +4,6 @@ module San = Giantsan_sanitizer.Sanitizer
 
 type result = Ok_cached | Ok_checked | Bad of int
 
-let count_region (c : Counters.t) outcome =
-  c.region_checks <- c.region_checks + 1;
-  match outcome with
-  | Region_check.Safe_fast -> c.fast_checks <- c.fast_checks + 1
-  | Region_check.Safe_word ->
-    c.fast_checks <- c.fast_checks + 1;
-    c.word_checks <- c.word_checks + 1
-  | Region_check.Safe_slow -> c.slow_checks <- c.slow_checks + 1
-  | Region_check.Bad _ -> c.slow_checks <- c.slow_checks + 1
-
 (* Record the overflow side [base, hi_checked) just proven safe, extended
    by the folded segment at [probe] (Figure 9 lines 6-7: one extra
    metadata load enlarges the bound past the access). The extension is
@@ -34,7 +24,7 @@ let access m (c : Counters.t) (cache : San.cache) ~off ~width =
     end
     else begin
       let outcome = Region_check.check m ~l:base ~r:(base + off + width) in
-      count_region c outcome;
+      Region_check.count c outcome;
       match outcome with
       | Region_check.Bad a -> Bad a
       | Region_check.Safe_fast | Region_check.Safe_slow
@@ -65,7 +55,7 @@ let access m (c : Counters.t) (cache : San.cache) ~off ~width =
       else begin
         c.underflow_checks <- c.underflow_checks + 1;
         let o1 = Region_check.check_unaligned m ~l:addr ~r:base in
-        count_region c o1;
+        Region_check.count c o1;
         match o1 with
         | Region_check.Bad a -> `Bad a
         | Region_check.Safe_fast | Region_check.Safe_slow
@@ -90,7 +80,7 @@ let access m (c : Counters.t) (cache : San.cache) ~off ~width =
         end
         else begin
           let o2 = Region_check.check m ~l:base ~r:(base + off + width) in
-          count_region c o2;
+          Region_check.count c o2;
           match o2 with
           | Region_check.Bad a -> Bad a
           | Region_check.Safe_fast | Region_check.Safe_slow
@@ -108,18 +98,24 @@ let access m (c : Counters.t) (cache : San.cache) ~off ~width =
   end
 
 let flush m (c : Counters.t) (cache : San.cache) =
-  (* Figure 9 line 14, per history window: everything the cache ever
-     vouched for is re-verified, so a mid-loop free inside ANY window —
-     upper or lower side — is caught at loop exit. *)
-  let rec go = function
-    | [] -> None
-    | (lo, hi) :: rest -> (
-      let outcome = Region_check.check_unaligned m ~l:lo ~r:hi in
-      count_region c outcome;
+  (* Figure 9 line 14, per history window in MRU order: everything the
+     cache ever vouched for is re-verified, so a mid-loop free inside ANY
+     window — upper or lower side — is caught at loop exit. *)
+  let ws = cache.San.windows in
+  let k = ref 0 and bad = ref None in
+  while !bad = None && !k < Array.length ws do
+    let w = ws.(!k) in
+    if w.San.w_lo < w.San.w_hi then begin
+      let outcome =
+        Region_check.check_unaligned m ~l:w.San.w_lo ~r:w.San.w_hi
+      in
+      Region_check.count c outcome;
       match outcome with
-      | Region_check.Bad a -> Some a
+      | Region_check.Bad a -> bad := Some a
       | Region_check.Safe_fast | Region_check.Safe_slow
       | Region_check.Safe_word ->
-        go rest)
-  in
-  go (San.cache_windows cache)
+        ()
+    end;
+    incr k
+  done;
+  !bad

@@ -4,6 +4,15 @@ type outcome = Safe_fast | Safe_slow | Safe_word | Bad of int
 
 let is_safe = function Safe_fast | Safe_slow | Safe_word -> true | Bad _ -> false
 
+let count (c : Giantsan_sanitizer.Counters.t) outcome =
+  c.region_checks <- c.region_checks + 1;
+  match outcome with
+  | Safe_fast -> c.fast_checks <- c.fast_checks + 1
+  | Safe_word ->
+    c.fast_checks <- c.fast_checks + 1;
+    c.word_checks <- c.word_checks + 1
+  | Safe_slow | Bad _ -> c.slow_checks <- c.slow_checks + 1
+
 (* A literal transcription of Algorithm 1. [l] plays L, [r] plays R.
    Soundness rests on two invariants of the poisoning pass:
    - a folded code is a truthful claim that 2^i whole segments are good;
@@ -61,8 +70,8 @@ let check_scalar m ~l ~r =
 let check_word m ~l ~r =
   (* precondition: l aligned, l < r, r - l <= 64 *)
   let l_seg = l / 8 in
-  let w = Shadow_mem.load_word m l_seg in
-  let v = Shadow_mem.word_byte w 0 in
+  Shadow_mem.load_word m l_seg;
+  let v = Shadow_mem.word_lane m 0 in
   let u = State_code.covered_bytes v in
   if u >= r - l then Safe_word
   else begin
@@ -72,11 +81,11 @@ let check_word m ~l ~r =
         (* the suffix lane index is in [0, 7]: this branch needs [v] folded
            (else u = 0 fails the prefix test), so u >= 8 and
            l < r - u <= r - 8 *)
-      else if Shadow_mem.word_byte w ((r - u) / 8 - l_seg) <> v then
+      else if Shadow_mem.word_lane m ((r - u) / 8 - l_seg) <> v then
         bad := Some (min (r - 1) (((r - u) / 8 * 8) + 7))
     end;
     (if !bad = None then
-       let last = Shadow_mem.word_byte w ((r - 1) / 8 - l_seg) in
+       let last = Shadow_mem.word_lane m ((r - 1) / 8 - l_seg) in
        if last > 72 - (r land 7) then
          bad := Some (((r - 1) / 8 * 8) + State_code.addressable_in_segment last));
     match !bad with None -> Safe_word | Some addr -> Bad addr

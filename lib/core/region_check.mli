@@ -49,3 +49,8 @@ val check_unaligned_scalar :
 
 val is_safe : outcome -> bool
 (** True for [Safe_fast], [Safe_slow] and [Safe_word]. *)
+
+val count : Giantsan_sanitizer.Counters.t -> outcome -> unit
+(** Charge one region check with this outcome to the counters:
+    [region_checks], plus [fast_checks] (and [word_checks] for
+    [Safe_word]) when safe on a fast path, else [slow_checks]. *)

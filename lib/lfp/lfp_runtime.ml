@@ -13,15 +13,8 @@ let create config =
   let counters = Counters.create () in
   let hists = Histogram.create_set () in
   let name = "LFP" in
-  let report ?base ~addr ~size () =
-    counters.Counters.errors <- counters.Counters.errors + 1;
-    let r =
-      Report.make
-        ~kind:(Report.classify_access heap ~addr ~base)
-        ~addr ~size ~detected_by:name
-    in
-    Trace.emit_report ~tool:name ~kind:(Report.kind_name r.Report.kind) ~addr;
-    Some r
+  let report ~anchor ~addr ~size =
+    San.report_access ~name heap counters ~anchor ~addr ~size
   in
   let malloc ?kind size =
     counters.Counters.mallocs <- counters.Counters.mallocs + 1;
@@ -53,7 +46,8 @@ let create config =
      derived from). *)
   let bounds_check ~anchor ~lo ~hi =
     counters.Counters.bounds_checks <- counters.Counters.bounds_checks + 1;
-    if anchor < 64 then report ~addr:anchor ~size:(hi - lo) ()
+    if anchor < 64 then
+      report ~anchor:Report.no_anchor ~addr:anchor ~size:(hi - lo)
     else
       match Memsim.Heap.find_object heap anchor with
       | None ->
@@ -70,13 +64,13 @@ let create config =
              This is why Table 3 shows LFP catching a sliver of CWE-121. *)
           None
         else if obj.Memsim.Memobj.status <> Memsim.Memobj.Live then
-          report ~base:obj.Memsim.Memobj.base ~addr:lo ~size:(hi - lo) ()
+          report ~anchor:obj.Memsim.Memobj.base ~addr:lo ~size:(hi - lo)
         else begin
           let b_lo = obj.Memsim.Memobj.base and b_hi = believed_end obj in
           if lo < b_lo || hi > b_hi then
-            report ~base:obj.Memsim.Memobj.base
+            report ~anchor:obj.Memsim.Memobj.base
               ~addr:(if lo < b_lo then lo else b_hi)
-              ~size:(hi - lo) ()
+              ~size:(hi - lo)
           else None
         end
   in

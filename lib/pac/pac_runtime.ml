@@ -22,15 +22,8 @@ let create_exposed ?key config =
   let counters = Counters.create () in
   let hists = Histogram.create_set () in
   let name = "PAC" in
-  let report ?base ~addr ~size () =
-    counters.Counters.errors <- counters.Counters.errors + 1;
-    let r =
-      Report.make
-        ~kind:(Report.classify_access heap ~addr ~base)
-        ~addr ~size ~detected_by:name
-    in
-    Trace.emit_report ~tool:name ~kind:(Report.kind_name r.Report.kind) ~addr;
-    Some r
+  let report ~anchor ~addr ~size =
+    San.report_access ~name heap counters ~anchor ~addr ~size
   in
   let report_forged ~addr ~size =
     (* a pointer whose signature fails authentication has no provenance
@@ -76,26 +69,27 @@ let create_exposed ?key config =
      the slot's slack. *)
   let auth_check ~anchor ~lo ~hi =
     counters.Counters.auth_checks <- counters.Counters.auth_checks + 1;
-    if anchor < 64 then report ~addr:anchor ~size:(hi - lo) ()
+    if anchor < 64 then
+      report ~anchor:Report.no_anchor ~addr:anchor ~size:(hi - lo)
     else
       match Memsim.Heap.find_object heap anchor with
       | None ->
         (* never allocated: no signature can exist, authentication fails *)
-        report ~addr:lo ~size:(hi - lo) ()
+        report ~anchor:Report.no_anchor ~addr:lo ~size:(hi - lo)
       | Some obj ->
         let base = obj.Memsim.Memobj.base in
         if obj.Memsim.Memobj.status <> Memsim.Memobj.Live then
           (* the signature was stripped on free: stale pointer *)
-          report ~base ~addr:lo ~size:(hi - lo) ()
+          report ~anchor:base ~addr:lo ~size:(hi - lo)
         else (
           match Pac.check pac ~base with
-          | Error _ -> report_forged ~addr:lo ~size:(hi - lo)
-          | Ok _ ->
+          | Some _ -> report_forged ~addr:lo ~size:(hi - lo)
+          | None ->
             let b_hi = base + obj.Memsim.Memobj.size in
             if lo < base || hi > b_hi then
-              report ~base
+              report ~anchor:base
                 ~addr:(if lo < base then lo else b_hi)
-                ~size:(hi - lo) ()
+                ~size:(hi - lo)
             else None)
   in
   let access ~base ~addr ~width =

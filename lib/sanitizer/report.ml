@@ -30,7 +30,9 @@ let kind_name = function
   | Null_dereference -> "null-dereference"
   | Wild_access -> "wild-access"
 
-let classify_access heap ~addr ~base =
+let no_anchor = min_int
+
+let classify_access heap ~addr ~anchor =
   let oracle = Memsim.Heap.oracle heap in
   let arena_size = Memsim.Arena.size (Memsim.Heap.arena heap) in
   if addr < 64 then Null_dereference
@@ -46,9 +48,8 @@ let classify_access heap ~addr ~base =
       | None -> Wild_access
       | Some obj ->
         let underflow =
-          match base with
-          | Some b -> addr < b
-          | None -> addr < obj.Memsim.Memobj.base
+          if anchor = no_anchor then addr < obj.Memsim.Memobj.base
+          else addr < anchor
         in
         (match obj.Memsim.Memobj.kind with
         | Memsim.Memobj.Heap ->

@@ -25,12 +25,17 @@ type t = {
 
 val make : kind:kind -> addr:int -> size:int -> detected_by:string -> t
 
-val classify_access :
-  Giantsan_memsim.Heap.t -> addr:int -> base:int option -> kind
+val no_anchor : int
+(** The anchor of a check that has no base pointer to blame against
+    ([min_int], never a real address). Checks carry their anchor as a
+    plain int rather than an option, so the check path boxes nothing. *)
+
+val classify_access : Giantsan_memsim.Heap.t -> addr:int -> anchor:int -> kind
 (** Best-effort diagnosis of a bad access from allocator ground truth, the
     way ASan decodes its shadow error codes: redzone hits become overflows
-    or underflows (relative to [base] when known), freed bytes become
-    use-after-free, low addresses become null dereferences. *)
+    or underflows (relative to [anchor] unless it is {!no_anchor}, else to
+    the owning object's base), freed bytes become use-after-free, low
+    addresses become null dereferences. *)
 
 val kind_name : kind -> string
 val pp : Format.formatter -> t -> unit

@@ -30,85 +30,99 @@ let cache_windows c =
    [cache_base] the cache currently vouches. *)
 let cache_ub c =
   let ub = ref 0 in
-  Array.iter
-    (fun w ->
-      if w.w_lo < w.w_hi && w.w_lo <= c.cache_base && w.w_hi > c.cache_base
-      then ub := max !ub (w.w_hi - c.cache_base))
-    c.windows;
+  for k = 0 to Array.length c.windows - 1 do
+    let w = c.windows.(k) in
+    if w.w_lo < w.w_hi && w.w_lo <= c.cache_base && w.w_hi > c.cache_base
+    then ub := max !ub (w.w_hi - c.cache_base)
+  done;
   !ub
+
+(* The window helpers below move window {e contents} between slots, never
+   the window records, and use no closures, options or lists: a cache hit
+   or a merge allocates nothing. *)
+
+(* Shift slots [0, k) one place towards the back (slot [k] is
+   overwritten), freeing slot 0. *)
+let shift_back ws k =
+  for j = k downto 1 do
+    let src = ws.(j - 1) and dst = ws.(j) in
+    dst.w_lo <- src.w_lo;
+    dst.w_hi <- src.w_hi
+  done
 
 let cache_hit c ~lo ~hi =
   hi <= lo
   ||
-  let n = Array.length c.windows in
-  let rec find k =
-    if k >= n then -1
-    else
-      let w = c.windows.(k) in
-      if w.w_lo < w.w_hi && w.w_lo <= lo && hi <= w.w_hi then k
-      else find (k + 1)
-  in
-  let k = find 0 in
-  k >= 0
+  let ws = c.windows in
+  let n = Array.length ws in
+  let k = ref 0 in
+  while
+    !k < n
+    &&
+    let w = ws.(!k) in
+    not (w.w_lo < w.w_hi && w.w_lo <= lo && hi <= w.w_hi)
+  do
+    incr k
+  done;
+  !k < n
   && begin
        (* promote the covering window to the MRU front *)
-       let w = c.windows.(k) in
-       for j = k downto 1 do
-         c.windows.(j) <- c.windows.(j - 1)
-       done;
-       c.windows.(0) <- w;
+       let k = !k in
+       let w = ws.(k) in
+       let wlo = w.w_lo and whi = w.w_hi in
+       shift_back ws k;
+       ws.(0).w_lo <- wlo;
+       ws.(0).w_hi <- whi;
        true
      end
 
 let cache_note c ~lo ~hi =
   if hi > lo then begin
+    let ws = c.windows in
+    let n = Array.length ws in
     (* union with every overlapping-or-adjacent window, to fixpoint (a
-       grown union can newly touch a window an earlier pass skipped) *)
+       grown union can newly touch a window an earlier pass skipped);
+       [absorbed] is a bit set over the slots *)
     let glo = ref lo and ghi = ref hi in
-    let absorbed = Array.map (fun _ -> false) c.windows in
+    let absorbed = ref 0 in
     let changed = ref true in
     while !changed do
       changed := false;
-      Array.iteri
-        (fun k w ->
-          if
-            (not absorbed.(k))
-            && w.w_lo < w.w_hi
-            && w.w_lo <= !ghi
-            && !glo <= w.w_hi
-          then begin
-            glo := min !glo w.w_lo;
-            ghi := max !ghi w.w_hi;
-            absorbed.(k) <- true;
-            changed := true
-          end)
-        c.windows
-    done;
-    (* merged window takes the front; surviving disjoint windows keep
-       their recency order behind it; the least recent falls off *)
-    let survivors =
-      Array.to_list c.windows
-      |> List.filteri (fun k _ -> not absorbed.(k))
-      |> List.filter_map (fun w ->
-             if w.w_lo < w.w_hi then Some (w.w_lo, w.w_hi) else None)
-    in
-    let rest = ref survivors in
-    Array.iteri
-      (fun k w ->
-        if k = 0 then begin
-          w.w_lo <- !glo;
-          w.w_hi <- !ghi
+      for k = 0 to n - 1 do
+        let w = ws.(k) in
+        if
+          !absorbed land (1 lsl k) = 0
+          && w.w_lo < w.w_hi
+          && w.w_lo <= !ghi
+          && !glo <= w.w_hi
+        then begin
+          glo := min !glo w.w_lo;
+          ghi := max !ghi w.w_hi;
+          absorbed := !absorbed lor (1 lsl k);
+          changed := true
         end
-        else
-          match !rest with
-          | (a, b) :: tl ->
-            rest := tl;
-            w.w_lo <- a;
-            w.w_hi <- b
-          | [] ->
-            w.w_lo <- 0;
-            w.w_hi <- 0)
-      c.windows
+      done
+    done;
+    (* surviving disjoint windows keep their recency order, compacted to
+       the front ([keep] of them); then they step back one slot behind the
+       merged window, and the least recent falls off *)
+    let keep = ref 0 in
+    for k = 0 to n - 1 do
+      let w = ws.(k) in
+      if !absorbed land (1 lsl k) = 0 && w.w_lo < w.w_hi then begin
+        let dst = ws.(!keep) in
+        dst.w_lo <- w.w_lo;
+        dst.w_hi <- w.w_hi;
+        incr keep
+      end
+    done;
+    shift_back ws (min !keep (n - 1));
+    ws.(0).w_lo <- !glo;
+    ws.(0).w_hi <- !ghi;
+    for k = !keep + 1 to n - 1 do
+      ws.(k).w_lo <- 0;
+      ws.(k).w_hi <- 0
+    done
   end
 
 type t = {
@@ -152,6 +166,17 @@ let counters_copy c =
 let counters_restore c s =
   Counters.reset c;
   Counters.add c s
+
+let report_access ~name heap counters ~anchor ~addr ~size =
+  counters.Counters.errors <- counters.Counters.errors + 1;
+  let r =
+    Report.make
+      ~kind:(Report.classify_access heap ~addr ~anchor)
+      ~addr ~size ~detected_by:name
+  in
+  Giantsan_telemetry.Trace.emit_report ~tool:name
+    ~kind:(Report.kind_name r.Report.kind) ~addr;
+  Some r
 
 let record_error t = function
   | None -> None

@@ -37,7 +37,8 @@ val new_cache : base:int -> cache
 
 val cache_hit : cache -> lo:int -> hi:int -> bool
 (** Does some window cover [\[lo, hi)]? Promotes the covering window to the
-    MRU front. Empty queries ([hi <= lo]) hit vacuously. *)
+    MRU front. Empty queries ([hi <= lo]) hit vacuously. Like [cache_note],
+    allocation-free: windows move by value between slots. *)
 
 val cache_note : cache -> lo:int -> hi:int -> unit
 (** Record [\[lo, hi)] as proven addressable: merged with every
@@ -52,8 +53,8 @@ val cache_ub : cache -> int
     telemetry. *)
 
 val cache_windows : cache -> (int * int) list
-(** Non-empty [(w_lo, w_hi)] pairs in MRU order — for flushing, tests and
-    diagnostics. *)
+(** Non-empty [(w_lo, w_hi)] pairs in MRU order — for tests and
+    diagnostics (it allocates; the check path walks [windows] itself). *)
 
 type t = {
   name : string;
@@ -100,6 +101,19 @@ type t = {
           is event-count-identical to one on a freshly built sanitizer.
           Raises [Invalid_argument] if no snapshot was taken. *)
 }
+
+val report_access :
+  name:string ->
+  Giantsan_memsim.Heap.t ->
+  Counters.t ->
+  anchor:int ->
+  addr:int ->
+  size:int ->
+  Report.t option
+(** The report of a failed access check at [addr], shared by every
+    runtime: counts one error, classifies [addr] against the heap
+    ({!Report.classify_access}: an access below [anchor] is an underflow),
+    emits the [report] trace event and returns [Some] report. *)
 
 val record_error : t -> Report.t option -> Report.t option
 (** Count an error if one was produced (helper for implementers). *)

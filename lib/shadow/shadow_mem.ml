@@ -10,6 +10,8 @@ type t = {
      instead of O(arena). Newest entry first. *)
   mutable journal : (int * int) list;  (* (lo, len) *)
   mutable armed : bool;
+  word : Bytes.t;
+      (* the word register: the 8 segments the last [load_word] fetched *)
 }
 
 let create ~segments ~fill =
@@ -21,6 +23,7 @@ let create ~segments ~fill =
     stores = 0;
     journal = [];
     armed = false;
+    word = Bytes.make 8 (Char.chr fill);
   }
 
 let of_heap heap ~fill =
@@ -43,36 +46,36 @@ let peek t p =
   if p < 0 || p >= Bytes.length t.bytes then t.fill
   else Char.code (Bytes.get t.bytes p)
 
-(* Word-wide metadata fetch: segments [p, p+8) packed little-endian, so
-   byte [k] of the result is segment [p + k]. One counted load per word —
-   the folding encoding exists precisely so a single 64-bit load can vouch
-   for 64 segments, and the cost model must see it as a single event. A
-   word that only straddles the arena end still costs one load (the arena
-   part is a real fetch); a word entirely outside costs nothing. *)
-let word_of_bytes t p =
-  if p >= 0 && p + 8 <= Bytes.length t.bytes then Bytes.get_int64_le t.bytes p
-  else begin
-    (* arena-end (or -start) straddle: assemble per byte, fill outside *)
-    let w = ref 0L in
-    for k = 7 downto 0 do
-      let q = p + k in
-      let v =
-        if q < 0 || q >= Bytes.length t.bytes then t.fill
-        else Char.code (Bytes.get t.bytes q)
-      in
-      w := Int64.logor (Int64.shift_left !w 8) (Int64.of_int v)
-    done;
-    !w
-  end
+(* Word-wide metadata fetch: segments [p, p+8) land in the word register,
+   byte [k] of it being segment [p + k]. One counted load per word — the
+   folding encoding exists precisely so a single 64-bit load can vouch for
+   64 segments, and the cost model must see it as a single event. A word
+   that only straddles the arena end still costs one load (the arena part
+   is a real fetch); a word entirely outside costs nothing. The word stays
+   in the register instead of being returned: an [int64] result would be
+   boxed on every check, since it cannot be unboxed across modules. *)
+let stage_word t dst p =
+  if p >= 0 && p + 8 <= Bytes.length t.bytes then
+    Bytes.set_int64_le dst 0 (Bytes.get_int64_le t.bytes p)
+  else
+    (* arena-end (or -start) straddle: per byte, fill outside *)
+    for k = 0 to 7 do
+      Bytes.unsafe_set dst k (Char.unsafe_chr (peek t (p + k)))
+    done
 
 let load_word t p =
   if p + 8 > 0 && p < Bytes.length t.bytes then t.loads <- t.loads + 1;
-  word_of_bytes t p
+  stage_word t t.word p
+
+let word_lane t k = Char.code (Bytes.get t.word k)
 
 (* Uncounted word fetch: the audit/dump twin of [peek]. Selfcheck and
    shadow dumps walk the whole arena; charging those scans would swamp the
    workload's own counters. *)
-let peek_word t p = word_of_bytes t p
+let peek_word t p =
+  let w = Bytes.create 8 in
+  stage_word t w p;
+  Bytes.get_int64_le w 0
 
 let word_byte w k = Int64.to_int (Int64.logand (Int64.shift_right_logical w (8 * k)) 0xFFL)
 

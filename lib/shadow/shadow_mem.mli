@@ -27,20 +27,27 @@ val load : t -> int -> int
 val peek : t -> int -> int
 (** Like [load] but uncounted — for tests and pretty-printing only. *)
 
-val load_word : t -> int -> int64
-(** [load_word m p] fetches segments [p, p+8) in one counted metadata load,
-    packed little-endian: byte [k] of the result is segment [p + k].
+val load_word : t -> int -> unit
+(** [load_word m p] fetches segments [p, p+8) into [m]'s word register in
+    one counted metadata load; {!word_lane} then reads them back.
     Out-of-range segments read as the fill value (arena-end clamping is
     per-byte), and a word that lies entirely outside the arena costs no
-    load at all. In-range words compile to a single 64-bit fetch. *)
+    load at all. In-range words are a single 64-bit fetch. Nothing is
+    returned, so the check hot path allocates nothing. *)
+
+val word_lane : t -> int -> int
+(** [word_lane m k] is lane [k] (0..7) of the last word {!load_word}
+    fetched: the state code of segment [p + k]. Uncounted — the word was
+    paid for by the load. *)
 
 val peek_word : t -> int -> int64
-(** Like [load_word] but uncounted — for audits (selfcheck) and dumps whose
+(** The word [load_word m p] would fetch, packed little-endian (byte [k] is
+    segment [p + k]) and uncounted — for audits (selfcheck) and dumps whose
     whole-arena scans must not perturb the workload's cost model. *)
 
 val word_byte : int64 -> int -> int
 (** [word_byte w k] extracts lane [k] (0..7) of a shadow word: the state
-    code of segment [p + k] when [w = load_word m p]. *)
+    code of segment [p + k] when [w = peek_word m p]. *)
 
 val set : t -> int -> int -> unit
 (** [set m p v] writes segment state (0..255), counting one metadata store. *)

@@ -2,23 +2,33 @@
     Disabled by default, and the disabled path is a no-op that allocates
     nothing — the [emit_*] entry points take their payloads as immediate
     arguments and only build the event value once the switch has been
-    checked, so an instrumented hot loop pays a load-and-branch when tracing
-    is off (verified by the zero-allocation test).
+    checked (verified by the zero-allocation tests).
 
     The same switch gates histogram observation in the runtimes: when
     [is_on] is false the sanitizers run exactly the pre-telemetry code
     paths.
 
+    {b The gate.} A process-wide atomic counts the sinks that are on.
+    [is_on] and every emitter read it first: while no domain traces, the
+    disabled path is that one atomic load — no [Domain.DLS] lookup, zero
+    words allocated. Only when some sink is on does a query go on to its
+    own domain's switch.
+
     {b Concurrency.} The sink lives in domain-local storage
     ([Domain.DLS]): every function below reads and mutates only the calling
-    domain's switch and ring. A freshly spawned domain starts with tracing
-    off, so worker domains emit nothing until they opt in — the parallel
-    engine ({!Giantsan_parallel.Shard}) wraps each shard in [with_capture]
-    to give it a private ring, and merges the captured event lists
-    deterministically afterwards. Nothing here is shared across domains, so
-    no locking is needed and the serial fast path is unchanged. *)
+    domain's switch and ring (the live count is the one shared word, and it
+    only decides whether that switch is worth reading). A freshly spawned
+    domain starts with tracing off, so worker domains emit nothing until
+    they opt in — the parallel engine ({!Giantsan_parallel.Shard}) wraps
+    each shard in [with_capture] to give it a private ring, and merges the
+    captured event lists deterministically afterwards. A domain that exits
+    with tracing on gives its share of the count back. *)
 
 val is_on : unit -> bool
+
+val sinks_on : unit -> int
+(** How many domains' sinks are on right now: the live count [is_on]
+    tests first. *)
 
 val enable : ?capacity:int -> unit -> unit
 (** Turn the sink on with a fresh ring ([capacity] defaults to 65536

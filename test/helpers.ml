@@ -45,6 +45,15 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* Minor words [f] allocates, and what reading the counter twice costs on
+   its own — the only allocation a zero-word assertion may tolerate. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let counter_cost () = minor_words_of ignore
+
 (* Quick alcotest shorthands *)
 let qt = Alcotest.test_case
 let q name arb prop =

@@ -282,18 +282,21 @@ let test_load_word_matches_reference =
       for _ = 1 to 64 do
         (* in-arena words, arena-end straddles, fully outside, negative *)
         let p = Rng.int_in rng (-12) (n + 12) in
+        let w = Ref_kernel.word_at r p in
         let before = Shadow_mem.loads m in
-        let w = Shadow_mem.load_word m p in
+        Shadow_mem.load_word m p;
         let counted = Shadow_mem.loads m - before in
-        if w <> Ref_kernel.word_at r p then ok := false;
         if counted <> (if Ref_kernel.word_load_counted r p then 1 else 0) then
           ok := false;
         (* peek_word answers the same word without touching the counter *)
         let before = Shadow_mem.loads m in
         if Shadow_mem.peek_word m p <> w then ok := false;
         if Shadow_mem.loads m <> before then ok := false;
-        (* lane extraction = the scalar peeks it batches *)
+        (* the register's lanes = the reference word's lanes = the scalar
+           peeks it batches *)
         for k = 0 to 7 do
+          if Shadow_mem.word_lane m k <> Shadow_mem.word_byte w k then
+            ok := false;
           if Shadow_mem.word_byte w k <> Shadow_mem.peek m (p + k) then
             ok := false
         done

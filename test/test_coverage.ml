@@ -31,23 +31,23 @@ let test_report_classification_edges () =
   let heap = san.San.heap in
   (* near-null *)
   Alcotest.(check string) "null page" "null-dereference"
-    (Report.kind_name (Report.classify_access heap ~addr:4 ~base:None));
+    (Report.kind_name (Report.classify_access heap ~addr:4 ~anchor:Report.no_anchor));
   (* unallocated middle of the arena *)
   Alcotest.(check string) "wild" "wild-access"
-    (Report.kind_name (Report.classify_access heap ~addr:30000 ~base:None));
+    (Report.kind_name (Report.classify_access heap ~addr:30000 ~anchor:Report.no_anchor));
   (* beyond the arena *)
   Alcotest.(check string) "off the end" "wild-access"
     (Report.kind_name
-       (Report.classify_access heap ~addr:(1 lsl 40) ~base:None));
+       (Report.classify_access heap ~addr:(1 lsl 40) ~anchor:Report.no_anchor));
   (* overflow vs underflow depends on the anchor *)
   let obj = san.San.malloc 64 in
   let base = obj.Memsim.Memobj.base in
   Alcotest.(check string) "underflow rel anchor" "heap-buffer-underflow"
     (Report.kind_name
-       (Report.classify_access heap ~addr:(base - 2) ~base:(Some base)));
+       (Report.classify_access heap ~addr:(base - 2) ~anchor:base));
   Alcotest.(check string) "overflow rel anchor" "heap-buffer-overflow"
     (Report.kind_name
-       (Report.classify_access heap ~addr:(base + 66) ~base:(Some base)))
+       (Report.classify_access heap ~addr:(base + 66) ~anchor:base))
 
 let test_counters_add_reset () =
   let a = Counters.create () and b = Counters.create () in

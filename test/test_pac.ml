@@ -258,9 +258,9 @@ let test_drop_is_stale_not_forged () =
   Alcotest.(check bool) "audit alone cannot see a drop" true
     (Pac.audit pac = None);
   match Pac.check pac ~base with
-  | Error Pac.Stale -> ()
-  | Ok _ -> Alcotest.fail "dropped signature still authenticated"
-  | Error (Pac.Forged _) -> Alcotest.fail "drop misclassified as forge"
+  | Some Pac.Stale -> ()
+  | None -> Alcotest.fail "dropped signature still authenticated"
+  | Some (Pac.Forged _) -> Alcotest.fail "drop misclassified as forge"
 
 let suite =
   ( "pac",

@@ -223,18 +223,110 @@ let test_with_capture_restores =
 let test_disabled_path_allocates_nothing =
   Helpers.qt "disabled emitters allocate nothing" `Quick (fun () ->
       Trace.disable ();
-      (* warm up so the closure itself is built *)
-      Trace.emit_access ~tool:"t" ~addr:0 ~width:8 ~fast:true;
-      let before = Gc.minor_words () in
-      for i = 1 to 100_000 do
+      let emit_all i =
+        ignore (Trace.is_on ());
+        Trace.emit_malloc ~tool:"t" ~base:i ~size:8 ~kind:"heap";
+        Trace.emit_free ~tool:"t" ~addr:i;
         Trace.emit_access ~tool:"t" ~addr:i ~width:8 ~fast:true;
+        Trace.emit_shadow_load ~tool:"t" ~count:i;
+        Trace.emit_cache_hit ~tool:"t" ~off:i;
+        Trace.emit_cache_update ~tool:"t" ~ub:i;
         Trace.emit_region_check ~tool:"t" ~lo:0 ~hi:i ~fast:true ~loads:0;
-        Trace.emit_malloc ~tool:"t" ~base:i ~size:8 ~kind:"heap"
-      done;
-      let delta = Gc.minor_words () -. before in
-      if delta > 256.0 then
+        Trace.emit_report ~tool:"t" ~kind:"k" ~addr:i;
+        Trace.emit_phase_begin ~name:"p";
+        Trace.emit_phase_end ~name:"p"
+      in
+      emit_all 0;
+      let delta =
+        Helpers.minor_words_of (fun () ->
+            for i = 1 to 100_000 do
+              emit_all i
+            done)
+      in
+      if delta > Helpers.counter_cost () then
         Alcotest.fail
           (Printf.sprintf "disabled emit path allocated %.0f words" delta))
+
+(* The live-sink count behind the one-load gate must track the per-domain
+   switches exactly, whatever order they flip in. *)
+
+let spin_until flag =
+  while not (Atomic.get flag) do
+    Domain.cpu_relax ()
+  done
+
+let test_gate_is_per_domain =
+  Helpers.qt "tracing on one domain leaves the other's switch off" `Quick
+    (fun () ->
+      Alcotest.(check int) "no sink on" 0 (Trace.sinks_on ());
+      (* a worker traces; the main domain stays off *)
+      let enabled = Atomic.make false and checked = Atomic.make false in
+      let worker =
+        Domain.spawn (fun () ->
+            Trace.enable ();
+            Atomic.set enabled true;
+            spin_until checked;
+            let on = Trace.is_on () in
+            Trace.disable ();
+            on)
+      in
+      spin_until enabled;
+      Alcotest.(check int) "worker's sink counted" 1 (Trace.sinks_on ());
+      Alcotest.(check bool) "main off while worker traces" false
+        (Trace.is_on ());
+      Trace.emit_free ~tool:"t" ~addr:1;
+      Atomic.set checked true;
+      Alcotest.(check bool) "worker on" true (Domain.join worker);
+      Alcotest.(check int) "worker's sink released" 0 (Trace.sinks_on ());
+      (* and the reverse: main traces, a fresh worker stays off *)
+      Trace.enable ();
+      let worker_on =
+        Domain.join
+          (Domain.spawn (fun () ->
+               Trace.emit_free ~tool:"worker" ~addr:2;
+               Trace.is_on ()))
+      in
+      Alcotest.(check bool) "worker off while main traces" false worker_on;
+      Alcotest.(check int) "worker's emit stayed out of main's ring" 0
+        (Trace.emitted ());
+      Trace.disable ();
+      Trace.clear ();
+      (* a domain that exits with tracing on gives its share back *)
+      Domain.join (Domain.spawn (fun () -> Trace.enable ()));
+      Alcotest.(check int) "exited domain released" 0 (Trace.sinks_on ()))
+
+let check_gate_settled what =
+  Alcotest.(check int) (what ^ ": no sink on") 0 (Trace.sinks_on ());
+  Alcotest.(check bool) (what ^ ": off") false (Trace.is_on ());
+  Trace.enable ();
+  Alcotest.(check bool) (what ^ ": a later enable works") true
+    (Trace.is_on ());
+  Trace.emit_free ~tool:"t" ~addr:1;
+  Alcotest.(check int) (what ^ ": and records") 1 (Trace.emitted ());
+  Trace.disable ();
+  Trace.clear ();
+  Alcotest.(check int) (what ^ ": disable releases") 0 (Trace.sinks_on ())
+
+let test_gate_count_consistent =
+  Helpers.qt "the live-sink count survives every switch sequence" `Quick
+    (fun () ->
+      Trace.enable ();
+      Trace.disable ();
+      Trace.disable ();
+      check_gate_settled "disable twice";
+      let ((), inner), outer =
+        Trace.with_capture (fun () ->
+            Trace.with_capture (fun () ->
+                Alcotest.(check int) "nested: one sink" 1 (Trace.sinks_on ());
+                Trace.emit_free ~tool:"inner" ~addr:1))
+      in
+      Alcotest.(check int) "nested: inner captured" 1 (List.length inner);
+      Alcotest.(check int) "nested: outer untouched" 0 (List.length outer);
+      check_gate_settled "nested with_capture";
+      (match Trace.with_capture (fun () -> failwith "boom") with
+      | _ -> Alcotest.fail "the exception was swallowed"
+      | exception Failure _ -> ());
+      check_gate_settled "exception inside with_capture")
 
 (* ------------------------------------------------------------------ *)
 (* Performance regression gate                                         *)
@@ -641,4 +733,6 @@ let suite =
       test_every_event_kind_passes_strict;
       test_unknown_kind_rejected;
       test_summary_keys_rows_by_name;
+      test_gate_is_per_domain;
+      test_gate_count_consistent;
     ] )
