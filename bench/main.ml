@@ -22,6 +22,7 @@ module Interp = Giantsan_analysis.Interp
 module Juliet = Giantsan_bugs.Juliet
 module Magma = Giantsan_bugs.Magma
 module Harness = Giantsan_bugs.Harness
+module Backend = Giantsan_policy.Backend
 
 let config =
   { Memsim.Heap.arena_size = 1 lsl 20; redzone = 16; quarantine_budget = 64 * 1024 }
@@ -47,15 +48,15 @@ let bench_single_access name make_san =
         fun () -> ignore (san.San.access ~base ~addr:(base + 128) ~width:8)))
 
 let table1_group =
+  (* the name suffix marks ASan's linear region scan *)
+  let tools = Backend.[ (Giantsan, ""); (Asan, "(linear)"); (Lfp, "") ] in
+  let each f =
+    List.map (fun (id, note) -> f (Backend.name id) note (Backend.create id))
+      tools
+  in
   Test.make_grouped ~name:"table1"
-    [
-      bench_region_check "giantsan/region-4KiB" Giantsan_core.Gs_runtime.create;
-      bench_region_check "asan/region-4KiB(linear)" Giantsan_asan.Asan_runtime.create;
-      bench_region_check "lfp/region-4KiB" Giantsan_lfp.Lfp_runtime.create;
-      bench_single_access "giantsan/access" Giantsan_core.Gs_runtime.create;
-      bench_single_access "asan/access" Giantsan_asan.Asan_runtime.create;
-      bench_single_access "lfp/access" Giantsan_lfp.Lfp_runtime.create;
-    ]
+    (each (fun n note mk -> bench_region_check (n ^ "/region-4KiB" ^ note) mk)
+    @ each (fun n _ mk -> bench_single_access (n ^ "/access") mk))
 
 (* ------------------------------------------------------------------ *)
 (* Table 2 flavour: one representative profile per sanitizer           *)
@@ -108,7 +109,7 @@ let table3_group =
     (List.map
        (fun tool ->
          Test.make
-           ~name:("cwe122x60/" ^ Harness.tool_name tool)
+           ~name:("cwe122x60/" ^ Runner.config_name tool)
            (Staged.stage (fun () ->
                 ignore (Harness.count_detected tool juliet_subset))))
        Harness.all_tools)
@@ -122,7 +123,7 @@ let table4_group =
     (List.map
        (fun tool ->
          Test.make
-           ~name:("cves/" ^ Harness.tool_name tool)
+           ~name:("cves/" ^ Runner.config_name tool)
            (Staged.stage (fun () ->
                 List.iter
                   (fun (c : Giantsan_bugs.Cves.t) ->
@@ -147,17 +148,16 @@ let php_small =
 let table5_group =
   let cases = Magma.cases php_small in
   Test.make_grouped ~name:"table5"
-    [
-      Test.make ~name:"php/asan-rz16"
-        (Staged.stage (fun () ->
-             ignore (Harness.count_detected ~redzone:16 Harness.Asan cases)));
-      Test.make ~name:"php/asan-rz512"
-        (Staged.stage (fun () ->
-             ignore (Harness.count_detected ~redzone:512 Harness.Asan cases)));
-      Test.make ~name:"php/giantsan-rz16"
-        (Staged.stage (fun () ->
-             ignore (Harness.count_detected ~redzone:16 Harness.Giantsan cases)));
-    ]
+    (List.map
+       (fun (tool, redzone) ->
+         Test.make
+           ~name:
+             (Printf.sprintf "php/%s-rz%d"
+                (Backend.name (Runner.backend tool))
+                redzone)
+           (Staged.stage (fun () ->
+                ignore (Harness.count_detected ~redzone tool cases))))
+       Runner.[ (Asan, 16); (Asan, 512); (Giantsan, 16) ])
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11: the traversal patterns, timed for real                   *)
@@ -174,22 +174,16 @@ let fig11_group =
   let forward san ~base ~size = Traversal.forward san ~base ~size in
   let random san ~base ~size = Traversal.random san ~seed:11 ~base ~size in
   let reverse san ~base ~size = Traversal.reverse san ~base ~size in
-  let tools =
-    [
-      ("native", fun c -> Giantsan_sanitizer.Native.create c);
-      ("giantsan", fun c -> Giantsan_core.Gs_runtime.create c);
-      ("asan", fun c -> Giantsan_asan.Asan_runtime.create c);
-    ]
-  in
   Test.make_grouped ~name:"fig11"
     (List.concat_map
-       (fun (tname, mk) ->
+       (fun id ->
+         let tname = Backend.name id and mk = Backend.create id in
          [
            fig11_bench (Printf.sprintf "forward-16KiB/%s" tname) mk forward;
            fig11_bench (Printf.sprintf "random-16KiB/%s" tname) mk random;
            fig11_bench (Printf.sprintf "reverse-16KiB/%s" tname) mk reverse;
          ])
-       tools)
+       Backend.[ Native; Giantsan; Asan ])
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks of the primitives                                   *)
@@ -214,19 +208,19 @@ let micro_group =
         (Staged.stage (fun () -> ignore (Folding.upper_bound m ~addr:8)));
       Test.make ~name:"alloc/malloc-free-64B"
         (Staged.stage
-           (let san = Giantsan_core.Gs_runtime.create config in
+           (let san = Backend.create Backend.Giantsan config in
             fun () ->
               let obj = san.San.malloc 64 in
               ignore (san.San.free obj.Memsim.Memobj.base)));
       Test.make ~name:"alloc/asan-malloc-free-64B"
         (Staged.stage
-           (let san = Giantsan_asan.Asan_runtime.create config in
+           (let san = Backend.create Backend.Asan config in
             fun () ->
               let obj = san.San.malloc 64 in
               ignore (san.San.free obj.Memsim.Memobj.base)));
       Test.make ~name:"cache/hit"
         (Staged.stage
-           (let san = Giantsan_core.Gs_runtime.create config in
+           (let san = Backend.create Backend.Giantsan config in
             let obj = san.San.malloc 1024 in
             let cache = san.San.new_cache ~base:obj.Memsim.Memobj.base in
             ignore (san.San.cached_access cache ~off:1016 ~width:8);
@@ -336,6 +330,21 @@ let jobs =
   in
   scan 1
 
+(* One exported profile row: the event counts a run left behind. *)
+let profile_row ~profile ~config ~sim_ns ~ops ~loads ~stores c =
+  {
+    Telemetry.Export.bp_profile = profile;
+    bp_config = config;
+    bp_sim_ns = sim_ns;
+    bp_ops = ops;
+    bp_shadow_loads = loads;
+    bp_shadow_stores = stores;
+    bp_region_checks = c.Counters.region_checks;
+    bp_fast_checks = c.Counters.fast_checks;
+    bp_slow_checks = c.Counters.slow_checks;
+    bp_word_checks = c.Counters.word_checks;
+  }
+
 (* Per-profile simulated cost under every sanitizer configuration, at a
    reduced scale so the sweep stays in seconds, sharded across the domain
    pool (one cell = one private heap/shadow/sanitizer). LFP's compile-error
@@ -351,20 +360,12 @@ let profile_stats () =
     (fun (r : Runner.result) ->
       if r.Runner.r_status <> Runner.Completed then None
       else
-        let c = r.Runner.r_counters in
         Some
-          {
-            Telemetry.Export.bp_profile = r.Runner.r_profile;
-            bp_config = Runner.config_name r.Runner.r_config;
-            bp_sim_ns = r.Runner.r_sim_ns;
-            bp_ops = r.Runner.r_ops;
-            bp_shadow_loads = r.Runner.r_shadow_loads;
-            bp_shadow_stores = r.Runner.r_shadow_stores;
-            bp_region_checks = c.Counters.region_checks;
-            bp_fast_checks = c.Counters.fast_checks;
-            bp_slow_checks = c.Counters.slow_checks;
-            bp_word_checks = c.Counters.word_checks;
-          })
+          (profile_row ~profile:r.Runner.r_profile
+             ~config:(Runner.config_name r.Runner.r_config)
+             ~sim_ns:r.Runner.r_sim_ns ~ops:r.Runner.r_ops
+             ~loads:r.Runner.r_shadow_loads ~stores:r.Runner.r_shadow_stores
+             r.Runner.r_counters))
     (Array.to_list outcome.Giantsan_parallel.Sweep.o_results)
 
 (* Deterministic Figure 11 rows: the three traversal kernels per tool at
@@ -385,19 +386,11 @@ let fig11_stats () =
         fun san ~base -> Traversal.reverse san ~base ~size );
     ]
   in
-  let tools =
-    [
-      ("native", (fun () -> Giantsan_sanitizer.Native.create config), false);
-      ("giantsan", (fun () -> Giantsan_core.Gs_runtime.create config), true);
-      ("asan", (fun () -> Giantsan_asan.Asan_runtime.create config), true);
-      ("pac", (fun () -> Giantsan_pac.Pac_runtime.create config), true);
-    ]
-  in
   List.concat_map
     (fun (pname, kernel) ->
       List.map
-        (fun (tname, make, sanitized) ->
-          let san = make () in
+        (fun id ->
+          let san = Backend.create id config in
           let base = Traversal.prepare san ~size in
           ignore (kernel san ~base);
           let c = san.San.counters in
@@ -407,24 +400,15 @@ let fig11_stats () =
                 Cost_model.ops = size / 8;
                 shadow_loads = san.San.shadow_loads ();
                 counters = c;
-                is_sanitized = sanitized;
+                is_sanitized = id <> Backend.Native;
                 is_lfp = false;
                 stack_fraction = 0.0;
               }
           in
-          {
-            Telemetry.Export.bp_profile = pname;
-            bp_config = tname;
-            bp_sim_ns = sim_ns;
-            bp_ops = size / 8;
-            bp_shadow_loads = san.San.shadow_loads ();
-            bp_shadow_stores = san.San.shadow_stores ();
-            bp_region_checks = c.Counters.region_checks;
-            bp_fast_checks = c.Counters.fast_checks;
-            bp_slow_checks = c.Counters.slow_checks;
-            bp_word_checks = c.Counters.word_checks;
-          })
-        tools)
+          profile_row ~profile:pname ~config:(Backend.name id) ~sim_ns
+            ~ops:(size / 8) ~loads:(san.San.shadow_loads ())
+            ~stores:(san.San.shadow_stores ()) c)
+        Backend.[ Native; Giantsan; Asan; Pac ])
     kernels
 
 (* Fuzz-mode throughput rows: per-exec reset cost under the two execution
@@ -444,9 +428,8 @@ let fig11_stats () =
    wall-clock — so the rows reproduce byte-identically and the perf gate
    pins them. [bp_ops] is the number of execs, making the exported ns/op a
    per-exec cost: execs/sec = 1e9 / ns_per_op, which is what the
-   fuzzmode-gate CLI asserts the persistent/rebuild speedup on. *)
+   gate CLI asserts the persistent/rebuild speedup on. *)
 let fuzzmode_stats () =
-  let module Backend = Giantsan_policy.Backend in
   let module Cost_model = Giantsan_workload.Cost_model in
   let module Difftest = Giantsan_bugs.Difftest in
   let module Scenario = Giantsan_bugs.Scenario in
@@ -532,18 +515,8 @@ let fuzzmode_stats () =
         +. (float_of_int (!signs_total + map_events) *. w.Cost_model.w_free)
       in
       let row profile sim_ns =
-        {
-          Telemetry.Export.bp_profile = profile;
-          bp_config = Backend.name id;
-          bp_sim_ns = sim_ns;
-          bp_ops = n;
-          bp_shadow_loads = !shadow_loads;
-          bp_shadow_stores = !shadow_stores;
-          bp_region_checks = exec_counters.Counters.region_checks;
-          bp_fast_checks = exec_counters.Counters.fast_checks;
-          bp_slow_checks = exec_counters.Counters.slow_checks;
-          bp_word_checks = exec_counters.Counters.word_checks;
-        }
+        profile_row ~profile ~config:(Backend.name id) ~sim_ns ~ops:n
+          ~loads:!shadow_loads ~stores:!shadow_stores exec_counters
       in
       [
         row "fuzzmode.rebuild" ((float_of_int n *. construct_ns) +. exec_ns);

@@ -1,13 +1,43 @@
 #!/bin/sh
 # CI gate: build, tests, API docs, regression-corpus replay, a fixed-seed
 # fuzz smoke including a byte-identical determinism check of two runs,
-# the sharded-execution determinism gate (serial vs --jobs NDJSON diff),
-# and the performance regression gate against the committed bench
+# the pinned paper tables, the sharded-execution determinism gate (serial
+# vs --jobs NDJSON diff), and the bench gate against the committed bench
 # baseline — which also runs once more under --jobs 2 to prove the
 # parallel engine reproduces the same event counts.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+
+# main ARGS...: the CLI under test.
+main() { dune exec bin/main.exe -- "$@"; }
+
+# same_bytes EXPECTED ACTUAL WHAT: fail the gate with the diff unless the
+# two files are byte-identical.
+same_bytes() {
+  if ! cmp -s "$1" "$2"; then
+    echo "FAIL: $3" >&2
+    diff "$1" "$2" >&2 || true
+    exit 1
+  fi
+}
+
+# assert_exit CODE CMD...: the command must exit with exactly CODE.
+# 0 success, 1 findings/contract violation, 2 corrupt input, 3 OOM,
+# 124 CLI misuse. Bad input and exhaustion must end in a diagnostic and a
+# distinct code, never an uncaught exception trace.
+assert_exit() {
+  want=$1; shift
+  rc=0
+  "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne "$want" ]; then
+    echo "FAIL: '$*' exited $rc, expected $want" >&2
+    exit 1
+  fi
+}
 
 echo "== build =="
 dune build @all
@@ -25,20 +55,15 @@ echo "== tests =="
 dune runtest
 
 echo "== regression corpus replay =="
-dune exec bin/main.exe -- replay test/corpus/regressions
+main replay test/corpus/regressions
 
 echo "== fuzz smoke (2000 runs, seed 42) =="
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
-dune exec bin/main.exe -- fuzz --runs 2000 --seed 42 -o "$tmpdir/run1.txt"
-dune exec bin/main.exe -- fuzz --runs 2000 --seed 42 -o "$tmpdir/run2.txt"
+main fuzz --runs 2000 --seed 42 -o "$tmpdir/run1.txt"
+main fuzz --runs 2000 --seed 42 -o "$tmpdir/run2.txt"
 
 echo "== fuzz determinism =="
-if ! cmp -s "$tmpdir/run1.txt" "$tmpdir/run2.txt"; then
-  echo "FAIL: fuzz summaries differ between identical seeded runs" >&2
-  diff "$tmpdir/run1.txt" "$tmpdir/run2.txt" >&2 || true
-  exit 1
-fi
+same_bytes "$tmpdir/run1.txt" "$tmpdir/run2.txt" \
+  "fuzz summaries differ between identical seeded runs"
 echo "byte-identical summaries across two seeded runs"
 
 echo "== fuzz-mode smoke (persistent vs rebuild, seed 42) =="
@@ -46,85 +71,80 @@ echo "== fuzz-mode smoke (persistent vs rebuild, seed 42) =="
 # between execs) must reach the exact same verdicts as rebuilding the
 # sanitizers from scratch per exec. Everything but the mode banner line
 # must be byte-identical — coverage, corpus, divergences, findings.
-dune exec bin/main.exe -- fuzz --runs 800 --seed 42 --mode persistent \
+main fuzz --runs 800 --seed 42 --mode persistent \
   -o "$tmpdir/fuzz_persistent.txt"
-dune exec bin/main.exe -- fuzz --runs 800 --seed 42 --mode rebuild \
-  -o "$tmpdir/fuzz_rebuild.txt"
+main fuzz --runs 800 --seed 42 --mode rebuild -o "$tmpdir/fuzz_rebuild.txt"
 grep -v 'mode=' "$tmpdir/fuzz_persistent.txt" > "$tmpdir/fuzz_p.norm"
 grep -v 'mode=' "$tmpdir/fuzz_rebuild.txt" > "$tmpdir/fuzz_r.norm"
-if ! cmp -s "$tmpdir/fuzz_p.norm" "$tmpdir/fuzz_r.norm"; then
-  echo "FAIL: persistent and rebuild fuzz modes reached different verdicts" >&2
-  diff "$tmpdir/fuzz_p.norm" "$tmpdir/fuzz_r.norm" >&2 || true
-  exit 1
-fi
+same_bytes "$tmpdir/fuzz_p.norm" "$tmpdir/fuzz_r.norm" \
+  "persistent and rebuild fuzz modes reached different verdicts"
 echo "byte-identical verdicts across persistent and rebuild modes"
 
 echo "== telemetry trace smoke (vs committed expectation) =="
 # The trace is byte-deterministic, so it diffs against a checked-in
 # expectation: a refactor that drops, adds or reorders an event fails here,
 # not only one that makes two runs disagree.
-dune exec bin/main.exe -- trace test/corpus/regressions/uaf_then_double_free.scn \
+main trace test/corpus/regressions/uaf_then_double_free.scn \
   > "$tmpdir/trace1.ndjson"
-if ! cmp -s test/expect/trace_uaf_then_double_free.ndjson "$tmpdir/trace1.ndjson"; then
-  echo "FAIL: trace drifted from test/expect/trace_uaf_then_double_free.ndjson" >&2
-  diff test/expect/trace_uaf_then_double_free.ndjson "$tmpdir/trace1.ndjson" >&2 || true
-  exit 1
-fi
-dune exec bin/main.exe -- check-ndjson "$tmpdir/trace1.ndjson"
+same_bytes test/expect/trace_uaf_then_double_free.ndjson "$tmpdir/trace1.ndjson" \
+  "trace drifted from test/expect/trace_uaf_then_double_free.ndjson"
+main check-ndjson "$tmpdir/trace1.ndjson"
 
 echo "== trace determinism =="
-dune exec bin/main.exe -- trace test/corpus/regressions/uaf_then_double_free.scn \
+main trace test/corpus/regressions/uaf_then_double_free.scn \
   > "$tmpdir/trace2.ndjson"
-if ! cmp -s "$tmpdir/trace1.ndjson" "$tmpdir/trace2.ndjson"; then
-  echo "FAIL: traces differ between identical runs" >&2
-  diff "$tmpdir/trace1.ndjson" "$tmpdir/trace2.ndjson" >&2 || true
-  exit 1
-fi
+same_bytes "$tmpdir/trace1.ndjson" "$tmpdir/trace2.ndjson" \
+  "traces differ between identical runs"
 echo "byte-identical traces across two runs"
+
+echo "== paper tables (vs committed expectation) =="
+# Tables 1-5 and Figure 10 at --quick scale are byte-deterministic (Figure
+# 11 is wall clock and left out), so they diff against a checked-in
+# expectation, and must reproduce identically under --jobs 2.
+tables() {
+  for t in table1 table2 fig10 table3 table4 table5; do
+    main "$t" --quick "$@" 2> /dev/null
+  done
+}
+tables > "$tmpdir/tables1.txt"
+same_bytes test/expect/tables_quick.txt "$tmpdir/tables1.txt" \
+  "paper tables drifted from test/expect/tables_quick.txt"
+tables --jobs 2 > "$tmpdir/tables2.txt"
+same_bytes "$tmpdir/tables1.txt" "$tmpdir/tables2.txt" \
+  "paper tables differ between jobs=1 and jobs=2"
+echo "byte-identical paper tables, pinned and across jobs"
 
 echo "== parallel sweep determinism (serial vs --jobs 2, shuffled) =="
 # The sharded engine must merge to byte-identical output: same stdout
 # summary and same NDJSON telemetry regardless of jobs and submission
 # order. --shuffle only reorders task submission; results and events are
 # always merged back in canonical cell order.
-dune exec bin/main.exe -- sweep --quick --jobs 1 \
+main sweep --quick --jobs 1 \
   --ndjson "$tmpdir/sweep_serial.ndjson" > "$tmpdir/sweep_serial.txt" \
   2> /dev/null
-dune exec bin/main.exe -- sweep --quick --jobs 2 --shuffle 7 \
+main sweep --quick --jobs 2 --shuffle 7 \
   --ndjson "$tmpdir/sweep_par.ndjson" > "$tmpdir/sweep_par.txt" 2> /dev/null
-if ! cmp -s "$tmpdir/sweep_serial.ndjson" "$tmpdir/sweep_par.ndjson"; then
-  echo "FAIL: serial and --jobs 2 sweeps produced different NDJSON" >&2
-  diff "$tmpdir/sweep_serial.ndjson" "$tmpdir/sweep_par.ndjson" >&2 || true
-  exit 1
-fi
+same_bytes "$tmpdir/sweep_serial.ndjson" "$tmpdir/sweep_par.ndjson" \
+  "serial and --jobs 2 sweeps produced different NDJSON"
 # stdout embeds the NDJSON output path, so normalise it before diffing
 sed "s|$tmpdir/sweep_serial.ndjson|OUT|" "$tmpdir/sweep_serial.txt" \
   > "$tmpdir/sweep_serial.norm"
 sed "s|$tmpdir/sweep_par.ndjson|OUT|" "$tmpdir/sweep_par.txt" \
   > "$tmpdir/sweep_par.norm"
-if ! cmp -s "$tmpdir/sweep_serial.norm" "$tmpdir/sweep_par.norm"; then
-  echo "FAIL: serial and --jobs 2 sweep summaries differ" >&2
-  diff "$tmpdir/sweep_serial.norm" "$tmpdir/sweep_par.norm" >&2 || true
-  exit 1
-fi
+same_bytes "$tmpdir/sweep_serial.norm" "$tmpdir/sweep_par.norm" \
+  "serial and --jobs 2 sweep summaries differ"
 echo "byte-identical NDJSON and summary across jobs=1 and jobs=2"
 
 echo "== chaos smoke (fixed seed, vs committed expectation) =="
 # The fault-injection matrix is byte-deterministic for a fixed seed, so it
 # diffs against a checked-in expectation — and must reproduce identically
 # under --jobs 2 (cells are independent; results render in cell order).
-dune exec bin/main.exe -- chaos --seed 42 > "$tmpdir/chaos1.txt"
-if ! cmp -s test/expect/chaos_seed42.txt "$tmpdir/chaos1.txt"; then
-  echo "FAIL: chaos output drifted from test/expect/chaos_seed42.txt" >&2
-  diff test/expect/chaos_seed42.txt "$tmpdir/chaos1.txt" >&2 || true
-  exit 1
-fi
-dune exec bin/main.exe -- chaos --seed 42 --jobs 2 > "$tmpdir/chaos2.txt"
-if ! cmp -s "$tmpdir/chaos1.txt" "$tmpdir/chaos2.txt"; then
-  echo "FAIL: chaos output differs between jobs=1 and jobs=2" >&2
-  diff "$tmpdir/chaos1.txt" "$tmpdir/chaos2.txt" >&2 || true
-  exit 1
-fi
+main chaos --seed 42 > "$tmpdir/chaos1.txt"
+same_bytes test/expect/chaos_seed42.txt "$tmpdir/chaos1.txt" \
+  "chaos output drifted from test/expect/chaos_seed42.txt"
+main chaos --seed 42 --jobs 2 > "$tmpdir/chaos2.txt"
+same_bytes "$tmpdir/chaos1.txt" "$tmpdir/chaos2.txt" \
+  "chaos output differs between jobs=1 and jobs=2"
 echo "byte-identical chaos matrix across jobs=1 and jobs=2"
 
 echo "== spec refinement harness (two fixed seeds) =="
@@ -132,13 +152,13 @@ echo "== spec refinement harness (two fixed seeds) =="
 # heap: every divergence is a bug in one of the worlds. Two seeds, both
 # byte-deterministic; the alternating default/budget0 configs inside each
 # run cover quarantine-eviction and bypass paths.
-dune exec bin/main.exe -- spec --seed 7 --runs 8 --steps 200
-dune exec bin/main.exe -- spec --seed 1234 --runs 8 --steps 200
+main spec --seed 7 --runs 8 --steps 200
+main spec --seed 1234 --runs 8 --steps 200
 
 echo "== spec mutation kills =="
 # Plant each chaos fault family into the real shadow plane and require the
 # harness to notice. A surviving mutant means the audit lost its teeth.
-dune exec bin/main.exe -- spec --seed 7 --runs 2 --steps 40 --mutate all
+main spec --seed 7 --runs 2 --steps 40 --mutate all
 
 echo "== spec property suite (pinned qcheck seed) =="
 # The @spec alias re-runs the model/kernel/refinement qcheck properties
@@ -146,24 +166,12 @@ echo "== spec property suite (pinned qcheck seed) =="
 QCHECK_SEED=42 dune build --force @spec
 
 echo "== exit-code conventions =="
-# 0 success, 1 findings/contract violation, 2 corrupt input, 3 OOM,
-# 124 CLI misuse. Bad input and exhaustion must end in a diagnostic and a
-# distinct code, never an uncaught exception trace.
-assert_exit() {
-  want=$1; shift
-  rc=0
-  "$@" > /dev/null 2>&1 || rc=$?
-  if [ "$rc" -ne "$want" ]; then
-    echo "FAIL: '$*' exited $rc, expected $want" >&2
-    exit 1
-  fi
-}
 printf 'alloc 0 not-a-size heap\n' > "$tmpdir/corrupt.scn"
-assert_exit 2 dune exec bin/main.exe -- trace "$tmpdir/corrupt.scn"
+assert_exit 2 main trace "$tmpdir/corrupt.scn"
 printf '{"broken\n' > "$tmpdir/corrupt.ndjson"
-assert_exit 2 dune exec bin/main.exe -- check-ndjson "$tmpdir/corrupt.ndjson"
-assert_exit 3 dune exec bin/main.exe -- chaos --oom-demo
-assert_exit 124 dune exec bin/main.exe -- no-such-subcommand
+assert_exit 2 main check-ndjson "$tmpdir/corrupt.ndjson"
+assert_exit 3 main chaos --oom-demo
+assert_exit 124 main no-such-subcommand
 echo "exit codes 2/3/124 as documented"
 
 echo "== service loop smoke (fixed seed, vs committed expectation) =="
@@ -171,43 +179,32 @@ echo "== service loop smoke (fixed seed, vs committed expectation) =="
 # so its stdout diffs against a checked-in expectation, and the flight
 # recorder dump must pass the strict NDJSON checker (the new service
 # event kinds are on the whitelist).
-dune exec bin/main.exe -- serve --seed 7 --tenants 4 --duration 48 \
+main serve --seed 7 --tenants 4 --duration 48 \
   --dump-ndjson "$tmpdir/serve.ndjson" > "$tmpdir/serve1.txt" 2> /dev/null
-if ! cmp -s test/expect/serve_seed7.txt "$tmpdir/serve1.txt"; then
-  echo "FAIL: serve output drifted from test/expect/serve_seed7.txt" >&2
-  diff test/expect/serve_seed7.txt "$tmpdir/serve1.txt" >&2 || true
-  exit 1
-fi
-dune exec bin/main.exe -- check-ndjson "$tmpdir/serve.ndjson"
+same_bytes test/expect/serve_seed7.txt "$tmpdir/serve1.txt" \
+  "serve output drifted from test/expect/serve_seed7.txt"
+main check-ndjson "$tmpdir/serve.ndjson"
 
 echo "== service determinism (serial vs --jobs 2) =="
 # One pool task per tenant per tick; tenants share nothing, so stdout and
 # the recorder dump must be byte-identical for any pool width.
-dune exec bin/main.exe -- serve --seed 7 --tenants 4 --duration 48 --jobs 2 \
+main serve --seed 7 --tenants 4 --duration 48 --jobs 2 \
   --dump-ndjson "$tmpdir/serve_j2.ndjson" > "$tmpdir/serve2.txt" 2> /dev/null
-if ! cmp -s "$tmpdir/serve1.txt" "$tmpdir/serve2.txt"; then
-  echo "FAIL: serve stdout differs between jobs=1 and jobs=2" >&2
-  diff "$tmpdir/serve1.txt" "$tmpdir/serve2.txt" >&2 || true
-  exit 1
-fi
-if ! cmp -s "$tmpdir/serve.ndjson" "$tmpdir/serve_j2.ndjson"; then
-  echo "FAIL: serve recorder dump differs between jobs=1 and jobs=2" >&2
-  diff "$tmpdir/serve.ndjson" "$tmpdir/serve_j2.ndjson" >&2 || true
-  exit 1
-fi
+same_bytes "$tmpdir/serve1.txt" "$tmpdir/serve2.txt" \
+  "serve stdout differs between jobs=1 and jobs=2"
+same_bytes "$tmpdir/serve.ndjson" "$tmpdir/serve_j2.ndjson" \
+  "serve recorder dump differs between jobs=1 and jobs=2"
 echo "byte-identical service run across jobs=1 and jobs=2"
 
 echo "== service SLO watchdog exit codes =="
 # An unmeetable throughput floor must quarantine and exit 1; a malformed
 # SLO spec is corrupt input (2); unknown NDJSON kinds are rejected
 # strictly but pass with --lax.
-assert_exit 1 dune exec bin/main.exe -- serve --seed 7 --tenants 2 \
-  --duration 48 --slo ops=999999999
-assert_exit 2 dune exec bin/main.exe -- serve --slo p999=banana
+assert_exit 1 main serve --seed 7 --tenants 2 --duration 48 --slo ops=999999999
+assert_exit 2 main serve --slo p999=banana
 printf '{"seq":0,"ev":"wormhole"}\n' > "$tmpdir/foreign.ndjson"
-assert_exit 2 dune exec bin/main.exe -- check-ndjson "$tmpdir/foreign.ndjson"
-assert_exit 0 dune exec bin/main.exe -- check-ndjson --lax \
-  "$tmpdir/foreign.ndjson"
+assert_exit 2 main check-ndjson "$tmpdir/foreign.ndjson"
+assert_exit 0 main check-ndjson --lax "$tmpdir/foreign.ndjson"
 echo "SLO breach exits 1, bad spec 2, strict/lax NDJSON as documented"
 
 echo "== policy engine (fixed spec/seed, vs committed expectation) =="
@@ -218,72 +215,63 @@ echo "== policy engine (fixed spec/seed, vs committed expectation) =="
 # expectation and reproduced identically under --jobs 2.
 policy_spec='budget=1.5,prefer=oob:3;uaf:2,fallback=native'
 rc=0
-dune exec bin/main.exe -- serve --seed 7 --tenants 4 --duration 48 \
+main serve --seed 7 --tenants 4 --duration 48 \
   --slo ops=999999999 --policy "$policy_spec" \
   > "$tmpdir/policy1.txt" 2> /dev/null || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "FAIL: policy breach run exited $rc, expected 1" >&2
   exit 1
 fi
-if ! cmp -s test/expect/policy_seed7.txt "$tmpdir/policy1.txt"; then
-  echo "FAIL: policy output drifted from test/expect/policy_seed7.txt" >&2
-  diff test/expect/policy_seed7.txt "$tmpdir/policy1.txt" >&2 || true
-  exit 1
-fi
+same_bytes test/expect/policy_seed7.txt "$tmpdir/policy1.txt" \
+  "policy output drifted from test/expect/policy_seed7.txt"
 if ! grep -q '^downshift: ' "$tmpdir/policy1.txt"; then
   echo "FAIL: breached policy run recorded no downshift" >&2
   exit 1
 fi
 rc=0
-dune exec bin/main.exe -- serve --seed 7 --tenants 4 --duration 48 \
+main serve --seed 7 --tenants 4 --duration 48 \
   --slo ops=999999999 --policy "$policy_spec" --jobs 2 \
   > "$tmpdir/policy2.txt" 2> /dev/null || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "FAIL: policy breach run (--jobs 2) exited $rc, expected 1" >&2
   exit 1
 fi
-if ! cmp -s "$tmpdir/policy1.txt" "$tmpdir/policy2.txt"; then
-  echo "FAIL: policy run differs between jobs=1 and jobs=2" >&2
-  diff "$tmpdir/policy1.txt" "$tmpdir/policy2.txt" >&2 || true
-  exit 1
-fi
+same_bytes "$tmpdir/policy1.txt" "$tmpdir/policy2.txt" \
+  "policy run differs between jobs=1 and jobs=2"
 # exit-code contract: healthy policy run 0, malformed spec 2
-assert_exit 0 dune exec bin/main.exe -- serve --seed 7 --tenants 4 \
+assert_exit 0 main serve --seed 7 --tenants 4 \
   --duration 48 --policy "$policy_spec"
-assert_exit 2 dune exec bin/main.exe -- serve --policy budget=0.5
-assert_exit 2 dune exec bin/main.exe -- serve --policy speed=11
+assert_exit 2 main serve --policy budget=0.5
+assert_exit 2 main serve --policy speed=11
 echo "policy downshifts pinned, byte-identical across jobs, exits 1/0/2"
 
-echo "== perf gate (vs BENCH_giantsan.json baseline) =="
-# The deterministic profile sweep only: event counts must reproduce the
-# committed baseline exactly, ns/op within ±25%. Wall-clock bechamel
-# groups vary per machine and are not gated (see EXPERIMENTS.md for the
-# comparison rules and how to re-baseline intentionally).
+echo "== bench gate (vs BENCH_giantsan.json baseline) =="
+# The deterministic profile, fig11 and fuzz-mode rows, judged by one rule
+# table (EXPERIMENTS.md): exact event counts, ns/op within ±25%, the fig11
+# reverse word path and GiantSan-vs-ASan order, and fuzz-mode equivalence
+# and speedup. Wall-clock bechamel groups vary per machine and are not
+# gated.
 dune exec bench/main.exe -- --profiles-only --telemetry "$tmpdir/bench.json" \
   > /dev/null
-dune exec bin/main.exe -- bench-compare BENCH_giantsan.json "$tmpdir/bench.json"
+main gate BENCH_giantsan.json "$tmpdir/bench.json"
 
-echo "== fig11 word-path gate =="
-# The deterministic reverse-traversal row: most region checks must settle
-# on the single-load word kernel, and GiantSan's reverse ns/op must not
-# fall behind ASan's again (the §5.4 one-sided-summary regression the MRU
-# window history fixed).
-dune exec bin/main.exe -- fig11-gate "$tmpdir/bench.json"
-
-echo "== fuzz-mode throughput gate =="
-# The fuzzmode.* bench rows: per backend, event counts must be identical
-# between the rebuild and persistent projections (the in-JSON witness of
-# mode equivalence), persistent must never be slower, and on giantsan the
-# persistent profile must clear the 5x execs/sec floor the fuzz-mode
-# design promises.
-dune exec bin/main.exe -- fuzzmode-gate "$tmpdir/bench.json"
-
-echo "== perf gate under sharding (--jobs 2) =="
+echo "== bench gate under sharding (--jobs 2) =="
 # sim_ns is derived from deterministic event counts, never wall-clock, so
 # the same baseline must hold bit-for-bit when the sweep runs sharded.
 dune exec bench/main.exe -- --profiles-only --jobs 2 \
   --telemetry "$tmpdir/bench_j2.json" > /dev/null
-dune exec bin/main.exe -- bench-compare BENCH_giantsan.json \
-  "$tmpdir/bench_j2.json"
+main gate BENCH_giantsan.json "$tmpdir/bench_j2.json"
+
+echo "== bench gate exit codes =="
+# Unreadable or unparsable input is 2, a violation is 1: here a fig11
+# reverse row doctored to zero word-path checks.
+assert_exit 2 main gate BENCH_giantsan.json "$tmpdir/no-such-bench.json"
+printf '{"broken\n' > "$tmpdir/corrupt_bench.json"
+assert_exit 2 main gate BENCH_giantsan.json "$tmpdir/corrupt_bench.json"
+sed 's/\("profile":"fig11.reverse-16KiB","config":"giantsan"[^}]*"word_checks":\)[0-9]*/\10/' \
+  "$tmpdir/bench.json" > "$tmpdir/doctored_bench.json"
+assert_exit 1 main gate "$tmpdir/doctored_bench.json" \
+  "$tmpdir/doctored_bench.json"
+echo "gate exits 2 on missing/corrupt input, 1 on a violation"
 
 echo "== ci green =="

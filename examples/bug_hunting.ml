@@ -4,6 +4,7 @@
    Run with: dune exec examples/bug_hunting.exe *)
 
 module Harness = Giantsan_bugs.Harness
+module Runner = Giantsan_workload.Runner
 module Juliet = Giantsan_bugs.Juliet
 module Cves = Giantsan_bugs.Cves
 module Table = Giantsan_util.Table
@@ -25,7 +26,8 @@ let () =
       Juliet.cwe_ids
   in
   Table.print
-    ([ "CWE"; "GiantSan"; "ASan"; "ASan--"; "LFP"; "cases" ] :: rows);
+    ((("CWE" :: List.map Runner.config_name Harness.all_tools) @ [ "cases" ])
+    :: rows);
 
   print_endline "\n== CVE scenarios where the tools disagree ==\n";
   List.iter
@@ -38,15 +40,15 @@ let () =
           c.Cves.cve_class;
         List.iter2
           (fun tool found ->
-            Printf.printf "  %-10s %s\n" (Harness.tool_name tool)
+            Printf.printf "  %-10s %s\n" (Runner.config_name tool)
               (if found then "detected" else "MISSED"))
           Harness.all_tools verdicts
       end)
     Cves.all;
 
   print_endline "\n== Why LFP misses: the rounding slack ==\n";
-  let lfp = Harness.make_sanitizer Harness.Lfp in
-  let gs = Harness.make_sanitizer Harness.Giantsan in
+  let lfp = Harness.make_sanitizer Runner.Lfp in
+  let gs = Harness.make_sanitizer Runner.Giantsan in
   let module San = Giantsan_sanitizer.Sanitizer in
   let module Memsim = Giantsan_memsim in
   let lo = lfp.San.malloc 600 and go = gs.San.malloc 600 in

@@ -31,7 +31,7 @@ let region_is_safe m ~lo ~hi =
     !bad
   end
 
-let create_exposed_named name config =
+let create_exposed ?(name = "ASan") config =
   let heap = Memsim.Heap.create config in
   let m = Shadow_mem.of_heap heap ~fill:E.unallocated in
   Memsim.Heap.set_evict_hook heap (E.poison_evict m);
@@ -144,6 +144,4 @@ let create_exposed_named name config =
   San.Registry.register san;
   (san, m)
 
-let create_named name config = fst (create_exposed_named name config)
-let create config = create_named "ASan" config
-let create_exposed config = create_exposed_named "ASan" config
+let create ?name config = fst (create_exposed ?name config)

@@ -10,13 +10,13 @@
     checks the instrumentation emits (redundant ones eliminated), not in how
     a check works. *)
 
-val create : Giantsan_memsim.Heap.config -> Giantsan_sanitizer.Sanitizer.t
-
-val create_named :
-  string -> Giantsan_memsim.Heap.config -> Giantsan_sanitizer.Sanitizer.t
-(** Same runtime under a different display name (used for "ASan--"). *)
+val create :
+  ?name:string -> Giantsan_memsim.Heap.config -> Giantsan_sanitizer.Sanitizer.t
+(** [name] (default ["ASan"]) is the display name reports and traces carry;
+    ASan-- is this runtime under ["ASan--"]. *)
 
 val create_exposed :
+  ?name:string ->
   Giantsan_memsim.Heap.config ->
   Giantsan_sanitizer.Sanitizer.t * Giantsan_shadow.Shadow_mem.t
 (** Also hands back the shadow, for white-box consistency tests. *)

@@ -1,26 +1,13 @@
 module Memsim = Giantsan_memsim
+module Runner = Giantsan_workload.Runner
 
-type tool = Giantsan | Asan | Asanmm | Lfp | Pac
-
-let tool_name = function
-  | Giantsan -> "GiantSan"
-  | Asan -> "ASan"
-  | Asanmm -> "ASan--"
-  | Lfp -> "LFP"
-  | Pac -> "PAC"
-
-let all_tools = [ Giantsan; Asan; Asanmm; Lfp; Pac ]
+let all_tools = Runner.[ Giantsan; Asan; Asanmm; Lfp; Pac ]
 
 let make_sanitizer ?(redzone = 16) ?(quarantine = 16 * 1024) tool =
-  let config =
+  let heap =
     { Memsim.Heap.arena_size = 32 * 1024; redzone; quarantine_budget = quarantine }
   in
-  match tool with
-  | Giantsan -> Giantsan_core.Gs_runtime.create config
-  | Asan -> Giantsan_asan.Asan_runtime.create config
-  | Asanmm -> Giantsan_asan.Asan_runtime.create_named "ASan--" config
-  | Lfp -> Giantsan_lfp.Lfp_runtime.create config
-  | Pac -> Giantsan_pac.Pac_runtime.create config
+  Runner.make_sanitizer ~heap tool
 
 let detected ?redzone ?quarantine tool scenario =
   Scenario.run (make_sanitizer ?redzone ?quarantine tool) scenario

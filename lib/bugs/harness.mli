@@ -1,8 +1,8 @@
-(** Detection harness: run scenario corpora under each tool and count. *)
+(** Detection harness: run scenario corpora under each tool and count. A
+    tool is one evaluation configuration, built on a small per-scenario
+    arena. *)
 
-type tool = Giantsan | Asan | Asanmm | Lfp | Pac
-
-val tool_name : tool -> string
+type tool := Giantsan_workload.Runner.config
 
 val all_tools : tool list
 (** Every backend under study, PAC included — the differential fuzzer and

@@ -6,7 +6,7 @@ module Report = Giantsan_sanitizer.Report
 module Trace = Giantsan_telemetry.Trace
 module Histogram = Giantsan_telemetry.Histogram
 
-let create_exposed_variant ~name ~use_cache ~check_underflow config =
+let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
   let heap = Memsim.Heap.create config in
   let m = Shadow_mem.of_heap heap ~fill:State_code.unallocated in
   Memsim.Heap.set_evict_hook heap (Folding.poison_evict m);
@@ -140,7 +140,7 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
   in
   let cached_access (cache : San.cache) ~off ~width =
     let base = cache.San.cache_base in
-    if use_cache && (off >= 0 || check_underflow) then
+    if off >= 0 || check_underflow then
       if Trace.is_on () then begin
         let slow_before = trace_enter ~width in
         let r = check_cached cache ~off ~width in
@@ -149,17 +149,15 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
       end
       else check_cached cache ~off ~width
     else
-      (* no history caching, or a negative offset in the degraded §5.4
-         mode: exactly the uncached access (which, with underflow
-         anchoring off, checks only the accessed bytes) *)
+      (* a negative offset in the degraded §5.4 mode: exactly the uncached
+         access, which with underflow anchoring off checks only the
+         accessed bytes *)
       access ~base ~addr:(base + off) ~width
   in
   let flush_cache cache =
-    if not use_cache then None
-    else
-      match Quasi_bound.flush m counters cache with
-      | None -> None
-      | Some addr -> report ~anchor:cache.San.cache_base ~addr ~size:0
+    match Quasi_bound.flush m counters cache with
+    | None -> None
+    | Some addr -> report ~anchor:cache.San.cache_base ~addr ~size:0
   in
   let snapshot, restore =
     San.snapshot_slot
@@ -198,11 +196,5 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
   San.Registry.register san;
   (san, m)
 
-let create_variant ~name ~use_cache ?(check_underflow = true) config =
-  fst (create_exposed_variant ~name ~use_cache ~check_underflow config)
-
-let create config = create_variant ~name:"GiantSan" ~use_cache:true config
-
-let create_exposed config =
-  create_exposed_variant ~name:"GiantSan" ~use_cache:true
-    ~check_underflow:true config
+let create ?name ?check_underflow config =
+  fst (create_exposed ?name ?check_underflow config)

@@ -11,23 +11,20 @@
     - [base = 0] (anchor unknown): plain [CI] over the accessed bytes only,
       the instruction-level fallback. *)
 
-val create : Giantsan_memsim.Heap.config -> Giantsan_sanitizer.Sanitizer.t
+val create :
+  ?name:string ->
+  ?check_underflow:bool ->
+  Giantsan_memsim.Heap.config ->
+  Giantsan_sanitizer.Sanitizer.t
 (** The full GiantSan runtime as evaluated in Table 2: folding, region
     checks, quasi-bound cache and underflow anchoring all enabled. Each
     call builds a private heap and shadow memory, so independently
     created runtimes never share mutable state (the property the sharded
-    execution engine in [lib/parallel] relies on). *)
+    execution engine in [lib/parallel] relies on).
 
-val create_variant :
-  name:string ->
-  use_cache:bool ->
-  ?check_underflow:bool ->
-  Giantsan_memsim.Heap.config ->
-  Giantsan_sanitizer.Sanitizer.t
-(** Ablation variants (§5.2): [~use_cache:false] turns [cached_access] into
-    a plain per-access check, producing the "EliminationOnly" configuration
-    when combined with the instrumentation pipeline (the "CacheOnly"
-    configuration is selected at instrumentation time instead).
+    [name] (default ["GiantSan"]) is the display name reports and traces
+    carry; the §5.2 ablations run this same runtime under their own name
+    and differ only in the checks the instrumentation emits.
 
     [?check_underflow:false] is the first §5.4 mitigation alternative:
     negative-offset accesses are no longer anchored (only the accessed
@@ -35,6 +32,8 @@ val create_variant :
     on reverse traversals. Default [true]. *)
 
 val create_exposed :
+  ?name:string ->
+  ?check_underflow:bool ->
   Giantsan_memsim.Heap.config ->
   Giantsan_sanitizer.Sanitizer.t * Giantsan_shadow.Shadow_mem.t
 (** Like [create] but also hands back the runtime's shadow memory, for

@@ -1,5 +1,6 @@
 module Scenario = Giantsan_bugs.Scenario
 module Harness = Giantsan_bugs.Harness
+module Runner = Giantsan_workload.Runner
 module San = Giantsan_sanitizer.Sanitizer
 module Counters = Giantsan_sanitizer.Counters
 module Report = Giantsan_sanitizer.Report
@@ -7,30 +8,32 @@ module Folding = Giantsan_core.Folding
 module Memobj = Giantsan_memsim.Memobj
 
 type divergence =
-  | False_positive of Harness.tool
+  | False_positive of Runner.config
   | Dominance_violation
   | Family_split
   | Pac_dominance_violation
 
 let divergence_name = function
-  | False_positive tool -> "false-positive:" ^ Harness.tool_name tool
+  | False_positive tool -> "false-positive:" ^ Runner.config_name tool
   | Dominance_violation -> "dominance-violation"
   | Family_split -> "family-split"
   | Pac_dominance_violation -> "pac-dominance-violation"
 
 type outcome = {
   truth : bool;
-  verdicts : (Harness.tool * bool) list;
+  verdicts : (Runner.config * bool) list;
   divergences : divergence list;
   features : string list;
 }
 
 let tool_tag = function
-  | Harness.Giantsan -> "GS"
-  | Harness.Asan -> "AS"
-  | Harness.Asanmm -> "AM"
-  | Harness.Lfp -> "LF"
-  | Harness.Pac -> "PA"
+  | Runner.Giantsan -> "GS"
+  | Runner.Asan -> "AS"
+  | Runner.Asanmm -> "AM"
+  | Runner.Lfp -> "LF"
+  | Runner.Pac -> "PA"
+  | (Runner.Native | Runner.Cache_only | Runner.Elim_only) as c ->
+    invalid_arg ("Exec.tool_tag: not a fuzzed tool: " ^ Runner.config_name c)
 
 (* The counters whose magnitude says something about which paths a run
    exercised. [errors] is deliberately absent: report kinds cover it with
@@ -68,7 +71,7 @@ let mode_of_name s =
   | "persistent" -> Some Persistent
   | _ -> None
 
-type ctx = { c_sans : (Harness.tool * San.t) list }
+type ctx = { c_sans : (Runner.config * San.t) list }
 
 let make_ctx () =
   {
@@ -146,10 +149,10 @@ let run ?ctx scenario =
         (fun (tool, v) ->
           if v && not truth then Some (False_positive tool) else None)
         verdicts
-      @ (if verdict Harness.Asan && not (verdict Harness.Giantsan) then
+      @ (if verdict Runner.Asan && not (verdict Runner.Giantsan) then
            [ Dominance_violation ]
          else [])
-      @ (if verdict Harness.Asan <> verdict Harness.Asanmm then
+      @ (if verdict Runner.Asan <> verdict Runner.Asanmm then
            [ Family_split ]
          else [])
       @
@@ -160,7 +163,7 @@ let run ?ctx scenario =
          redzone) where the shadow-based tools see plausible live state —
          and ground truth already labels those buggy, so a PAC detection
          there is a correct verdict, never a finding. *)
-      if verdict Harness.Giantsan && not (verdict Harness.Pac) then
+      if verdict Runner.Giantsan && not (verdict Runner.Pac) then
         [ Pac_dominance_violation ]
       else []
     in

@@ -6,7 +6,7 @@
     coverage features for the greybox loop. *)
 
 type divergence =
-  | False_positive of Giantsan_bugs.Harness.tool
+  | False_positive of Giantsan_workload.Runner.config
       (** ground truth says clean, the tool reported (Table 3's
           "no false-positive issues" claim, for every tool) *)
   | Dominance_violation
@@ -25,9 +25,14 @@ type divergence =
 
 val divergence_name : divergence -> string
 
+val tool_tag : Giantsan_workload.Runner.config -> string
+(** Two-letter prefix of a {!Giantsan_bugs.Harness.all_tools} entry's
+    coverage features; raises [Invalid_argument] for the configurations
+    the fuzzer never runs. *)
+
 type outcome = {
   truth : bool;  (** static ground truth for this exact step list *)
-  verdicts : (Giantsan_bugs.Harness.tool * bool) list;
+  verdicts : (Giantsan_workload.Runner.config * bool) list;
   divergences : divergence list;  (** empty = all invariants held *)
   features : string list;  (** coverage features observed during the run *)
 }

@@ -15,13 +15,8 @@ let name = function
   | Native -> "native"
 
 let of_name s =
-  match String.lowercase_ascii (String.trim s) with
-  | "giantsan" -> Some Giantsan
-  | "asan" -> Some Asan
-  | "lfp" -> Some Lfp
-  | "pac" -> Some Pac
-  | "native" -> Some Native
-  | _ -> None
+  let s = String.lowercase_ascii (String.trim s) in
+  List.find_opt (fun id -> name id = s) all
 
 (* Run-time overhead factors (1.0 = uninstrumented), calibrated from the
    published SPEC geomeans the backends model: GiantSan 1.46x (the paper's
@@ -80,16 +75,16 @@ type plane =
   | Sigs of Giantsan_pac.Pac.t
   | Plain
 
-let create_exposed ?pac_key id heap =
+let create_exposed ?pac_key ?name id heap =
   match id with
   | Giantsan ->
-    let san, shadow = Giantsan_core.Gs_runtime.create_exposed heap in
+    let san, shadow = Giantsan_core.Gs_runtime.create_exposed ?name heap in
     (san, Shadow shadow)
   | Pac ->
     let san, sigs = Giantsan_pac.Pac_runtime.create_exposed ?key:pac_key heap in
     (san, Sigs sigs)
-  | Asan -> (Giantsan_asan.Asan_runtime.create heap, Plain)
+  | Asan -> (Giantsan_asan.Asan_runtime.create ?name heap, Plain)
   | Lfp -> (Giantsan_lfp.Lfp_runtime.create heap, Plain)
   | Native -> (Giantsan_sanitizer.Native.create heap, Plain)
 
-let create ?pac_key id heap = fst (create_exposed ?pac_key id heap)
+let create ?pac_key ?name id heap = fst (create_exposed ?pac_key ?name id heap)

@@ -1,6 +1,8 @@
-(** The closed set of sanitizer backends the policy engine chooses among,
-    with the static facts a choice needs: overhead factor, detection
-    scores per bug class, and a uniform constructor. *)
+(** The closed set of sanitizer backends, with every per-backend fact:
+    spec name, overhead factor, detection scores per bug class, metadata
+    plane, and the one constructor the rest of the code builds runtimes
+    through. The evaluation configurations ([Runner.config]) are a
+    backend times an instrumentation mode on top of this table. *)
 
 type id = Giantsan | Asan | Lfp | Pac | Native
 
@@ -45,6 +47,7 @@ type plane =
 
 val create_exposed :
   ?pac_key:int ->
+  ?name:string ->
   id ->
   Giantsan_memsim.Heap.config ->
   Giantsan_sanitizer.Sanitizer.t * plane
@@ -53,10 +56,13 @@ val create_exposed :
     {!Pac} (ignored by the other backends, defaults to
     {!Giantsan_pac.Pac.default_key}) — the service plane derives one per
     tenant so a signature table forged under one tenant's key never
-    authenticates under another's. *)
+    authenticates under another's. [name] overrides the display name in
+    reports and traces when [id] is {!Giantsan} or {!Asan} (ASan-- and
+    the ablations rename a base runtime); the other backends ignore it. *)
 
 val create :
   ?pac_key:int ->
+  ?name:string ->
   id ->
   Giantsan_memsim.Heap.config ->
   Giantsan_sanitizer.Sanitizer.t

@@ -2,6 +2,7 @@ module Table = Giantsan_util.Table
 module Scenario = Giantsan_bugs.Scenario
 module Difftest = Giantsan_bugs.Difftest
 module Harness = Giantsan_bugs.Harness
+module Runner = Giantsan_workload.Runner
 module Softbound = Giantsan_bugs.Softbound
 module Juliet = Giantsan_bugs.Juliet
 module Magma = Giantsan_bugs.Magma
@@ -13,13 +14,13 @@ let violations =
     Difftest.V_uaf; Difftest.V_double_free; Difftest.V_mid_free;
   ]
 
+(* the one-shot matrix's columns: the paper's tool set *)
+let fuzz_tools = Runner.[ Giantsan; Asan; Asanmm; Lfp ]
+
 type fuzz_row = {
   fr_label : string;
   fr_expect : [ `All | `None | `Giantsan_only ];
-  fr_g : int;
-  fr_a : int;
-  fr_am : int;
-  fr_l : int;
+  fr_counts : (Runner.config * int) list;  (** detections per [fuzz_tools] *)
   fr_sb : int;
   fr_n : int;
 }
@@ -53,7 +54,6 @@ let fuzz ?(jobs = 1) ~seed ~count () =
               | `Clean -> Difftest.gen_clean ~seed:(seed + i)
               | `Buggy v -> Difftest.gen_buggy ~seed:(seed + i) v)
         in
-        let det tool = Harness.count_detected tool scenarios in
         let fr_sb =
           List.length
             (List.filter
@@ -62,10 +62,10 @@ let fuzz ?(jobs = 1) ~seed ~count () =
         in
         {
           fr_label; fr_expect;
-          fr_g = det Harness.Giantsan;
-          fr_a = det Harness.Asan;
-          fr_am = det Harness.Asanmm;
-          fr_l = det Harness.Lfp;
+          fr_counts =
+            List.map
+              (fun t -> (t, Harness.count_detected t scenarios))
+              fuzz_tools;
           fr_sb;
           fr_n = List.length scenarios;
         })
@@ -73,26 +73,31 @@ let fuzz ?(jobs = 1) ~seed ~count () =
   in
   let rows =
     List.map
-      (fun { fr_label = label; fr_expect; fr_g = g; fr_a = a; fr_am = am;
-             fr_l = l; fr_sb = sb; fr_n = n } ->
+      (fun { fr_label = label; fr_expect; fr_counts; fr_sb = sb; fr_n = n } ->
+        let missed tools =
+          List.iter
+            (fun t ->
+              let c = List.assoc t fr_counts in
+              if c < n then
+                note "%s: %s missed %d" label (Runner.config_name t) (n - c))
+            tools
+        in
         (match fr_expect with
-        | `All ->
-          if g < n then note "%s: GiantSan missed %d" label (n - g);
-          if a < n then note "%s: ASan missed %d" label (n - a);
-          if am < n then note "%s: ASan-- missed %d" label (n - am)
+        | `All -> missed Runner.[ Giantsan; Asan; Asanmm ]
         | `None ->
-          if g > 0 then note "%s: GiantSan false positives: %d" label g;
-          if a > 0 then note "%s: ASan false positives: %d" label a;
-          if am > 0 then note "%s: ASan-- false positives: %d" label am;
-          if l > 0 then note "%s: LFP false positives: %d" label l;
+          List.iter
+            (fun (t, c) ->
+              if c > 0 then
+                note "%s: %s false positives: %d" label (Runner.config_name t)
+                  c)
+            fr_counts;
           if sb > 0 then note "%s: SoftBound false positives: %d" label sb
         | `Giantsan_only ->
-          if g < n then note "%s: GiantSan missed %d" label (n - g);
+          missed [ Runner.Giantsan ];
+          let a = List.assoc Runner.Asan fr_counts in
           if a > 0 then note "%s: ASan unexpectedly caught %d" label a);
-        [
-          label; string_of_int g; string_of_int a; string_of_int am;
-          string_of_int l; string_of_int sb; string_of_int n;
-        ])
+        (label :: List.map (fun (_, c) -> string_of_int c) fr_counts)
+        @ [ string_of_int sb; string_of_int n ])
       counted
   in
   Buffer.add_string buf
@@ -100,7 +105,8 @@ let fuzz ?(jobs = 1) ~seed ~count () =
        "Differential fuzz: %d scenarios per row (seed %d)\n\n" count seed);
   Buffer.add_string buf
     (Table.render
-       ([ "population"; "GiantSan"; "ASan"; "ASan--"; "LFP"; "SoftBound"; "n" ]
+       ((("population" :: List.map Runner.config_name fuzz_tools)
+        @ [ "SoftBound"; "n" ])
        :: rows));
   (match List.rev !anomalies with
   | [] -> Buffer.add_string buf "\nNo anomalies.\n"

@@ -303,36 +303,33 @@ let table3 () =
         let clean = Juliet.clean_cases cwe in
         let errors = Harness.validate_corpus (buggy @ clean) in
         assert (errors = []);
-        let count tool = Harness.count_detected tool buggy in
         let fps =
           List.map (fun t -> Harness.false_positives t clean) Harness.all_tools
         in
         assert (List.for_all (fun n -> n = 0) fps);
-        [
-          Printf.sprintf "%d: %s" cwe (Juliet.cwe_name cwe);
-          string_of_int (count Harness.Giantsan);
-          string_of_int (count Harness.Asan);
-          string_of_int (count Harness.Asanmm);
-          string_of_int (count Harness.Lfp);
-          string_of_int (count Harness.Pac);
-          string_of_int (Juliet.total cwe);
-        ])
+        (Printf.sprintf "%d: %s" cwe (Juliet.cwe_name cwe)
+        :: List.map
+             (fun t -> string_of_int (Harness.count_detected t buggy))
+             Harness.all_tools)
+        @ [ string_of_int (Juliet.total cwe) ])
       Juliet.cwe_ids
   in
   let col_sum i =
     List.fold_left (fun acc row -> acc + int_of_string (List.nth row i)) 0 rows
   in
   let total_row =
-    [ "Total" ]
-    @ List.map (fun i -> string_of_int (col_sum i)) [ 1; 2; 3; 4; 5; 6 ]
+    "Total"
+    :: List.init (List.length Harness.all_tools + 1) (fun i ->
+           string_of_int (col_sum (i + 1)))
   in
   let body =
     heading "Table 3: detection on the Juliet-shaped corpus"
     ^ "All non-buggy twins pass under every tool (no false positives), as \
        in the paper.\n\n"
     ^ Table.render
-        (([ "CWE & Type"; "GiantSan"; "ASan"; "ASan--"; "LFP"; "PAC"; "Total" ]
-          :: rows)
+        ((("CWE & Type" :: List.map Runner.config_name Harness.all_tools)
+          @ [ "Total" ])
+         :: rows
         @ [ total_row ])
     ^ "\nPaper totals: GiantSan/ASan/ASan-- 5063, LFP 2088, of 5075. PAC is \
        this repo's tagged-pointer extension, not a paper column.\n"
@@ -348,25 +345,17 @@ let table4 () =
   let rows =
     List.map
       (fun (c : Cves.t) ->
-        let d tool = Harness.detected tool c.Cves.cve_scenario in
-        [
-          c.Cves.cve_program;
-          c.Cves.cve_id;
-          c.Cves.cve_class;
-          mark (d Harness.Giantsan);
-          mark (d Harness.Asan);
-          mark (d Harness.Asanmm);
-          mark (d Harness.Lfp);
-          mark (d Harness.Pac);
-        ])
+        [ c.Cves.cve_program; c.Cves.cve_id; c.Cves.cve_class ]
+        @ List.map
+            (fun t -> mark (Harness.detected t c.Cves.cve_scenario))
+            Harness.all_tools)
       Cves.all
   in
   let body =
     heading "Table 4: CVE scenarios (Linux Flaw Project shapes)"
     ^ Table.render
-        ([
-           "Program"; "CVE"; "Class"; "GiantSan"; "ASan"; "ASan--"; "LFP"; "PAC";
-         ]
+        (([ "Program"; "CVE"; "Class" ]
+         @ List.map Runner.config_name Harness.all_tools)
         :: rows)
     ^ "\nPaper: all tools detect everything except LFP on CVE-2017-12858, \
        CVE-2017-9165 and CVE-2017-14409.\n"
@@ -376,6 +365,9 @@ let table4 () =
 (* ------------------------------------------------------------------ *)
 (* Table 5                                                             *)
 (* ------------------------------------------------------------------ *)
+
+let table5_columns =
+  Runner.[ (Asanmm, 16); (Asanmm, 512); (Asan, 16); (Asan, 512); (Giantsan, 16) ]
 
 let table5 ?(scale = 1) () =
   let scaled p =
@@ -394,16 +386,12 @@ let table5 ?(scale = 1) () =
       (fun p ->
         let p = scaled p in
         let cases = Magma.cases p in
-        let count tool rz = Harness.count_detected ~redzone:rz tool cases in
-        [
-          Printf.sprintf "%s (%s)" p.Magma.mg_name p.Magma.mg_loc;
-          string_of_int (count Harness.Asanmm 16);
-          string_of_int (count Harness.Asanmm 512);
-          string_of_int (count Harness.Asan 16);
-          string_of_int (count Harness.Asan 512);
-          string_of_int (count Harness.Giantsan 16);
-          string_of_int (Magma.total p);
-        ])
+        (Printf.sprintf "%s (%s)" p.Magma.mg_name p.Magma.mg_loc
+        :: List.map
+             (fun (tool, redzone) ->
+               string_of_int (Harness.count_detected ~redzone tool cases))
+             table5_columns)
+        @ [ string_of_int (Magma.total p) ])
       Magma.projects
   in
   let body =
@@ -412,10 +400,12 @@ let table5 ?(scale = 1) () =
          Printf.sprintf "(populations scaled down by %d)\n\n" scale
        else "\n")
     ^ Table.render
-        ([
-           "Project"; "ASan--(rz16)"; "ASan--(rz512)"; "ASan(rz16)";
-           "ASan(rz512)"; "GiantSan(rz16)"; "Total";
-         ]
+        ((("Project"
+           :: List.map
+                (fun (tool, rz) ->
+                  Printf.sprintf "%s(rz%d)" (Runner.config_name tool) rz)
+                table5_columns)
+         @ [ "Total" ])
         :: rows)
     ^ "\nPaper (php row): 1556 / 1962 / 1556 / 1962 / 2019 of 3072 — the \
        anchor closes the redzone-bypass gap.\n"
@@ -432,13 +422,7 @@ let time_ms f =
   (Sys.time () -. t0) *. 1000.0
 
 let fig11 ?(sizes_kb = [ 1; 2; 4; 8; 16 ]) ?(reps = 300) () =
-  let tools =
-    [
-      ("Native", fun () -> Runner.make_sanitizer Runner.Native);
-      ("GiantSan", fun () -> Runner.make_sanitizer Runner.Giantsan);
-      ("ASan", fun () -> Runner.make_sanitizer Runner.Asan);
-    ]
-  in
+  let tools = Runner.[ Native; Giantsan; Asan ] in
   let patterns =
     [
       ("Forward", fun san ~base ~size -> ignore (Traversal.forward san ~base ~size));
@@ -456,8 +440,8 @@ let fig11 ?(sizes_kb = [ 1; 2; 4; 8; 16 ]) ?(reps = 300) () =
               let size = kb * 1024 in
               let cells =
                 List.map
-                  (fun (_, mk) ->
-                    let san = mk () in
+                  (fun tool ->
+                    let san = Runner.make_sanitizer tool in
                     let base = Traversal.prepare san ~size in
                     let ms =
                       time_ms (fun () ->
@@ -473,7 +457,8 @@ let fig11 ?(sizes_kb = [ 1; 2; 4; 8; 16 ]) ?(reps = 300) () =
         in
         heading (Printf.sprintf "Figure 11 (%s traversal)" pat_name)
         ^ Table.render
-            ([ "KB"; "Native ms"; "GiantSan ms"; "ASan ms" ] :: rows))
+            (("KB" :: List.map (fun t -> Runner.config_name t ^ " ms") tools)
+            :: rows))
       patterns
   in
   (* the §5.4 mitigation, timed: one up-front region check, then a
@@ -602,10 +587,10 @@ let sweep_redzone () =
         [
           string_of_int rz;
           Printf.sprintf "%d/%d"
-            (Harness.count_detected ~redzone:rz Harness.Asan cases)
+            (Harness.count_detected ~redzone:rz Runner.Asan cases)
             total;
           Printf.sprintf "%d/%d"
-            (Harness.count_detected ~redzone:rz Harness.Giantsan cases)
+            (Harness.count_detected ~redzone:rz Runner.Giantsan cases)
             total;
         ])
       [ 16; 64; 128; 256; 512; 1024 ]
@@ -661,7 +646,7 @@ let sweep_quarantine () =
         [
           string_of_int budget;
           Printf.sprintf "%d/%d"
-            (Harness.count_detected ~quarantine:budget Harness.Giantsan cases)
+            (Harness.count_detected ~quarantine:budget Runner.Giantsan cases)
             total;
         ])
       [ 0; 512; 1024; 2048; 4096; 8192 ]
@@ -700,7 +685,7 @@ let compat () =
         "pointer kept its tag";
         string_of_int
           (count (fun sc -> Softbound.run_with_laundering ~launder_slots:[] sc));
-        string_of_int (count (Harness.detected Harness.Giantsan));
+        string_of_int (count (Harness.detected Runner.Giantsan));
         string_of_int n;
       ];
       [
@@ -708,7 +693,7 @@ let compat () =
         string_of_int
           (count (fun sc ->
                Softbound.run_with_laundering ~launder_slots:(victim_slots sc) sc));
-        string_of_int (count (Harness.detected Harness.Giantsan));
+        string_of_int (count (Harness.detected Runner.Giantsan));
         string_of_int n;
       ];
     ]

@@ -298,46 +298,205 @@ let parse_bench_profiles text =
       |> Result.map List.rev
     | _ -> Error "missing \"profiles\" list")
 
-let compare_bench ~tolerance ~baseline ~current =
-  match parse_bench_profiles baseline, parse_bench_profiles current with
-  | Error e, _ -> Error [ "baseline: " ^ e ]
-  | _, Error e -> Error [ "current: " ^ e ]
-  | Ok base, Ok cur ->
-    let key g = (g.g_profile, g.g_config) in
-    let pretty (p, c) = Printf.sprintf "%s/%s" p c in
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    List.iter
-      (fun b ->
-        match List.find_opt (fun c -> key c = key b) cur with
-        | None -> fail "%s: missing from current run" (pretty (key b))
-        | Some c ->
-          List.iter
-            (fun (name, bv) ->
-              let cv = List.assoc name c.g_counts in
-              if cv <> bv then
-                fail "%s: %s changed %d -> %d (deterministic count must match)"
-                  (pretty (key b)) name bv cv)
-            b.g_counts;
-          if b.g_ns_per_op > 0.0 then begin
-            let ratio = c.g_ns_per_op /. b.g_ns_per_op in
-            if ratio > 1.0 +. tolerance then
-              fail "%s: ns/op regressed %.2f -> %.2f (%.0f%% > %.0f%% tolerance)"
-                (pretty (key b)) b.g_ns_per_op c.g_ns_per_op
-                ((ratio -. 1.0) *. 100.0) (tolerance *. 100.0)
-            else if ratio < 1.0 -. tolerance then
-              fail
-                "%s: ns/op improved %.2f -> %.2f beyond tolerance — \
-                 re-baseline if intentional"
-                (pretty (key b)) b.g_ns_per_op c.g_ns_per_op
-          end)
-      base;
-    List.iter
-      (fun c ->
-        if not (List.exists (fun b -> key b = key c) base) then
-          fail "%s: not in baseline — re-baseline to admit it" (pretty (key c)))
-      cur;
-    if !failures = [] then Ok (List.length base) else Error (List.rev !failures)
+(* The gate as a rule table. A rule selects the row pairs it judges from
+   the baseline and current rows, then a predicate and a message judge
+   each pair. A selector fails only when rows it needs are absent, which
+   makes the input unusable rather than passing. *)
+
+type gate_rule = {
+  rule : string;
+  select :
+    baseline:gate_profile list ->
+    current:gate_profile list ->
+    ((gate_profile * gate_profile) list, string) result;
+  holds : gate_profile * gate_profile -> bool;
+  message : gate_profile * gate_profile -> string;
+}
+
+type gate_verdict =
+  | Pass of (string * int) list
+  | Violations of (string * string) list
+  | Unusable of string
+
+let gate_tolerance = 0.25
+let gate_min_word_ratio = 0.5
+let gate_min_speedup = 5.0
+let rule rule select holds message = { rule; select; holds; message }
+let key g = (g.g_profile, g.g_config)
+let pretty g = g.g_profile ^ "/" ^ g.g_config
+let count k g = List.assoc k g.g_counts
+let never _ = false
+let find rows p c = List.find_opt (fun g -> key g = (p, c)) rows
+let twin rows g = List.find_opt (fun r -> key r = key g) rows
+
+(* the rows of [rows] with no twin in [other], each paired with itself *)
+let unmatched rows other =
+  List.filter_map
+    (fun r -> if twin other r = None then Some (r, r) else None)
+    rows
+
+let joined ~baseline ~current =
+  Ok
+    (List.filter_map
+       (fun b -> Option.map (fun c -> (b, c)) (twin current b))
+       baseline)
+
+let ratio (b, c) = c.g_ns_per_op /. b.g_ns_per_op
+
+let compare_rules =
+  [
+    rule "rows-present"
+      (fun ~baseline ~current -> Ok (unmatched baseline current))
+      never
+      (fun (b, _) -> pretty b ^ ": missing from current run");
+    rule "rows-baselined"
+      (fun ~baseline ~current -> Ok (unmatched current baseline))
+      never
+      (fun (c, _) -> pretty c ^ ": not in baseline — re-baseline to admit it");
+    rule "counts-exact" joined
+      (fun (b, c) -> b.g_counts = c.g_counts)
+      (fun (b, c) ->
+        List.filter_map
+          (fun (k, v) ->
+            if count k c = v then None
+            else Some (Printf.sprintf "%s changed %d -> %d" k v (count k c)))
+          b.g_counts
+        |> String.concat ", "
+        |> Printf.sprintf "%s: %s (deterministic count must match)" (pretty b));
+    rule "ns-per-op" joined
+      (fun p ->
+        (fst p).g_ns_per_op <= 0.0
+        || (ratio p <= 1.0 +. gate_tolerance
+            && ratio p >= 1.0 -. gate_tolerance))
+      (fun (b, c) ->
+        if ratio (b, c) > 1.0 then
+          Printf.sprintf
+            "%s: ns/op regressed %.2f -> %.2f (%.0f%% > %.0f%% tolerance)"
+            (pretty b) b.g_ns_per_op c.g_ns_per_op
+            ((ratio (b, c) -. 1.0) *. 100.0)
+            (gate_tolerance *. 100.0)
+        else
+          Printf.sprintf
+            "%s: ns/op improved %.2f -> %.2f beyond tolerance — re-baseline \
+             if intentional"
+            (pretty b) b.g_ns_per_op c.g_ns_per_op);
+  ]
+
+(* GiantSan's Figure 11 reverse-traversal row, paired with ASan's *)
+let fig11_reverse ~baseline:_ ~current =
+  let reverse = find current "fig11.reverse-16KiB" in
+  match (reverse "giantsan", reverse "asan") with
+  | Some gs, Some asan -> Ok [ (gs, asan) ]
+  | _ -> Error "no fig11.reverse-16KiB rows for both giantsan and asan"
+
+let word_ratio g =
+  let checks = count "region_checks" g in
+  if checks = 0 then 0.0
+  else float_of_int (count "word_checks" g) /. float_of_int checks
+
+(* Every fuzz-mode backend's (rebuild, persistent) pair, and the rows
+   whose other mode is absent, each paired with itself. *)
+let fuzzmode ~current =
+  let mode m b = find current ("fuzzmode." ^ m) b in
+  if mode "rebuild" "giantsan" = None then
+    Error "no fuzzmode.* rows for the giantsan backend"
+  else
+    List.filter_map
+      (fun g ->
+        if String.starts_with ~prefix:"fuzzmode." g.g_profile then
+          Some g.g_config
+        else None)
+      current
+    |> List.sort_uniq compare
+    |> List.partition_map (fun b ->
+           match (mode "rebuild" b, mode "persistent" b) with
+           | Some rb, Some ps -> Either.Left (rb, ps)
+           | Some g, None | None, Some g -> Either.Right (g, g)
+           | None, None -> assert false)
+    |> Result.ok
+
+let fuzzmode_pairs ~baseline:_ ~current = Result.map fst (fuzzmode ~current)
+let speedup (rb, ps) = rb.g_ns_per_op /. ps.g_ns_per_op
+
+let shape_rules =
+  [
+    rule "fig11-word-path" fig11_reverse
+      (fun (gs, _) -> word_ratio gs >= gate_min_word_ratio)
+      (fun (gs, _) ->
+        Printf.sprintf
+          "reverse word-path ratio %.3f below the %.3f floor (%d of %d checks)"
+          (word_ratio gs) gate_min_word_ratio (count "word_checks" gs)
+          (count "region_checks" gs));
+    rule "fig11-order" fig11_reverse
+      (fun (gs, asan) -> gs.g_ns_per_op <= asan.g_ns_per_op)
+      (fun (gs, asan) ->
+        Printf.sprintf
+          "GiantSan reverse %.2f ns/op is slower than ASan's %.2f — the \
+           fig11 regression is back"
+          gs.g_ns_per_op asan.g_ns_per_op);
+    rule "fuzzmode-rows"
+      (fun ~baseline:_ ~current -> Result.map snd (fuzzmode ~current))
+      never
+      (fun (g, _) ->
+        Printf.sprintf "backend %s is missing one of its two mode rows"
+          g.g_config);
+    rule "fuzzmode-counts" fuzzmode_pairs
+      (fun (rb, ps) -> rb.g_counts = ps.g_counts)
+      (fun (rb, _) ->
+        Printf.sprintf
+          "backend %s: event counts differ between modes — a restored run \
+           is not equivalent to a fresh one"
+          rb.g_config);
+    rule "fuzzmode-persistent" fuzzmode_pairs
+      (fun (rb, ps) -> ps.g_ns_per_op <= rb.g_ns_per_op)
+      (fun (rb, ps) ->
+        Printf.sprintf
+          "backend %s: persistent %.1f ns/exec is slower than rebuild %.1f"
+          rb.g_config ps.g_ns_per_op rb.g_ns_per_op);
+    rule "fuzzmode-speedup"
+      (fun ~baseline ~current ->
+        fuzzmode_pairs ~baseline ~current
+        |> Result.map (List.filter (fun (rb, _) -> rb.g_config = "giantsan")))
+      (fun p -> (snd p).g_ns_per_op <= 0.0 || speedup p >= gate_min_speedup)
+      (fun (rb, ps) ->
+        Printf.sprintf
+          "giantsan speedup %.2fx below the %.2fx floor (rebuild %.0f \
+           execs/sec, persistent %.0f)"
+          (speedup (rb, ps)) gate_min_speedup (1e9 /. rb.g_ns_per_op)
+          (1e9 /. ps.g_ns_per_op));
+  ]
+
+let gate_rules = compare_rules @ shape_rules
+
+let run_rules rules ~baseline ~current =
+  match (parse_bench_profiles baseline, parse_bench_profiles current) with
+  | Error e, _ -> Unusable ("baseline: " ^ e)
+  | _, Error e -> Unusable ("current: " ^ e)
+  | Ok baseline, Ok current -> (
+    let select r =
+      match r.select ~baseline ~current with
+      | Ok pairs -> Either.Left (r, pairs)
+      | Error e -> Either.Right e
+    in
+    let broken (r, pairs) =
+      List.filter_map
+        (fun p -> if r.holds p then None else Some (r.rule, r.message p))
+        pairs
+    in
+    match List.partition_map select rules with
+    | _, e :: _ -> Unusable e
+    | judged, [] -> (
+      match List.concat_map broken judged with
+      | [] -> Pass (List.map (fun (r, ps) -> (r.rule, List.length ps)) judged)
+      | violations -> Violations violations))
+
+let gate = run_rules gate_rules
+
+let compare_bench ~baseline ~current =
+  match run_rules compare_rules ~baseline ~current with
+  | Pass judged -> Ok (List.assoc "counts-exact" judged)
+  | Violations vs -> Error (List.map snd vs)
+  | Unusable e -> Error [ e ]
 
 let write_file path body =
   let oc = open_out path in

@@ -106,17 +106,57 @@ type gate_profile = {
 
 val parse_bench_profiles : string -> (gate_profile list, string) result
 (** Parse the [profiles] section of a BENCH_giantsan.json document into
-    gate rows — what [compare_bench] diffs and the fig11 CI gate reads. *)
+    the rows the gate judges. *)
+
+(** One gate judges a fresh bench document against the committed
+    baseline by a rule table. Each rule selects the row pairs it judges;
+    a predicate decides each pair and a message names a violation. *)
+
+type gate_rule = {
+  rule : string;  (** short name, printed with each violation *)
+  select :
+    baseline:gate_profile list ->
+    current:gate_profile list ->
+    ((gate_profile * gate_profile) list, string) result;
+      (** the pairs to judge; [Error] when rows the rule needs are absent *)
+  holds : gate_profile * gate_profile -> bool;
+  message : gate_profile * gate_profile -> string;
+}
+
+type gate_verdict =
+  | Pass of (string * int) list  (** each rule with the pairs it judged *)
+  | Violations of (string * string) list  (** (rule, message) *)
+  | Unusable of string
+      (** unparsable input, or rows a rule needs are absent: an error,
+          never a pass *)
+
+val gate_rules : gate_rule list
+(** In order:
+    - [rows-present], [rows-baselined]: the two documents hold the same
+      rows;
+    - [counts-exact]: {!gate_count_fields} match exactly;
+    - [ns-per-op]: ns/op within ±25% either way;
+    - [fig11-word-path], [fig11-order]: on [fig11.reverse-16KiB],
+      GiantSan settles at least half of its region checks on the word
+      path and its ns/op is no higher than ASan's;
+    - [fuzzmode-rows], [fuzzmode-counts], [fuzzmode-persistent]: every
+      backend has both [fuzzmode.*] rows, with identical event counts, and
+      persistent is never slower per exec;
+    - [fuzzmode-speedup]: GiantSan's persistent execs/sec is at least 5
+      times rebuild's.
+
+    The fig11 and fuzz-mode rules read the current document, and need
+    its [fig11.reverse-16KiB] giantsan and asan rows and its giantsan
+    [fuzzmode.rebuild] row. *)
+
+val gate : baseline:string -> current:string -> gate_verdict
+(** {!gate_rules} over two BENCH_giantsan.json documents. *)
 
 val compare_bench :
-  tolerance:float -> baseline:string -> current:string ->
-  (int, string list) result
-(** [compare_bench ~tolerance ~baseline ~current] parses two
-    BENCH_giantsan.json documents and checks every baseline profile row
-    against the current run: exact equality on [gate_count_fields], and
-    [ns_per_op] within [±tolerance] (relative). Rows missing from either
-    side fail. Returns the number of compared rows, or the list of
-    failures. *)
+  baseline:string -> current:string -> (int, string list) result
+(** The four comparison rules alone ([rows-present] to [ns-per-op]): the
+    number of compared rows, or the violation messages (parse errors
+    included). *)
 
 val write_file : string -> string -> unit
 (** [write_file path body] truncates and writes (with a trailing

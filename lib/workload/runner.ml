@@ -3,6 +3,7 @@ module San = Giantsan_sanitizer.Sanitizer
 module Counters = Giantsan_sanitizer.Counters
 module Instrument = Giantsan_analysis.Instrument
 module Interp = Giantsan_analysis.Interp
+module Backend = Giantsan_policy.Backend
 
 type config =
   | Native
@@ -14,15 +15,30 @@ type config =
   | Cache_only
   | Elim_only
 
-let config_name = function
-  | Native -> "Native"
-  | Asan -> "ASan"
-  | Asanmm -> "ASan--"
-  | Lfp -> "LFP"
-  | Pac -> "PAC"
-  | Giantsan -> "GiantSan"
-  | Cache_only -> "CacheOnly"
-  | Elim_only -> "EliminationOnly"
+(* The evaluation matrix, one row per configuration: the backend runtime
+   it builds, the checks the instrumentation emits for it, and its report
+   label. ASan-- and the §5.2 ablations are their base runtime under
+   another plan mode (DESIGN.md §1); the runtime's display name is the
+   mode's name. *)
+type row = { backend : Backend.id; mode : Instrument.mode; label : string }
+
+let row = function
+  | Native -> { backend = Native; mode = Native; label = "Native" }
+  | Asan -> { backend = Asan; mode = Asan; label = "ASan" }
+  | Asanmm -> { backend = Asan; mode = Asanmm; label = "ASan--" }
+  | Lfp -> { backend = Lfp; mode = Lfp; label = "LFP" }
+  | Pac -> { backend = Pac; mode = Pac; label = "PAC" }
+  | Giantsan -> { backend = Giantsan; mode = Giantsan; label = "GiantSan" }
+  | Cache_only ->
+    { backend = Giantsan; mode = Giantsan_cache_only; label = "CacheOnly" }
+  | Elim_only ->
+    { backend = Giantsan; mode = Giantsan_elim_only;
+      label = "EliminationOnly" }
+
+let backend c = (row c).backend
+let instrument_mode c = (row c).mode
+let config_name c = (row c).label
+let runtime_name c = Instrument.mode_name (instrument_mode c)
 
 let all_configs = [ Native; Giantsan; Asan; Asanmm; Lfp; Cache_only; Elim_only ]
 
@@ -39,29 +55,8 @@ let heap_config =
     quarantine_budget = 256 * 1024;
   }
 
-let make_sanitizer ?(heap = heap_config) = function
-  | Native -> Giantsan_sanitizer.Native.create heap
-  | Asan -> Giantsan_asan.Asan_runtime.create heap
-  | Asanmm -> Giantsan_asan.Asan_runtime.create_named "ASan--" heap
-  | Lfp -> Giantsan_lfp.Lfp_runtime.create heap
-  | Pac -> Giantsan_pac.Pac_runtime.create heap
-  | Giantsan -> Giantsan_core.Gs_runtime.create heap
-  | Cache_only ->
-    Giantsan_core.Gs_runtime.create_variant ~name:"GiantSan-CacheOnly"
-      ~use_cache:true heap
-  | Elim_only ->
-    Giantsan_core.Gs_runtime.create_variant ~name:"GiantSan-ElimOnly"
-      ~use_cache:false heap
-
-let instrument_mode = function
-  | Native -> Instrument.Native
-  | Asan -> Instrument.Asan
-  | Asanmm -> Instrument.Asanmm
-  | Lfp -> Instrument.Lfp
-  | Pac -> Instrument.Pac
-  | Giantsan -> Instrument.Giantsan
-  | Cache_only -> Instrument.Giantsan_cache_only
-  | Elim_only -> Instrument.Giantsan_elim_only
+let make_sanitizer ?(heap = heap_config) c =
+  Backend.create ~name:(runtime_name c) (backend c) heap
 
 type status = Completed | Compile_error | Runtime_error
 
@@ -99,9 +94,9 @@ let skipped p config status =
   }
 
 let run_one ?heap (p : Specgen.profile) config =
-  match config with
+  match backend config with
   | Lfp when lfp_status p <> Completed -> skipped p config (lfp_status p)
-  | _ ->
+  | id ->
     let san = make_sanitizer ?heap config in
     let prog = Specgen.generate p in
     let plan = Instrument.plan (instrument_mode config) prog in
@@ -111,8 +106,8 @@ let run_one ?heap (p : Specgen.profile) config =
         Cost_model.ops = out.Interp.ops;
         shadow_loads = san.San.shadow_loads ();
         counters = san.San.counters;
-        is_sanitized = config <> Native;
-        is_lfp = config = Lfp;
+        is_sanitized = id <> Native;
+        is_lfp = id = Lfp;
         stack_fraction = p.Specgen.p_stack_fraction;
       }
     in

@@ -12,11 +12,25 @@ type config =
   | Cache_only  (** ablation: GiantSan with history caching only *)
   | Elim_only  (** ablation: GiantSan with check elimination only *)
       (** The sanitizer configurations of Table 2 ([Native] through
-          [Giantsan]) plus the §5.2 ablations and the PAC backend. *)
+          [Giantsan]) plus the §5.2 ablations and the PAC backend. Each is
+          a {!Giantsan_policy.Backend.id} times an instrumentation mode;
+          the accessors below read that one table. *)
+
+val backend : config -> Giantsan_policy.Backend.id
+(** The runtime it builds: [Asanmm] runs ASan's, the ablations GiantSan's. *)
+
+val instrument_mode : config -> Giantsan_analysis.Instrument.mode
+(** How the static pipeline lowers checks for this configuration
+    (e.g. [Elim_only] keeps elimination/promotion but never emits
+    cached accesses). *)
 
 val config_name : config -> string
-(** Stable lowercase name used in reports, telemetry and NDJSON
-    (["native"], ["asan"], ["asan--"], ["lfp"], ["giantsan"], ...). *)
+(** Display label used in reports, tables, telemetry and NDJSON:
+    ["Native"], ["ASan"], ["ASan--"], ["LFP"], ["PAC"], ["GiantSan"],
+    ["CacheOnly"], ["EliminationOnly"]. *)
+
+val runtime_name : config -> string
+(** The built sanitizer's [name]: its mode's, e.g. ["GiantSan-ElimOnly"]. *)
 
 val all_configs : config list
 (** Native first, then the sanitizers, then the two ablations. [Pac] is
@@ -28,13 +42,9 @@ val bench_configs : config list
 
 val make_sanitizer :
   ?heap:Giantsan_memsim.Heap.config -> config -> Giantsan_sanitizer.Sanitizer.t
-(** [heap] defaults to an 8 MiB arena with the paper's redzone/quarantine
-    settings. *)
-
-val instrument_mode : config -> Giantsan_analysis.Instrument.mode
-(** How the static pipeline lowers checks for this configuration
-    (e.g. [Elim_only] keeps elimination/promotion but never emits
-    cached accesses). *)
+(** A fresh private runtime: {!Giantsan_policy.Backend.create} under
+    {!runtime_name}. [heap] defaults to an 8 MiB arena with the paper's
+    redzone/quarantine settings. *)
 
 type status =
   | Completed
@@ -68,5 +78,5 @@ val run_profile : ?configs:config list -> Specgen.profile -> result list
     order. *)
 
 val overhead_pct : native:float -> sanitized:float -> float
-(** Percent slowdown relative to native, Table 2's headline number:
-    [(sanitized / native - 1) * 100]. *)
+(** Sanitized time as a percentage of native, Table 2's headline number:
+    [100 * sanitized / native] (so 146% means a 1.46x slowdown). *)

@@ -472,12 +472,9 @@ let backend_config =
   { Heap.arena_size = 1024; redzone = 16; quarantine_budget = 256 }
 
 let backends : (string * (unit -> San.t)) list =
-  [
-    ("giantsan", fun () -> Gs_runtime.create backend_config);
-    ("asan", fun () -> Giantsan_asan.Asan_runtime.create backend_config);
-    ("lfp", fun () -> Giantsan_lfp.Lfp_runtime.create backend_config);
-    ("native", fun () -> Giantsan_sanitizer.Native.create backend_config);
-  ]
+  List.map
+    (fun id -> (Backend.name id, fun () -> Backend.create id backend_config))
+    Backend.[ Giantsan; Asan; Lfp; Native ]
 
 (* Mirror of the clamped data plane: Interceptors.memmove/memset run the
    data operation only when every region check passed, and clamp it to the

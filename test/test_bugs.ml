@@ -5,6 +5,7 @@ module Juliet = Giantsan_bugs.Juliet
 module Cves = Giantsan_bugs.Cves
 module Magma = Giantsan_bugs.Magma
 module Harness = Giantsan_bugs.Harness
+module Runner = Giantsan_workload.Runner
 module Memobj = Giantsan_memsim.Memobj
 module San = Giantsan_sanitizer.Sanitizer
 module Report = Giantsan_sanitizer.Report
@@ -44,10 +45,10 @@ let test_asan_family_detects_live_cases () =
       List.iter
         (fun tool ->
           Alcotest.(check int)
-            (Printf.sprintf "CWE %d %s" cwe (Harness.tool_name tool))
+            (Printf.sprintf "CWE %d %s" cwe (Runner.config_name tool))
             (List.length live)
             (Harness.count_detected tool live))
-        [ Harness.Giantsan; Harness.Asan; Harness.Asanmm ])
+        [ Runner.Giantsan; Runner.Asan; Runner.Asanmm ])
     Juliet.cwe_ids
 
 let test_no_false_positives_on_clean () =
@@ -57,7 +58,7 @@ let test_no_false_positives_on_clean () =
       List.iter
         (fun tool ->
           Alcotest.(check int)
-            (Printf.sprintf "CWE %d clean %s" cwe (Harness.tool_name tool))
+            (Printf.sprintf "CWE %d clean %s" cwe (Runner.config_name tool))
             0
             (Harness.false_positives tool clean))
         Harness.all_tools)
@@ -73,7 +74,7 @@ let test_latent_cases_flagged_by_nobody () =
   List.iter
     (fun tool ->
       Alcotest.(check int)
-        (Harness.tool_name tool ^ " stays silent")
+        (Runner.config_name tool ^ " stays silent")
         0
         (Harness.count_detected tool latent))
     Harness.all_tools
@@ -83,12 +84,12 @@ let test_lfp_blindness_pattern () =
      low side: the Table 3 fingerprint *)
   let heap_ov = take 100 (Juliet.buggy_cases 122) in
   let underwrite = take 100 (Juliet.buggy_cases 124) in
-  let lfp_ov = Harness.count_detected Harness.Lfp heap_ov in
+  let lfp_ov = Harness.count_detected Runner.Lfp heap_ov in
   Alcotest.(check bool)
     (Printf.sprintf "LFP nearly blind to heap overflow (%d/100)" lfp_ov)
     true (lfp_ov <= 5);
   Alcotest.(check int) "LFP sees every underwrite" 100
-    (Harness.count_detected Harness.Lfp underwrite)
+    (Harness.count_detected Runner.Lfp underwrite)
 
 let test_cve_table_matches_paper () =
   let expected_lfp_misses =
@@ -100,11 +101,11 @@ let test_cve_table_matches_paper () =
         (fun tool ->
           let expect =
             match tool with
-            | Harness.Lfp -> not (List.mem c.Cves.cve_id expected_lfp_misses)
+            | Runner.Lfp -> not (List.mem c.Cves.cve_id expected_lfp_misses)
             | _ -> true
           in
           Alcotest.(check bool)
-            (Printf.sprintf "%s under %s" c.Cves.cve_id (Harness.tool_name tool))
+            (Printf.sprintf "%s under %s" c.Cves.cve_id (Runner.config_name tool))
             expect
             (Harness.detected tool c.Cves.cve_scenario))
         Harness.all_tools)
@@ -129,16 +130,16 @@ let test_magma_php_mechanism () =
   Alcotest.(check int) "population" 100 (List.length cases);
   (* rz16 ASan: only the short jumps *)
   Alcotest.(check int) "ASan rz16" 40
-    (Harness.count_detected ~redzone:16 Harness.Asan cases);
+    (Harness.count_detected ~redzone:16 Runner.Asan cases);
   (* rz512 recovers the mid jumps *)
   Alcotest.(check int) "ASan rz512" 70
-    (Harness.count_detected ~redzone:512 Harness.Asan cases);
+    (Harness.count_detected ~redzone:512 Runner.Asan cases);
   (* the anchor catches everything non-latent at rz16 *)
   Alcotest.(check int) "GiantSan rz16" 80
-    (Harness.count_detected ~redzone:16 Harness.Giantsan cases);
+    (Harness.count_detected ~redzone:16 Runner.Giantsan cases);
   (* ASan-- behaves like ASan on detection *)
   Alcotest.(check int) "ASan-- rz16" 40
-    (Harness.count_detected ~redzone:16 Harness.Asanmm cases)
+    (Harness.count_detected ~redzone:16 Runner.Asanmm cases)
 
 let test_magma_labels () =
   Alcotest.(check (list string)) "magma ground truth" []
@@ -171,7 +172,7 @@ let test_quarantine_bypass_window () =
      common location-based blind spot the paper acknowledges. The newest
      entry is never self-evicted (budget 0 = one-deep quarantine), so a
      second free is what pushes the victim out. *)
-  let san = Harness.make_sanitizer ~quarantine:0 Harness.Giantsan in
+  let san = Harness.make_sanitizer ~quarantine:0 Runner.Giantsan in
   let a = san.San.malloc 64 in
   let pa = a.Memobj.base in
   let b = san.San.malloc 64 in
@@ -182,7 +183,7 @@ let test_quarantine_bypass_window () =
   Alcotest.(check bool) "stale pointer access is missed" true
     (san.San.access ~base:pa ~addr:(pa + 8) ~width:8 = None);
   (* with a real quarantine budget the same flow is caught *)
-  let san2 = Harness.make_sanitizer ~quarantine:4096 Harness.Giantsan in
+  let san2 = Harness.make_sanitizer ~quarantine:4096 Runner.Giantsan in
   let a2 = san2.San.malloc 64 in
   let pa2 = a2.Memobj.base in
   ignore (san2.San.free pa2);
@@ -194,7 +195,7 @@ let test_quarantine_uaf_large_block () =
   (* regression: a block bigger than the whole quarantine budget used to be
      bounced straight back out on free, so an immediate use-after-free was
      missed; the retained-newest rule keeps the detection window open *)
-  let san = Harness.make_sanitizer ~quarantine:16 Harness.Giantsan in
+  let san = Harness.make_sanitizer ~quarantine:16 Runner.Giantsan in
   let a = san.San.malloc 64 in
   let pa = a.Memobj.base in
   ignore (san.San.free pa);
@@ -217,7 +218,7 @@ let test_sub_object_insensitivity () =
       let obj = san.San.malloc 16 in
       let base = obj.Memobj.base in
       Alcotest.(check bool)
-        (Harness.tool_name tool ^ " cannot see sub-object overflow")
+        (Runner.config_name tool ^ " cannot see sub-object overflow")
         true
         (san.San.access ~base ~addr:(base + 8) ~width:4 = None))
     Harness.all_tools
@@ -264,8 +265,8 @@ let test_softbound_precision_and_fragility () =
     (Softbound.run_with_laundering ~launder_slots:[ 0 ] uaf);
   (* while GiantSan does not care about laundering at all *)
   Alcotest.(check bool) "GiantSan catches both regardless" true
-    (Harness.detected Harness.Giantsan far
-    && Harness.detected Harness.Giantsan uaf)
+    (Harness.detected Runner.Giantsan far
+    && Harness.detected Runner.Giantsan uaf)
 
 let test_softbound_no_false_positives () =
   let module Softbound = Giantsan_bugs.Softbound in

@@ -5,6 +5,8 @@
 
 module Counters = Giantsan_sanitizer.Counters
 module Harness = Giantsan_bugs.Harness
+module Runner = Giantsan_workload.Runner
+module Backend = Giantsan_policy.Backend
 module Difftest = Giantsan_bugs.Difftest
 
 let gen_counters =
@@ -115,17 +117,17 @@ let test_fast_slow_partition =
           let san = Harness.make_sanitizer tool in
           let _ = Giantsan_bugs.Scenario.run san sc in
           let c = san.Giantsan_sanitizer.Sanitizer.counters in
-          match tool with
-          | Harness.Giantsan ->
+          match Runner.backend tool with
+          | Backend.Giantsan ->
             c.Counters.fast_checks + c.Counters.slow_checks
             = c.Counters.region_checks
-          | Harness.Asan | Harness.Asanmm ->
+          | Backend.Asan ->
             c.Counters.fast_checks = 0 && c.Counters.slow_checks = 0
-          | Harness.Lfp ->
+          | Backend.Lfp | Backend.Native ->
             c.Counters.region_checks = 0
             && c.Counters.fast_checks = 0
             && c.Counters.slow_checks = 0
-          | Harness.Pac ->
+          | Backend.Pac ->
             (* PAC authenticates; it never walks shadow paths *)
             c.Counters.fast_checks = 0 && c.Counters.slow_checks = 0)
         Harness.all_tools)

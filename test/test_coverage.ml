@@ -207,7 +207,7 @@ let test_lfp_region_of_freed () =
 let test_asanmm_shares_asan_runtime_behaviour () =
   let asan = Helpers.asan ~config:Helpers.small_config () in
   let asanmm =
-    Giantsan_asan.Asan_runtime.create_named "ASan--" Helpers.small_config
+    Giantsan_asan.Asan_runtime.create ~name:"ASan--" Helpers.small_config
   in
   let oa = asan.San.malloc 100 and om = asanmm.San.malloc 100 in
   Alcotest.(check int) "identical layout" oa.Memsim.Memobj.base

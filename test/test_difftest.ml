@@ -3,6 +3,7 @@
 module Difftest = Giantsan_bugs.Difftest
 module Scenario = Giantsan_bugs.Scenario
 module Harness = Giantsan_bugs.Harness
+module Runner = Giantsan_workload.Runner
 
 let prop name arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:400 arb f)
@@ -37,7 +38,7 @@ let test_asan_family_completeness =
       let sc = Difftest.gen_buggy ~seed (List.nth near_violations k) in
       List.for_all
         (fun tool -> Harness.detected tool sc)
-        [ Harness.Giantsan; Harness.Asan; Harness.Asanmm ])
+        [ Runner.Giantsan; Runner.Asan; Runner.Asanmm ])
 
 let test_giantsan_dominates_asan =
   (* anything ASan flags, GiantSan flags too (on identical scenarios) *)
@@ -50,8 +51,8 @@ let test_giantsan_dominates_asan =
             (List.nth near_violations (seed mod List.length near_violations))
         else Difftest.gen_clean ~seed
       in
-      let asan = Harness.detected Harness.Asan sc in
-      let gs = Harness.detected Harness.Giantsan sc in
+      let asan = Harness.detected Runner.Asan sc in
+      let gs = Harness.detected Runner.Giantsan sc in
       (not asan) || gs)
 
 let test_far_jump_split =
@@ -59,16 +60,16 @@ let test_far_jump_split =
   prop "far jumps: GiantSan catches, ASan(rz16) misses" QCheck.small_int
     (fun seed ->
       let sc = Difftest.gen_buggy ~seed Difftest.V_far_jump in
-      Harness.detected ~redzone:16 Harness.Giantsan sc
-      && not (Harness.detected ~redzone:16 Harness.Asan sc))
+      Harness.detected ~redzone:16 Runner.Giantsan sc
+      && not (Harness.detected ~redzone:16 Runner.Asan sc))
 
 let test_lfp_never_beats_giantsan =
   prop "LFP never detects what GiantSan misses"
     QCheck.(pair small_int (int_range 0 4))
     (fun (seed, k) ->
       let sc = Difftest.gen_buggy ~seed (List.nth near_violations k) in
-      let lfp = Harness.detected Harness.Lfp sc in
-      let gs = Harness.detected Harness.Giantsan sc in
+      let lfp = Harness.detected Runner.Lfp sc in
+      let gs = Harness.detected Runner.Giantsan sc in
       (not lfp) || gs)
 
 let suite =

@@ -97,8 +97,8 @@ let test_reverse_prescan_still_detects () =
 
 let test_no_underflow_anchor_variant () =
   let mk ?check_underflow () =
-    Giantsan_core.Gs_runtime.create_variant ~name:"GiantSan-noUA"
-      ~use_cache:true ?check_underflow Helpers.small_config
+    Giantsan_core.Gs_runtime.create ~name:"GiantSan-noUA" ?check_underflow
+      Helpers.small_config
   in
   (* long-jump underflow past the redzone into the previous object *)
   let exercise san =

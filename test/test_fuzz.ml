@@ -6,6 +6,7 @@
 module Scenario = Giantsan_bugs.Scenario
 module Difftest = Giantsan_bugs.Difftest
 module Harness = Giantsan_bugs.Harness
+module Runner = Giantsan_workload.Runner
 module Rng = Giantsan_util.Rng
 module Folding = Giantsan_core.Folding
 module Coverage = Giantsan_fuzz.Coverage
@@ -106,7 +107,7 @@ let test_repair_relabel =
 
 let test_shrink_overflow () =
   let sc = Difftest.gen_buggy ~seed:9 Difftest.V_overflow in
-  let interesting s = Harness.detected Harness.Giantsan s in
+  let interesting s = Harness.detected Runner.Giantsan s in
   let shrunk = Shrink.shrink ~interesting sc in
   Alcotest.(check bool) "still interesting" true (interesting shrunk);
   Alcotest.(check bool) "no longer than input" true

@@ -43,7 +43,7 @@ let test_semantics_all_modes () =
     [
       (Instrument.Native, Helpers.native ?config:None);
       (Instrument.Asan, Helpers.asan ?config:None);
-      (Instrument.Asanmm, fun () -> Giantsan_asan.Asan_runtime.create_named "ASan--" Helpers.mid_config);
+      (Instrument.Asanmm, fun () -> Giantsan_asan.Asan_runtime.create ~name:"ASan--" Helpers.mid_config);
       (Instrument.Giantsan, Helpers.giantsan ?config:None);
       (Instrument.Giantsan_cache_only, Helpers.giantsan ?config:None);
       (Instrument.Giantsan_elim_only, Helpers.giantsan ?config:None);

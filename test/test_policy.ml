@@ -8,6 +8,9 @@ module Policy = Giantsan_policy.Policy
 module Loop = Giantsan_service.Loop
 module Tenant = Giantsan_service.Tenant
 module Slo = Giantsan_service.Slo
+module Runner = Giantsan_workload.Runner
+module Harness = Giantsan_bugs.Harness
+module San = Giantsan_sanitizer.Sanitizer
 
 (* ------------------------------------------------------------------ *)
 (* Grammar                                                             *)
@@ -290,6 +293,54 @@ let test_tenant_backend_event_recorded () =
        (fun l -> Helpers.contains l "\"ev\":\"tenant_backend\"")
        lines)
 
+(* ------------------------------------------------------------------ *)
+(* The backend table and the configurations built on it                *)
+(* ------------------------------------------------------------------ *)
+
+let unique l = List.length (List.sort_uniq compare l) = List.length l
+
+let test_registry_consistent () =
+  let configs = Runner.bench_configs in
+  let check what b = Alcotest.(check bool) what true b in
+  check "eight configurations, each once"
+    (List.length configs = 8 && unique configs);
+  List.iter
+    (fun id ->
+      let n = Backend.name id in
+      check (n ^ " round-trips through of_name") (Backend.of_name n = Some id);
+      check (n ^ " parses case-insensitively")
+        (Backend.of_name (" " ^ String.uppercase_ascii n) = Some id);
+      (* a backend's default display name is one configuration's *)
+      let san = Backend.create id Helpers.small_config in
+      check (n ^ " default name belongs to a configuration")
+        (List.exists
+           (fun c -> Runner.backend c = id && Runner.runtime_name c = san.San.name)
+           configs);
+      (* the bug class that kept PAC fuzz-blind: a sanitizing backend the
+         differential fuzzer and the detection tables never run *)
+      check (n ^ " is a Harness tool unless native")
+        (id = Backend.Native
+        || List.exists (fun t -> Runner.backend t = id) Harness.all_tools))
+    Backend.all;
+  check "every name form unique"
+    (unique (List.map Backend.name Backend.all)
+    && unique (List.map Runner.config_name configs)
+    && unique (List.map Runner.runtime_name configs)
+    && unique (List.map Giantsan_fuzz.Exec.tool_tag Harness.all_tools));
+  check "Backend.all lists every backend once"
+    (unique Backend.all
+    && List.for_all (fun c -> List.mem (Runner.backend c) Backend.all) configs);
+  List.iter
+    (fun c ->
+      let san = Runner.make_sanitizer ~heap:Helpers.small_config c in
+      Alcotest.(check string)
+        (Runner.config_name c ^ " builds its runtime name")
+        (Runner.runtime_name c) san.San.name)
+    configs;
+  let overheads = List.map Backend.overhead Backend.all in
+  check "Backend.all ascends in overhead"
+    (List.sort_uniq compare overheads = overheads)
+
 let suite =
   ( "policy",
     [
@@ -314,4 +365,6 @@ let suite =
         test_downshift_run_is_deterministic;
       Helpers.qt "repartition records a tenant_backend event" `Quick
         test_tenant_backend_event_recorded;
+      Helpers.qt "backend table and configurations are consistent" `Quick
+        test_registry_consistent;
     ] )

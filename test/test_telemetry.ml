@@ -362,7 +362,7 @@ let test_gate_identical_passes =
         mk_doc [ mk_profile "seq" "giantsan"; mk_profile "churn" "asan" ]
       in
       let n =
-        gate_ok (Export.compare_bench ~tolerance:0.25 ~baseline:doc ~current:doc)
+        gate_ok (Export.compare_bench ~baseline:doc ~current:doc)
       in
       Alcotest.(check int) "both rows compared" 2 n)
 
@@ -372,13 +372,13 @@ let test_gate_tolerates_small_ns_drift =
       let current = mk_doc [ mk_profile ~sim_ns:6000.0 "seq" "giantsan" ] in
       ignore
         (gate_ok
-           (Export.compare_bench ~tolerance:0.25 ~baseline ~current)))
+           (Export.compare_bench ~baseline ~current)))
 
 let test_gate_rejects_ns_regression =
   Helpers.qt "gate: >tolerance ns/op regression fails" `Quick (fun () ->
       let baseline = mk_doc [ mk_profile ~sim_ns:5000.0 "seq" "giantsan" ] in
       let current = mk_doc [ mk_profile ~sim_ns:7000.0 "seq" "giantsan" ] in
-      match Export.compare_bench ~tolerance:0.25 ~baseline ~current with
+      match Export.compare_bench ~baseline ~current with
       | Ok _ -> Alcotest.fail "40% regression passed the gate"
       | Error [ msg ] ->
           Alcotest.(check bool) "message names the row" true
@@ -394,7 +394,7 @@ let test_gate_rejects_large_improvement =
       let baseline = mk_doc [ mk_profile ~sim_ns:5000.0 "seq" "giantsan" ] in
       let current = mk_doc [ mk_profile ~sim_ns:2000.0 "seq" "giantsan" ] in
       let es =
-        gate_failures (Export.compare_bench ~tolerance:0.25 ~baseline ~current)
+        gate_failures (Export.compare_bench ~baseline ~current)
       in
       Alcotest.(check bool) "suggests re-baselining" true
         (List.exists (fun m -> Helpers.contains m "re-baseline") es))
@@ -404,7 +404,7 @@ let test_gate_rejects_count_mismatch =
       let baseline = mk_doc [ mk_profile ~stores:40 "seq" "giantsan" ] in
       let current = mk_doc [ mk_profile ~stores:41 "seq" "giantsan" ] in
       let es =
-        gate_failures (Export.compare_bench ~tolerance:0.25 ~baseline ~current)
+        gate_failures (Export.compare_bench ~baseline ~current)
       in
       Alcotest.(check bool) "names shadow_stores" true
         (List.exists (fun m -> Helpers.contains m "shadow_stores") es))
@@ -414,17 +414,132 @@ let test_gate_rejects_missing_rows =
       let both = [ mk_profile "seq" "giantsan"; mk_profile "churn" "asan" ] in
       let one = [ mk_profile "seq" "giantsan" ] in
       (match
-         Export.compare_bench ~tolerance:0.25 ~baseline:(mk_doc both)
+         Export.compare_bench ~baseline:(mk_doc both)
            ~current:(mk_doc one)
        with
       | Ok _ -> Alcotest.fail "dropped row passed the gate"
       | Error _ -> ());
       match
-        Export.compare_bench ~tolerance:0.25 ~baseline:(mk_doc one)
+        Export.compare_bench ~baseline:(mk_doc one)
           ~current:(mk_doc both)
       with
       | Ok _ -> Alcotest.fail "new unbaselined row passed the gate"
       | Error _ -> ())
+
+(* The gate's rule table over the committed baseline: every rule holds
+   on it, each fails under its own name on a document doctored to break
+   it alone, and missing fig11 / fuzz-mode rows are an error. *)
+
+module J = Giantsan_telemetry.Json
+
+let committed_bench =
+  In_channel.with_open_text "../BENCH_giantsan.json" In_channel.input_all
+
+(* rewrite the (profile, config) row's fields with [f]; [None] drops it *)
+let doctor profile config f doc =
+  let edit = function
+    | J.Obj fields as row
+      when J.member "profile" row = Some (J.Str profile)
+           && J.member "config" row = Some (J.Str config) ->
+      Option.map (fun fs -> J.Obj fs) (f fields)
+    | row -> Some row
+  in
+  match J.parse doc with
+  | Ok (J.Obj top) ->
+    J.to_string
+      (J.Obj
+         (List.map
+            (function
+              | "profiles", J.List rows ->
+                ("profiles", J.List (List.filter_map edit rows))
+              | kv -> kv)
+            top))
+  | _ -> Alcotest.fail "committed bench JSON does not parse"
+
+let set k v fields = Some ((k, v) :: List.remove_assoc k fields)
+let drop _ = None
+
+let committed_rows () =
+  match Export.parse_bench_profiles committed_bench with
+  | Ok rows -> rows
+  | Error e -> Alcotest.fail e
+
+let ns profile config =
+  let hit g = Export.(g.g_profile, g.g_config) = (profile, config) in
+  (List.find hit (committed_rows ())).Export.g_ns_per_op
+
+let rule_names = List.map (fun r -> r.Export.rule) Export.gate_rules
+
+let test_gate_rules_pass_on_baseline () =
+  match Export.gate ~baseline:committed_bench ~current:committed_bench with
+  | Export.Pass judged ->
+    Alcotest.(check (list string)) "every rule ran" rule_names
+      (List.map fst judged);
+    Alcotest.(check int) "every baseline row compared"
+      (List.length (committed_rows ()))
+      (List.assoc "counts-exact" judged)
+  | Export.Violations vs -> Alcotest.fail (String.concat "; " (List.map snd vs))
+  | Export.Unusable e -> Alcotest.fail e
+
+let test_gate_rules_fail_alone () =
+  let b = committed_bench in
+  let sweep f = doctor "505.mcf_r" "GiantSan" f b in
+  (* the shape rules doctor both sides, so the comparison rules see two
+     identical documents *)
+  let both profile config f = let d = doctor profile config f b in (d, d) in
+  let rev = "fig11.reverse-16KiB" and pers = "fuzzmode.persistent" in
+  let cases =
+    [
+      ("rows-present", (b, sweep drop), "missing from current run");
+      ("rows-baselined", (sweep drop, b), "not in baseline");
+      ( "counts-exact",
+        (b, sweep (set "shadow_stores" (J.Int 1))),
+        "shadow_stores changed" );
+      ("ns-per-op", (b, sweep (set "ns_per_op" (J.Float 1e9))), "regressed");
+      ( "fig11-word-path",
+        both rev "giantsan" (set "word_checks" (J.Int 0)),
+        "word-path ratio" );
+      ( "fig11-order",
+        both rev "giantsan" (set "ns_per_op" (J.Float (2.0 *. ns rev "asan"))),
+        "slower than ASan" );
+      ("fuzzmode-rows", both pers "asan" drop, "missing one of its two");
+      ("fuzzmode-counts", both pers "pac" (set "ops" (J.Int 1)), "differ");
+      ( "fuzzmode-persistent",
+        both pers "lfp" (set "ns_per_op" (J.Float 1e12)),
+        "slower than rebuild" );
+      ( "fuzzmode-speedup",
+        both pers "giantsan"
+          (set "ns_per_op" (J.Float (ns "fuzzmode.rebuild" "giantsan" /. 2.0))),
+        "below the 5.00x floor" );
+    ]
+  in
+  Alcotest.(check (list string)) "one case per rule" rule_names
+    (List.map (fun (r, _, _) -> r) cases);
+  List.iter
+    (fun (rule, (baseline, current), phrase) ->
+      match Export.gate ~baseline ~current with
+      | Export.Violations vs ->
+        Alcotest.(check (list string)) (rule ^ " fails alone") [ rule ]
+          (List.sort_uniq compare (List.map fst vs));
+        Alcotest.(check bool) (rule ^ " names the breach") true
+          (List.for_all (fun (_, m) -> Helpers.contains m phrase) vs)
+      | _ -> Alcotest.failf "%s: the doctored document did not violate" rule)
+    cases
+
+let test_gate_missing_rows_are_errors () =
+  let unusable what doc =
+    match Export.gate ~baseline:doc ~current:doc with
+    | Export.Unusable e ->
+      Alcotest.(check bool) what true (Helpers.contains e what)
+    | _ -> Alcotest.failf "a document without %s rows was not an error" what
+  in
+  let b = committed_bench in
+  unusable "fig11" (doctor "fig11.reverse-16KiB" "asan" drop b);
+  unusable "fuzzmode" (doctor "fuzzmode.rebuild" "giantsan" drop b);
+  match Export.gate ~baseline:b ~current:"{\"broken" with
+  | Export.Unusable e ->
+    Alcotest.(check bool) "corrupt" true (Helpers.contains e "current")
+  | _ -> Alcotest.fail "corrupt JSON was not an error"
 
 (* ------------------------------------------------------------------ *)
 (* Quantile readouts vs the sorted-array oracle                        *)
@@ -735,4 +850,10 @@ let suite =
       test_summary_keys_rows_by_name;
       test_gate_is_per_domain;
       test_gate_count_consistent;
+      Helpers.qt "gate: every rule holds on the committed baseline" `Quick
+        test_gate_rules_pass_on_baseline;
+      Helpers.qt "gate: each rule fails alone with its own message" `Quick
+        test_gate_rules_fail_alone;
+      Helpers.qt "gate: missing fig11/fuzzmode rows are an error" `Quick
+        test_gate_missing_rows_are_errors;
     ] )
