@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI gate: build, tests, API docs, regression-corpus replay, a fixed-seed
+# CI gate: build, tests, API docs, regression-corpus replay (rebuild vs
+# persistent mode, byte-compared), a fixed-seed
 # fuzz smoke including a byte-identical determinism check of two runs,
 # the pinned paper tables, the sharded-execution determinism gate (serial
 # vs --jobs NDJSON diff), and the bench gate against the committed bench
@@ -54,8 +55,18 @@ fi
 echo "== tests =="
 dune runtest
 
-echo "== regression corpus replay =="
-main replay test/corpus/regressions
+echo "== regression corpus replay (rebuild vs persistent) =="
+# Replay in both execution profiles: persistent mode (snapshot once,
+# restore between scenarios) must print byte-identical results to
+# rebuilding every sanitizer per scenario.
+for mode in rebuild persistent; do
+  main replay --mode "$mode" test/corpus/regressions \
+    > "$tmpdir/replay_$mode.txt" || { cat "$tmpdir/replay_$mode.txt"; exit 1; }
+done
+cat "$tmpdir/replay_rebuild.txt"
+same_bytes "$tmpdir/replay_rebuild.txt" "$tmpdir/replay_persistent.txt" \
+  "persistent and rebuild replay of test/corpus/regressions differ"
+echo "byte-identical replay across rebuild and persistent modes"
 
 echo "== fuzz smoke (2000 runs, seed 42) =="
 main fuzz --runs 2000 --seed 42 -o "$tmpdir/run1.txt"

@@ -12,13 +12,20 @@ type step =
 
 type t = { sc_id : string; sc_cwe : int; sc_buggy : bool; sc_steps : step list }
 
-let loop_offsets ~from_ ~to_ ~step =
+(* The one stepping rule: from_, from_ + step, ... strictly before to_
+   (above it when step < 0). *)
+let iter_loop ~from_ ~to_ ~step f =
   assert (step <> 0);
-  let rec go acc off =
-    if (step > 0 && off >= to_) || (step < 0 && off <= to_) then List.rev acc
-    else go (off :: acc) (off + step)
-  in
-  go [] from_
+  let off = ref from_ in
+  while if step > 0 then !off < to_ else !off > to_ do
+    f !off;
+    off := !off + step
+  done
+
+let loop_offsets ~from_ ~to_ ~step =
+  let acc = ref [] in
+  iter_loop ~from_ ~to_ ~step (fun off -> acc := off :: !acc);
+  List.rev !acc
 
 let run_reports (san : San.t) t =
   let slots = Hashtbl.create 4 in
@@ -43,9 +50,8 @@ let run_reports (san : San.t) t =
       | Access_loop { slot; from_; to_; step; width } ->
         let b = base slot in
         let cache = san.San.new_cache ~base:b in
-        List.iter
-          (fun off -> note (san.San.cached_access cache ~off ~width))
-          (loop_offsets ~from_ ~to_ ~step);
+        iter_loop ~from_ ~to_ ~step (fun off ->
+            note (san.San.cached_access cache ~off ~width));
         note (san.San.flush_cache cache)
       | Region { slot; off; len } ->
         let b = base slot in
@@ -84,9 +90,8 @@ let ground_truth t =
       | Access { slot; off; width } ->
         if oob slot off width then violation := true
       | Access_loop { slot; from_; to_; step; width } ->
-        List.iter
-          (fun off -> if oob slot off width then violation := true)
-          (loop_offsets ~from_ ~to_ ~step)
+        iter_loop ~from_ ~to_ ~step (fun off ->
+            if oob slot off width then violation := true)
       | Region { slot; off; len } ->
         if len > 0 && oob slot off len then violation := true
       | Access_null _ -> violation := true)

@@ -31,9 +31,17 @@ type t = {
   sc_steps : step list;
 }
 
+val iter_loop : from_:int -> to_:int -> step:int -> (int -> unit) -> unit
+(** [iter_loop ~from_ ~to_ ~step f] calls [f] on each offset an
+    [Access_loop] visits, in order: [from_], [from_ + step], ... strictly
+    below [to_] when [step > 0], strictly above it when [step < 0]; none
+    when [from_] is already past [to_]. The one stepping rule: the
+    executor, {!ground_truth}, {!loop_offsets}, SoftBound and the chaos
+    engine all step through it. Allocates nothing per offset. Requires
+    [step <> 0]. *)
+
 val loop_offsets : from_:int -> to_:int -> step:int -> int list
-(** The offsets an [Access_loop] visits (ascending when [step > 0],
-    descending when [step < 0]; empty when already past [to_]). *)
+(** The offsets {!iter_loop} visits, as a list. *)
 
 val run : Giantsan_sanitizer.Sanitizer.t -> t -> bool
 (** Execute against a (fresh) sanitizer; [true] if any check reported. *)

@@ -47,9 +47,8 @@ let run t (sc : Scenario.t) =
       | Scenario.Access { slot; off; width } ->
         note (check_access t ~slot ~lo:off ~hi:(off + width))
       | Scenario.Access_loop { slot; from_; to_; step; width } ->
-        List.iter
-          (fun off -> note (check_access t ~slot ~lo:off ~hi:(off + width)))
-          (Scenario.loop_offsets ~from_ ~to_ ~step)
+        Scenario.iter_loop ~from_ ~to_ ~step (fun off ->
+            note (check_access t ~slot ~lo:off ~hi:(off + width)))
       | Scenario.Region { slot; off; len } ->
         if len > 0 then note (check_access t ~slot ~lo:off ~hi:(off + len))
       | Scenario.Access_null _ ->

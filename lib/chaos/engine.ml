@@ -98,9 +98,8 @@ let exec_step (san : San.t) slots step =
   | Scenario.Access_loop { slot; from_; to_; step; width } ->
     let b = base slot in
     let cache = san.San.new_cache ~base:b in
-    List.iter
-      (fun off -> note (san.San.cached_access cache ~off ~width))
-      (Scenario.loop_offsets ~from_ ~to_ ~step);
+    Scenario.iter_loop ~from_ ~to_ ~step (fun off ->
+        note (san.San.cached_access cache ~off ~width));
     note (san.San.flush_cache cache)
   | Scenario.Region { slot; off; len } ->
     let b = base slot in

@@ -159,19 +159,25 @@ let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
     | None -> None
     | Some addr -> report ~anchor:cache.San.cache_base ~addr ~size:0
   in
+  let rec put_quarantined = function
+    | [] -> ()
+    | (id, at) :: rest ->
+      Hashtbl.add quarantined_at id at;
+      put_quarantined rest
+  in
   let snapshot, restore =
     San.snapshot_slot
       ~cap:(fun () ->
         ( Memsim.Heap.snapshot heap,
           Shadow_mem.snapshot m,
           San.counters_copy counters,
-          Hashtbl.copy quarantined_at ))
+          Hashtbl.fold (fun id at l -> (id, at) :: l) quarantined_at [] ))
       ~put:(fun (hs, ss, cs, qs) ->
         Memsim.Heap.restore heap hs;
         Shadow_mem.restore m ss;
         San.counters_restore counters cs;
         Hashtbl.reset quarantined_at;
-        Hashtbl.iter (Hashtbl.add quarantined_at) qs)
+        put_quarantined qs)
   in
   let san =
     {

@@ -1,8 +1,9 @@
-type t = { data : Bytes.t; size : int }
+type t = { data : Bytes.t; size : int; dirty : snapshot Dirty.t }
+and snapshot = Bytes.t
 
 let create ~size =
   let size = max 64 (Giantsan_util.Bitops.align_up 8 size) in
-  { data = Bytes.make size '\000'; size }
+  { data = Bytes.make size '\000'; size; dirty = Dirty.create ~size }
 
 let size t = t.size
 
@@ -23,6 +24,7 @@ let load t ~addr ~width =
 
 let store t ~addr ~width v =
   check_range t addr width;
+  Dirty.widen t.dirty ~lo:addr ~hi:(addr + width);
   match width with
   | 1 -> Bytes.set t.data addr (Char.chr (v land 0xFF))
   | 2 -> Bytes.set_uint16_le t.data addr (v land 0xFFFF)
@@ -32,17 +34,23 @@ let store t ~addr ~width v =
 
 let fill t ~addr ~len byte =
   check_range t addr len;
+  Dirty.widen t.dirty ~lo:addr ~hi:(addr + len);
   Bytes.fill t.data addr len (Char.chr (byte land 0xFF))
 
 let blit t ~src ~dst ~len =
   check_range t src len;
   check_range t dst len;
+  Dirty.widen t.dirty ~lo:dst ~hi:(dst + len);
   Bytes.blit t.data src t.data dst len
 
-type snapshot = Bytes.t
-
-let snapshot t = Bytes.copy t.data
+let snapshot t =
+  let s = Bytes.copy t.data in
+  Dirty.arm t.dirty s;
+  s
 
 let restore t s =
   assert (Bytes.length s = t.size);
-  Bytes.blit s 0 t.data 0 t.size
+  Dirty.rewind t.dirty s;
+  let lo = Dirty.lo t.dirty and hi = Dirty.hi t.dirty in
+  if lo < hi then Bytes.blit s lo t.data lo (hi - lo);
+  Dirty.clear t.dirty

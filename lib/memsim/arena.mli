@@ -27,10 +27,19 @@ val fill : t -> addr:int -> len:int -> int -> unit
 val blit : t -> src:int -> dst:int -> len:int -> unit
 (** [blit] is [memmove] (overlap-safe). *)
 
+(** {1 Snapshot / restore (the fuzz-mode profile)}
+
+    Every mutator ({!store}, {!fill}, {!blit}) widens the arena's
+    {!Dirty} window; restore blits back only that window. *)
+
 type snapshot
 
 val snapshot : t -> snapshot
-(** Copy of the arena contents (fuzz-mode restore point). *)
+(** Copy of the arena contents (fuzz-mode restore point); arms an empty
+    dirty window. *)
 
 val restore : t -> snapshot -> unit
-(** Blit a snapshot back over the arena. Must come from this arena. *)
+(** Rewind to any snapshot taken from this arena, in O(bytes written
+    since the armed snapshot): only the dirty window is blitted back.
+    Restoring a snapshot other than the armed one (an older one) repairs
+    the whole arena, through the same blit, and arms it. *)

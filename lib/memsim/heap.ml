@@ -239,20 +239,33 @@ let snapshot t =
     s_statuses = statuses;
   }
 
+(* Restore allocates nothing beyond the free-cache cells it must rebuild
+   (none for a pristine snapshot): the loops below are plain recursion, not
+   closures over [t]. *)
+let rec refill_free_cache cache = function
+  | [] -> ()
+  | (len, bases) :: rest ->
+    Hashtbl.add cache len (ref bases);
+    refill_free_cache cache rest
+
+let rec write_statuses = function
+  | [] -> ()
+  | ((o : Memobj.t), st) :: rest ->
+    o.Memobj.status <- st;
+    write_statuses rest
+
 let restore t s =
   Arena.restore t.arena s.s_arena;
   Oracle.restore t.oracle s.s_oracle;
   Quarantine.restore t.quarantine s.s_quarantine;
   Hashtbl.reset t.free_cache;
-  List.iter
-    (fun (len, bases) -> Hashtbl.add t.free_cache len (ref bases))
-    s.s_free_cache;
+  refill_free_cache t.free_cache s.s_free_cache;
   t.brk <- s.s_brk;
   t.next_id <- s.s_next_id;
   t.live_bytes <- s.s_live_bytes;
   t.pressure_flushes <- s.s_pressure_flushes;
   t.oom_countdown <- s.s_oom_countdown;
-  List.iter (fun ((o : Memobj.t), st) -> o.Memobj.status <- st) s.s_statuses
+  write_statuses s.s_statuses
 
 let free t ptr =
   if ptr = 0 then Error Free_null

@@ -93,7 +93,12 @@ val snapshot : t -> snapshot
     statuses must be recorded explicitly). The fuzz-mode restore point. *)
 
 val restore : t -> snapshot -> unit
-(** Rewind the heap to a snapshot taken from this heap. Objects allocated
+(** Rewind the heap to any snapshot taken from this heap. The arena and
+    the oracle rewind through their dirty windows, so the cost is
+    O(bytes the heap touched since the armed snapshot) plus the
+    snapshot's quarantine, free cache and object statuses — not
+    O(arena); an older snapshot than the armed one is repaired in full.
+    Restoring a pristine snapshot allocates nothing. Objects allocated
     after the snapshot become unreachable; statuses of snapshot-time
     objects are written back, so a block freed-and-recycled since the
     snapshot is live again afterwards. The evict hook is not part of the

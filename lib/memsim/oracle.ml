@@ -4,7 +4,10 @@ type t = {
   flags : Bytes.t;  (* one state byte per arena byte *)
   owners : Memobj.t option array;  (* one owner slot per 8-byte segment *)
   size : int;
+  dirty : snapshot Dirty.t;  (* in bytes; owner segment k is bytes [8k, 8k+8) *)
 }
+
+and snapshot = { s_flags : Bytes.t; s_owners : Memobj.t option array }
 
 let code = function
   | Unallocated -> '\000'
@@ -21,7 +24,12 @@ let decode = function
 
 let create ~arena_size =
   let size = max 64 (Giantsan_util.Bitops.align_up 8 arena_size) in
-  { flags = Bytes.make size '\000'; owners = Array.make (size / 8) None; size }
+  {
+    flags = Bytes.make size '\000';
+    owners = Array.make (size / 8) None;
+    size;
+    dirty = Dirty.create ~size;
+  }
 
 let check t lo hi =
   if lo < 0 || hi > t.size || lo > hi then
@@ -33,6 +41,7 @@ let state t addr =
 
 let set_range t ~lo ~hi st =
   check t lo hi;
+  Dirty.widen t.dirty ~lo ~hi;
   Bytes.fill t.flags lo (hi - lo) (code st)
 
 let range_addressable t ~lo ~hi =
@@ -51,6 +60,7 @@ let first_bad t ~lo ~hi =
 
 let set_owner t ~lo ~hi obj =
   check t lo hi;
+  Dirty.widen t.dirty ~lo ~hi;
   if hi > lo then
     for seg = lo / 8 to (hi - 1) / 8 do
       t.owners.(seg) <- obj
@@ -65,11 +75,20 @@ let fold_owners t f acc =
     (fun acc slot -> match slot with Some o -> f acc o | None -> acc)
     acc t.owners
 
-type snapshot = { s_flags : Bytes.t; s_owners : Memobj.t option array }
+let snapshot t =
+  let s = { s_flags = Bytes.copy t.flags; s_owners = Array.copy t.owners } in
+  Dirty.arm t.dirty s;
+  s
 
-let snapshot t = { s_flags = Bytes.copy t.flags; s_owners = Array.copy t.owners }
-
+(* The window is in bytes; the owner slots it touches are the segments
+   overlapping it, [lo / 8, ceil (hi / 8)). *)
 let restore t s =
   assert (Bytes.length s.s_flags = t.size);
-  Bytes.blit s.s_flags 0 t.flags 0 t.size;
-  Array.blit s.s_owners 0 t.owners 0 (Array.length t.owners)
+  Dirty.rewind t.dirty s;
+  let lo = Dirty.lo t.dirty and hi = Dirty.hi t.dirty in
+  if lo < hi then begin
+    Bytes.blit s.s_flags lo t.flags lo (hi - lo);
+    let seg_lo = lo / 8 and seg_hi = (hi + 7) / 8 in
+    Array.blit s.s_owners seg_lo t.owners seg_lo (seg_hi - seg_lo)
+  end;
+  Dirty.clear t.dirty

@@ -36,10 +36,20 @@ val fold_owners : t -> ('a -> Memobj.t -> 'a) -> 'a -> 'a
     spanning k segments is visited k times — callers dedupe by id (the heap
     snapshot does, to record each reachable object's status once). *)
 
+(** {1 Snapshot / restore (the fuzz-mode profile)}
+
+    {!set_range} and {!set_owner} widen the oracle's {!Dirty} window (in
+    bytes); restore blits back only the byte states inside it and the
+    owner slots of the segments overlapping it. *)
+
 type snapshot
 
 val snapshot : t -> snapshot
-(** Copy of the byte states and the owner map (fuzz-mode restore point). *)
+(** Copy of the byte states and the owner map (fuzz-mode restore point);
+    arms an empty dirty window. *)
 
 val restore : t -> snapshot -> unit
-(** Reinstate a snapshot. Must come from this oracle. *)
+(** Rewind to any snapshot taken from this oracle, in O(bytes and
+    segments changed since the armed snapshot). Restoring a snapshot other
+    than the armed one (an older one) repairs the whole oracle, through
+    the same blit, and arms it. *)

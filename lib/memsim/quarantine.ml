@@ -55,8 +55,14 @@ let snapshot t =
 
 let queued s = s.s_queue
 
+let rec push_all q = function
+  | [] -> ()
+  | o :: rest ->
+    Queue.push o q;
+    push_all q rest
+
 let restore t s =
   Queue.clear t.queue;
-  List.iter (fun o -> Queue.push o t.queue) s.s_queue;
+  push_all t.queue s.s_queue;
   t.held <- s.s_held;
   t.bypasses <- s.s_bypasses

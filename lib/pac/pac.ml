@@ -23,18 +23,39 @@ let addr_mask = (1 lsl pac_shift) - 1
 
 type entry = { salt : int; pac : int }
 
+(* Fuzz-mode restore point: the table entries are immutable records, so
+   the list of bindings detaches the snapshot completely. *)
+type snapshot = {
+  s_sigs : (int * entry) list;
+  s_next_salt : int;
+  s_signs : int;
+  s_auths : int;
+}
+
 type t = {
   key : int;
   sigs : (int, entry) Hashtbl.t;  (* base -> live signature *)
   mutable next_salt : int;
   mutable signs : int;  (* metadata stores: sign on alloc, strip on free *)
   mutable auths : int;  (* metadata loads: salt fetch + recompute *)
+  (* the snapshot [sigs] was last captured at or rewound to, and whether
+     [sigs] changed since: restoring it to an untouched table is free *)
+  mutable armed : snapshot option;
+  mutable touched : bool;
 }
 
 let default_key = 0x5bd1e995
 
 let create ?(key = default_key) () =
-  { key; sigs = Hashtbl.create 64; next_salt = 1; signs = 0; auths = 0 }
+  {
+    key;
+    sigs = Hashtbl.create 64;
+    next_salt = 1;
+    signs = 0;
+    auths = 0;
+    armed = None;
+    touched = false;
+  }
 
 (* Inlined so [compute]'s intermediate words stay unboxed: an
    authentication allocates nothing. *)
@@ -62,6 +83,7 @@ let sign t ~base =
   t.next_salt <- t.next_salt + 1;
   let pac = compute t ~base ~salt in
   Hashtbl.replace t.sigs base { salt; pac };
+  t.touched <- true;
   t.signs <- t.signs + 1;
   with_tag base pac
 
@@ -101,6 +123,7 @@ let check t ~base =
 let release t ~base =
   if Hashtbl.mem t.sigs base then begin
     Hashtbl.remove t.sigs base;
+    t.touched <- true;
     t.signs <- t.signs + 1;
     true
   end
@@ -127,6 +150,7 @@ let forge t ~pick ~mask =
     let base = List.nth bs (abs pick mod List.length bs) in
     let e = Hashtbl.find t.sigs base in
     Hashtbl.replace t.sigs base { e with pac = e.pac lxor mask };
+    t.touched <- true;
     Some base
 
 let drop t ~pick =
@@ -135,31 +159,45 @@ let drop t ~pick =
   | bs ->
     let base = List.nth bs (abs pick mod List.length bs) in
     Hashtbl.remove t.sigs base;
+    t.touched <- true;
     Some base
 
-(* Fuzz-mode restore: the table entries are immutable records, so a shallow
-   Hashtbl.copy detaches the snapshot completely. Rolling back [next_salt]
-   is what makes a restored run re-issue the very same salts — and thus the
-   same tags — as a fresh context would, keeping persistent-mode verdicts
-   byte-identical to rebuild mode. *)
-type snapshot = {
-  s_sigs : (int, entry) Hashtbl.t;
-  s_next_salt : int;
-  s_signs : int;
-  s_auths : int;
-}
-
+(* Fuzz-mode restore. Re-adding the bindings needs no closure, and an
+   untouched table is not rebuilt at all, so a clean restore allocates
+   nothing. Rolling back [next_salt] is what makes a restored run re-issue
+   the very same salts — and thus the same tags — as a fresh context
+   would, keeping persistent-mode verdicts byte-identical to rebuild
+   mode. *)
 let snapshot t =
-  {
-    s_sigs = Hashtbl.copy t.sigs;
-    s_next_salt = t.next_salt;
-    s_signs = t.signs;
-    s_auths = t.auths;
-  }
+  let s =
+    {
+      s_sigs = Hashtbl.fold (fun b e l -> (b, e) :: l) t.sigs [];
+      s_next_salt = t.next_salt;
+      s_signs = t.signs;
+      s_auths = t.auths;
+    }
+  in
+  t.armed <- Some s;
+  t.touched <- false;
+  s
+
+let rec add_sigs sigs = function
+  | [] -> ()
+  | (b, e) :: rest ->
+    Hashtbl.add sigs b e;
+    add_sigs sigs rest
+
+let refill t s =
+  Hashtbl.reset t.sigs;
+  add_sigs t.sigs s.s_sigs
 
 let restore t s =
-  Hashtbl.reset t.sigs;
-  Hashtbl.iter (fun b e -> Hashtbl.add t.sigs b e) s.s_sigs;
+  (match t.armed with
+  | Some a when a == s -> if t.touched then refill t s
+  | _ ->
+    refill t s;
+    t.armed <- Some s);
+  t.touched <- false;
   t.next_salt <- s.s_next_salt;
   t.signs <- s.s_signs;
   t.auths <- s.s_auths

@@ -126,10 +126,12 @@ val snapshot : t -> snapshot
 (** Capture the signature table, salt counter and metadata-event counters. *)
 
 val restore : t -> snapshot -> unit
-(** Rewind to a snapshot from this context. Rolling the salt counter back
-    makes a restored run re-issue the same salts — hence the same tags — a
-    fresh context would, so persistent-mode verdicts stay byte-identical to
-    rebuild mode. *)
+(** Rewind to any snapshot taken from this context. Rolling the salt
+    counter back makes a restored run re-issue the same salts — hence the
+    same tags — a fresh context would, so persistent-mode verdicts stay
+    byte-identical to rebuild mode. The table is rebuilt only if it changed
+    since the snapshot it was last captured at or rewound to, so a clean
+    restore allocates nothing. *)
 
 val audit : t -> string option
 (** Recompute every stored PAC from its salt; [Some detail] on the first

@@ -1,3 +1,5 @@
+type snapshot = { s_bytes : Bytes.t; s_loads : int; s_stores : int }
+
 type t = {
   bytes : Bytes.t;
   fill : int;
@@ -7,9 +9,10 @@ type t = {
      kernel appends the clamped range it touched, so [restore] can blit the
      snapshot back over only the segments that changed since — the
      incremental-repoisoning trick that makes per-exec reset O(dirty)
-     instead of O(arena). Newest entry first. *)
+     instead of O(arena). Newest entry first. The journal is relative to
+     the armed snapshot; restoring any other one repairs the whole plane. *)
   mutable journal : (int * int) list;  (* (lo, len) *)
-  mutable armed : bool;
+  mutable armed : snapshot option;
   word : Bytes.t;
       (* the word register: the 8 segments the last [load_word] fetched *)
 }
@@ -22,7 +25,7 @@ let create ~segments ~fill =
     loads = 0;
     stores = 0;
     journal = [];
-    armed = false;
+    armed = None;
     word = Bytes.make 8 (Char.chr fill);
   }
 
@@ -83,7 +86,7 @@ let word_byte w k = Int64.to_int (Int64.logand (Int64.shift_right_logical w (8 *
    absorbs the common poison/unpoison-the-same-block churn without growing
    the journal; overlapping entries are harmless (restore blits twice). *)
 let note_dirty t lo len =
-  if t.armed && len > 0 then
+  if t.armed != None && len > 0 then
     match t.journal with
     | (l, n) :: _ when lo >= l && lo + len <= l + n -> ()
     | _ -> t.journal <- (lo, len) :: t.journal
@@ -146,18 +149,31 @@ let reset_counters t =
 
 (* {1 Snapshot / restore (the fuzz-mode profile)} *)
 
-type snapshot = { s_bytes : Bytes.t; s_loads : int; s_stores : int }
-
 let snapshot t =
+  let s =
+    { s_bytes = Bytes.copy t.bytes; s_loads = t.loads; s_stores = t.stores }
+  in
   t.journal <- [];
-  t.armed <- true;
-  { s_bytes = Bytes.copy t.bytes; s_loads = t.loads; s_stores = t.stores }
+  t.armed <- Some s;
+  s
 
+let rec blit_journal src dst = function
+  | [] -> ()
+  | (lo, len) :: rest ->
+    Bytes.blit src lo dst lo len;
+    blit_journal src dst rest
+
+(* A snapshot other than the armed one (an older one, say) predates part
+   of what the journal forgot at the last [snapshot]: journal the whole
+   plane, and the ordinary blit below does the full repair. *)
 let restore t s =
   assert (Bytes.length s.s_bytes = Bytes.length t.bytes);
-  List.iter
-    (fun (lo, len) -> Bytes.blit s.s_bytes lo t.bytes lo len)
-    t.journal;
+  (match t.armed with
+  | Some a when a == s -> ()
+  | _ ->
+    t.journal <- [ (0, Bytes.length t.bytes) ];
+    t.armed <- Some s);
+  blit_journal s.s_bytes t.bytes t.journal;
   t.journal <- [];
   t.loads <- s.s_loads;
   t.stores <- s.s_stores

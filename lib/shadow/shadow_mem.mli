@@ -94,13 +94,17 @@ val reset_counters : t -> unit
 type snapshot
 
 val snapshot : t -> snapshot
-(** Capture the shadow plane and counters; clears and (re)arms the dirty
-    journal. *)
+(** Capture the shadow plane and counters; clears the dirty journal and
+    arms it relative to this snapshot. *)
 
 val restore : t -> snapshot -> unit
-(** Blit the snapshot back over every journaled range, restore the
-    counters, and clear the journal (it stays armed for the next exec).
-    The snapshot must come from this [t]. *)
+(** Blit the snapshot back over every journaled range — O(segments
+    written since the armed snapshot) — restore the counters, and clear
+    the journal (it stays armed for the next exec). Any snapshot taken
+    from this [t] is accepted: the journal only covers writes since the
+    {e armed} snapshot, so restoring another one (an older one) journals
+    the whole plane first, repairs it through the same blit, and arms
+    that snapshot. Allocates nothing unless it re-arms. *)
 
 val journal_entries : t -> int
 (** Ranges currently journaled (diagnostics and the chaos plane). *)

@@ -3,6 +3,7 @@ module Memsim = Giantsan_memsim
 module Heap = Memsim.Heap
 module Memobj = Memsim.Memobj
 module Arena = Memsim.Arena
+module Oracle = Memsim.Oracle
 module Shadow_mem = Giantsan_shadow.Shadow_mem
 module State_code = Giantsan_core.State_code
 module Folding = Giantsan_core.Folding
@@ -313,6 +314,22 @@ let exec_realloc ctx ~slot ~ptr ~size =
 (* The per-step audit                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let model_state = function
+  | Oracle.Unallocated -> Model.Unallocated
+  | Addressable -> Addressable
+  | Redzone -> Redzone
+  | Freed -> Freed
+
+let state_name = function
+  | Model.Unallocated -> "unallocated"
+  | Addressable -> "addressable"
+  | Redzone -> "redzone"
+  | Freed -> "freed"
+
+let owner_name = function
+  | None -> "none"
+  | Some id -> Printf.sprintf "object %d" id
+
 let audit ctx =
   let c = ctx.san.San.counters in
   if c.Counters.fast_checks + c.Counters.slow_checks <> c.Counters.region_checks
@@ -357,6 +374,28 @@ let audit ctx =
     let exp = Model.peek_byte ctx.model addr in
     if actual <> exp then
       fail "arena byte %d: model %d, real %d" addr exp actual
+  done;
+  (* the oracle: the ground truth the fuzz-mode restore rewinds through a
+     dirty window, so a window that misses a byte shows up here *)
+  let o = Heap.oracle heap in
+  for addr = 0 to Arena.size a - 1 do
+    let actual = model_state (Oracle.state o addr)
+    and exp = Model.byte_state ctx.model addr in
+    if actual <> exp then
+      fail "oracle byte %d: model %s, real %s" addr (state_name exp)
+        (state_name actual)
+  done;
+  for seg = 0 to n - 1 do
+    let actual =
+      Option.map
+        (fun (x : Memobj.t) -> x.Memobj.id)
+        (Heap.find_object heap (8 * seg))
+    and exp =
+      Option.map (fun x -> x.Model.o_id) (Model.find_object ctx.model (8 * seg))
+    in
+    if actual <> exp then
+      fail "owner of seg %d: model %s, real %s" seg (owner_name exp)
+        (owner_name actual)
   done;
   if Heap.quarantine_ids heap <> Model.quarantine_ids ctx.model then
     fail "quarantine order: real [%s], model [%s]"

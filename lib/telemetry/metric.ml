@@ -9,10 +9,21 @@ let field f_name f_get f_set = { f_name; f_get; f_set }
 type 'a spec = 'a field list
 
 let names spec = List.map (fun f -> f.f_name) spec
-let reset spec t = List.iter (fun f -> f.f_set t 0) spec
+(* [reset] and [add] run on every fuzz-mode restore, so they recurse
+   instead of building a closure over [t] per call: no allocation. *)
+let rec reset spec t =
+  match spec with
+  | [] -> ()
+  | f :: rest ->
+    f.f_set t 0;
+    reset rest t
 
-let add spec acc x =
-  List.iter (fun f -> f.f_set acc (f.f_get acc + f.f_get x)) spec
+let rec add spec acc x =
+  match spec with
+  | [] -> ()
+  | f :: rest ->
+    f.f_set acc (f.f_get acc + f.f_get x);
+    add rest acc x
 
 let to_assoc spec t = List.map (fun f -> (f.f_name, f.f_get t)) spec
 

@@ -605,6 +605,25 @@ let state_fingerprint san plane =
   for i = 0 to Arena.size arena - 1 do
     Buffer.add_char b (Char.chr (Arena.load arena ~addr:i ~width:1))
   done;
+  (* the oracle, rewound through its own dirty window: byte states, then
+     the owner id of every segment *)
+  let oracle = Heap.oracle heap in
+  Buffer.add_string b "|oracle=";
+  for i = 0 to Arena.size arena - 1 do
+    Buffer.add_char b
+      (match Memsim.Oracle.state oracle i with
+      | Memsim.Oracle.Unallocated -> 'u'
+      | Addressable -> 'a'
+      | Redzone -> 'r'
+      | Freed -> 'f')
+  done;
+  Buffer.add_string b "|owners=";
+  for seg = 0 to Heap.segment_count heap - 1 do
+    Buffer.add_string b
+      (match Heap.find_object heap (8 * seg) with
+      | Some o -> string_of_int o.Memobj.id ^ ","
+      | None -> "-,")
+  done;
   Buffer.add_string b
     (String.concat ","
        (List.map

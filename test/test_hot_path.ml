@@ -2,8 +2,9 @@
    point the instrumented program calls per access — [access],
    [cached_access] (hit and miss, both directions), [flush_cache] and
    [check_region] (word kernel and scalar kernel sizes) — allocates zero
-   minor words on every backend. Closures, options, results and boxed
-   int64s on the success path all show up here as words per call. *)
+   minor words on every backend, and so does the fuzz-mode [restore]
+   between execs. Closures, options, results and boxed int64s on the
+   success path all show up here as words per call. *)
 
 module Memsim = Giantsan_memsim
 module San = Giantsan_sanitizer.Sanitizer
@@ -104,6 +105,27 @@ let cases : (string * (San.t -> int -> int -> unit)) list =
           clean "check_region" (san.San.check_region ~lo ~hi:(lo + 400)) );
   ]
 
+(* The fuzz-mode rewind between execs: a restore with nothing dirty, and
+   one after arena stores and an oracle write (both windows to blit). *)
+let restore_cases : (string * (San.t -> int -> int -> unit)) list =
+  [
+    ( "restore clean",
+      fun san _ ->
+        san.San.snapshot ();
+        fun _ -> san.San.restore () );
+    ( "restore dirty heap",
+      fun san b ->
+        san.San.snapshot ();
+        let heap = san.San.heap in
+        fun i ->
+          Memsim.Arena.store (Memsim.Heap.arena heap)
+            ~addr:(b + (8 * (i land 31)))
+            ~width:8 i;
+          Memsim.Oracle.set_range (Memsim.Heap.oracle heap) ~lo:b ~hi:(b + 64)
+            Memsim.Oracle.Freed;
+          san.San.restore () );
+  ]
+
 let test_case id (label, make) =
   let name = Printf.sprintf "%s %s: 0 words/call" (Backend.name id) label in
   Helpers.qt name `Quick (fun () ->
@@ -117,6 +139,52 @@ let test_case id (label, make) =
           (Printf.sprintf "%.0f words over %d calls (%.4f per call)" words
              calls
              (words /. float_of_int calls)))
+
+(* A scenario [Access_loop] step walks its offsets without materialising
+   them: a 4096-offset loop (plus the allocation and the executor's
+   per-run setup) costs less than one minor word per offset. *)
+let loop_offsets = 4096
+
+let test_access_loop id =
+  let name =
+    Printf.sprintf "%s Access_loop of %d offsets: < 1 word/offset"
+      (Backend.name id) loop_offsets
+  in
+  Helpers.qt name `Quick (fun () ->
+      Trace.disable ();
+      let module Sc = Giantsan_bugs.Scenario in
+      let sc =
+        {
+          Sc.sc_id = "loop";
+          sc_cwe = 0;
+          sc_buggy = false;
+          sc_steps =
+            [
+              Sc.Alloc
+                { slot = 0; size = loop_offsets; kind = Memsim.Memobj.Heap };
+              Sc.Access_loop
+                {
+                  slot = 0;
+                  from_ = 0;
+                  to_ = loop_offsets;
+                  step = 1;
+                  width = 1;
+                };
+            ];
+        }
+      in
+      let san = Backend.create id Helpers.mid_config in
+      san.San.snapshot ();
+      let run () =
+        match Sc.run_reports san sc with
+        | [] -> san.San.restore ()
+        | _ :: _ -> Alcotest.fail "in-bounds loop reported an error"
+      in
+      run ();
+      let words = Helpers.minor_words_of run -. Helpers.counter_cost () in
+      if words >= float_of_int loop_offsets then
+        Alcotest.fail
+          (Printf.sprintf "%.0f words over %d offsets" words loop_offsets))
 
 (* The traced path, pinned event by event: a cached forward loop, a
    cached reverse loop, one anchored access and one region check, then the
@@ -177,9 +245,15 @@ let test_traced_event_order =
     (fun () ->
       Alcotest.(check (list string)) "events" expected_trace (traced_loops ()))
 
+let backends = [ Backend.Native; Giantsan; Asan; Lfp; Pac ]
+
 let suite =
   ( "hot path",
     List.concat_map
       (fun id -> List.map (test_case id) cases)
-      [ Backend.Native; Giantsan; Asan; Lfp; Pac ]
-    @ [ test_traced_event_order ] )
+      backends
+    @ [ test_traced_event_order ]
+    @ List.concat_map
+        (fun id ->
+          List.map (test_case id) restore_cases @ [ test_access_loop id ])
+        backends )

@@ -282,6 +282,84 @@ let test_malloc_zero () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "free of size-0 object"
 
+(* Fuzz-mode restore with two snapshots in play: take A, mutate, take B,
+   mutate, then restore A. Each plane's dirty window only covers what
+   changed since the snapshot it armed (B), so restoring A must repair the
+   whole plane, and every later restore must still land exactly. *)
+
+let arena_bytes a =
+  String.init (Arena.size a) (fun i ->
+      Char.chr (Arena.load a ~addr:i ~width:1))
+
+let test_arena_restore_older_snapshot () =
+  let a = Arena.create ~size:256 in
+  Arena.store a ~addr:16 ~width:8 0x0101;
+  let sa = Arena.snapshot a and at_a = arena_bytes a in
+  Arena.store a ~addr:32 ~width:4 0x0202;
+  Arena.fill a ~addr:200 ~len:8 3;
+  let sb = Arena.snapshot a and at_b = arena_bytes a in
+  Arena.blit a ~src:16 ~dst:100 ~len:8;
+  Arena.restore a sa;
+  Alcotest.(check string) "older snapshot A" at_a (arena_bytes a);
+  Arena.restore a sb;
+  Alcotest.(check string) "then B again" at_b (arena_bytes a);
+  Arena.store a ~addr:40 ~width:8 7;
+  Arena.restore a sb;
+  Alcotest.(check string) "armed B, windowed" at_b (arena_bytes a)
+
+(* Everything a restore must rewind, the oracle's byte states and owner
+   ids included. *)
+let heap_fingerprint h =
+  let a = Heap.arena h and o = Heap.oracle h in
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (arena_bytes a);
+  for i = 0 to Arena.size a - 1 do
+    Buffer.add_char b
+      (match Oracle.state o i with
+      | Oracle.Unallocated -> 'u'
+      | Addressable -> 'a'
+      | Redzone -> 'r'
+      | Freed -> 'f')
+  done;
+  for seg = 0 to Heap.segment_count h - 1 do
+    Buffer.add_string b
+      (match Heap.find_object h (8 * seg) with
+      | Some obj ->
+        Printf.sprintf "%d:%s," obj.Memobj.id
+          (match obj.Memobj.status with
+          | Memobj.Live -> "L"
+          | Quarantined -> "Q"
+          | Recycled -> "R")
+      | None -> "-,")
+  done;
+  Buffer.add_string b
+    (Printf.sprintf "|live=%d q=%s" (Heap.live_bytes h)
+       (String.concat ";" (List.map string_of_int (Heap.quarantine_ids h))));
+  Buffer.contents b
+
+let test_heap_restore_older_snapshot () =
+  let config =
+    { Heap.arena_size = 2048; redzone = 16; quarantine_budget = 256 }
+  in
+  let h = Heap.create config in
+  let x = Heap.malloc h 40 in
+  let y = Heap.malloc h 24 in
+  let sa = Heap.snapshot h and at_a = heap_fingerprint h in
+  ignore (Heap.free h x.Memobj.base);
+  let z = Heap.malloc h 100 in
+  Arena.store (Heap.arena h) ~addr:z.Memobj.base ~width:8 42;
+  let sb = Heap.snapshot h and at_b = heap_fingerprint h in
+  ignore (Heap.free h y.Memobj.base);
+  ignore (Heap.free h z.Memobj.base);
+  ignore (Heap.malloc h 300);
+  Heap.restore h sa;
+  Alcotest.(check string) "older snapshot A" at_a (heap_fingerprint h);
+  Heap.restore h sb;
+  Alcotest.(check string) "then B again" at_b (heap_fingerprint h);
+  ignore (Heap.malloc h 16);
+  Heap.restore h sb;
+  Alcotest.(check string) "armed B, windowed" at_b (heap_fingerprint h)
+
 let suite =
   ( "memsim",
     [
@@ -310,4 +388,8 @@ let suite =
       Helpers.qt "heap: first-fit splits recycled blocks" `Quick
         test_first_fit_reuse;
       Helpers.qt "heap: malloc(0)" `Quick test_malloc_zero;
+      Helpers.qt "arena: restoring an older snapshot" `Quick
+        test_arena_restore_older_snapshot;
+      Helpers.qt "heap: restoring an older snapshot (oracle included)" `Quick
+        test_heap_restore_older_snapshot;
     ] )

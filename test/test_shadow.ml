@@ -113,6 +113,34 @@ let test_batched_kernels_zero_length_and_arena_end =
       Ref_kernel.blit_pattern m2 ~lo:30 ~pattern ~pat_off:2 ~len:0;
       Alcotest.(check bool) "zero-length blit" true (agrees_with_ref m1 m2))
 
+(* Take A, mutate, take B, mutate, restore A: the journal was reset at B,
+   so restoring A must repair the whole plane, not just B's journal. *)
+let test_restore_older_snapshot =
+  Helpers.qt "restoring an older snapshot repairs the whole plane" `Quick
+    (fun () ->
+      let plane m =
+        String.init (Shadow_mem.segments m) (fun p ->
+            Char.chr (Shadow_mem.peek m p))
+      in
+      let m = Shadow_mem.create ~segments:64 ~fill:0xff in
+      Shadow_mem.set m 3 1;
+      let sa = Shadow_mem.snapshot m and at_a = plane m in
+      let stores_a = Shadow_mem.stores m in
+      Shadow_mem.set m 10 2;
+      Shadow_mem.fill_range m ~lo:40 ~hi:48 5;
+      let sb = Shadow_mem.snapshot m and at_b = plane m in
+      Shadow_mem.fill_range m ~lo:20 ~hi:30 3;
+      Shadow_mem.restore m sa;
+      Alcotest.(check string) "older snapshot A" at_a (plane m);
+      Alcotest.(check int) "A's store counter" stores_a (Shadow_mem.stores m);
+      Shadow_mem.restore m sb;
+      Alcotest.(check string) "then B again" at_b (plane m);
+      Shadow_mem.set m 60 9;
+      Alcotest.(check int) "armed B, journaled" 1
+        (Shadow_mem.journal_segments m);
+      Shadow_mem.restore m sb;
+      Alcotest.(check string) "armed B, windowed" at_b (plane m))
+
 let suite =
   ( "shadow",
     [
@@ -122,4 +150,5 @@ let suite =
       test_blit_pattern_equals_per_byte_loop;
       test_blit_pattern_window_slides_on_clamp;
       test_batched_kernels_zero_length_and_arena_end;
+      test_restore_older_snapshot;
     ] )
