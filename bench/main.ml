@@ -189,6 +189,18 @@ let fig11_group =
 (* Microbenchmarks of the primitives                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The per-segment poisoning loop the batched kernel replaced (one counted
+   store per segment, incremental floor-log2), kept only as the comparison
+   row of the microbenchmark. *)
+let poison_good_run_scalar m ~first_seg ~count =
+  let d = ref (Folding.degree_at ~good_segments:count) in
+  for j = 0 to count - 1 do
+    while count - j < 1 lsl !d do
+      decr d
+    done;
+    Shadow_mem.set m (first_seg + j) (SC.folded !d)
+  done
+
 let micro_group =
   let m = Shadow_mem.create ~segments:65536 ~fill:SC.unallocated in
   Folding.poison_good_run m ~first_seg:0 ~count:60000;
@@ -199,7 +211,7 @@ let micro_group =
              Folding.poison_good_run m ~first_seg:0 ~count:1000));
       Test.make ~name:"fold/poison-1000-segments-scalar"
         (Staged.stage (fun () ->
-             Folding.poison_good_run_scalar m ~first_seg:0 ~count:1000));
+             poison_good_run_scalar m ~first_seg:0 ~count:1000));
       Test.make ~name:"fold/ci-fast"
         (Staged.stage (fun () -> ignore (RC.check m ~l:0 ~r:1024)));
       Test.make ~name:"fold/ci-slow"

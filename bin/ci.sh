@@ -1,10 +1,10 @@
 #!/bin/sh
-# CI gate: build, tests, API docs, regression-corpus replay (rebuild vs
-# persistent mode, byte-compared), a fixed-seed
-# fuzz smoke including a byte-identical determinism check of two runs,
-# the pinned paper tables, the sharded-execution determinism gate (serial
-# vs --jobs NDJSON diff), and the bench gate against the committed bench
-# baseline — which also runs once more under --jobs 2 to prove the
+# CI gate: build, tests, API docs, the examples (each must exit 0),
+# regression-corpus replay (rebuild vs persistent mode, byte-compared),
+# a fixed-seed fuzz smoke including a byte-identical determinism check of
+# two runs, the pinned paper tables, the sharded-execution determinism gate
+# (serial vs --jobs NDJSON diff), and the bench gate against the committed
+# bench baseline — which also runs once more under --jobs 2 to prove the
 # parallel engine reproduces the same event counts.
 set -eu
 
@@ -54,6 +54,19 @@ fi
 
 echo "== tests =="
 dune runtest
+
+echo "== examples =="
+# The walkthroughs call the runtime constructors directly: each one must
+# run to completion and exit 0.
+for ex in examples/*.ml; do
+  name=$(basename "$ex" .ml)
+  dune exec "examples/$name.exe" > "$tmpdir/example_$name.txt" 2>&1 || {
+    cat "$tmpdir/example_$name.txt"
+    echo "FAIL: examples/$name.exe exited non-zero" >&2
+    exit 1
+  }
+done
+echo "all examples ran and exited 0"
 
 echo "== regression corpus replay (rebuild vs persistent) =="
 # Replay in both execution profiles: persistent mode (snapshot once,

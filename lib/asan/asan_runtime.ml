@@ -40,33 +40,14 @@ let create_exposed ?(name = "ASan") config =
   let report ~anchor ~addr ~size =
     San.report_access ~name heap counters ~anchor ~addr ~size
   in
-  let malloc ?kind size =
-    counters.Counters.mallocs <- counters.Counters.mallocs + 1;
-    let obj = Memsim.Heap.malloc heap ?kind size in
+  let on_malloc (obj : Memsim.Memobj.t) =
     E.poison_alloc m obj;
     counters.Counters.poison_segments <-
-      counters.Counters.poison_segments + (obj.Memsim.Memobj.block_len / 8);
-    Trace.emit_malloc ~tool:name ~base:obj.Memsim.Memobj.base ~size
-      ~kind:(Memsim.Memobj.kind_name obj.Memsim.Memobj.kind);
-    obj
+      counters.Counters.poison_segments + (obj.block_len / 8)
   in
-  let free ptr =
-    counters.Counters.frees <- counters.Counters.frees + 1;
-    Trace.emit_free ~tool:name ~addr:ptr;
-    match Memsim.Heap.free heap ptr with
-    | Ok { freed; evicted } ->
-      E.poison_free m freed;
-      List.iter (E.poison_evict m) evicted;
-      None
-    | Error err -> (
-      match San.free_error_report ~name ~addr:ptr err with
-      | Some r ->
-        counters.Counters.errors <- counters.Counters.errors + 1;
-        Trace.emit_report ~tool:name
-          ~kind:(Report.kind_name r.Report.kind)
-          ~addr:ptr;
-        Some r
-      | None -> None)
+  let on_free ~freed ~evicted =
+    E.poison_free m freed;
+    List.iter (E.poison_evict m) evicted
   in
   (* ASan's instruction checks are single-load fast-path events; its linear
      region scans are the slow path. *)
@@ -107,41 +88,22 @@ let create_exposed ?(name = "ASan") config =
     end
   in
   let check_region ~lo ~hi = region ~anchor:lo ~lo ~hi ~size:(hi - lo) in
-  let snapshot, restore =
-    San.snapshot_slot
-      ~cap:(fun () ->
-        (Memsim.Heap.snapshot heap, Shadow_mem.snapshot m,
-         San.counters_copy counters))
-      ~put:(fun (hs, ss, cs) ->
-        Memsim.Heap.restore heap hs;
-        Shadow_mem.restore m ss;
-        San.counters_restore counters cs)
-  in
-  let san = {
-    San.name;
-    heap;
-    counters;
-    hists;
-    shadow_loads = (fun () -> Shadow_mem.loads m);
-    shadow_stores = (fun () -> Shadow_mem.stores m);
-    malloc;
-    free;
-    access;
-    check_region;
-    new_cache = (fun ~base -> San.new_cache ~base);
-    cached_access =
-      (fun cache ~off ~width ->
+  let san =
+    San.make ~name ~heap ~counters ~hists
+      ~loads:(fun () -> Shadow_mem.loads m)
+      ~stores:(fun () -> Shadow_mem.stores m)
+      ~on_malloc ~on_free
+      ~plane:(fun () ->
+        let ss = Shadow_mem.snapshot m in
+        fun () -> Shadow_mem.restore m ss)
+      ~access ~check_region
+      ~cached_access:(fun cache ~off ~width ->
         (* No history caching in ASan: every iteration pays a fresh
            instruction-level check. *)
         access ~base:cache.San.cache_base
-          ~addr:(cache.San.cache_base + off) ~width);
-    flush_cache = (fun _ -> None);
-    supports_operation_level = false;
-    snapshot;
-    restore;
-  }
+          ~addr:(cache.San.cache_base + off) ~width)
+      ()
   in
-  San.Registry.register san;
   (san, m)
 
 let create ?name config = fst (create_exposed ?name config)

@@ -21,16 +21,9 @@ val poison_good_run :
     (position [j] carries [degree_at (count - j)]) and is the suffix of one
     shared sequence, so the codes come from a memoized byte template
     (rebuilt per power-of-two bracket) and land in the shadow as a single
-    batched blit — same bytes and same store count as the scalar kernel,
-    without the per-segment loop. *)
-
-val poison_good_run_scalar :
-  Giantsan_shadow.Shadow_mem.t -> first_seg:int -> count:int -> unit
-(** The reference kernel: one counted store per segment, incremental
-    floor-log2. Semantically identical to [poison_good_run] (byte-identical
-    shadow, equal store counts, same fault-plan behaviour) — kept as the
-    oracle for the equivalence property tests and the microbenchmark
-    comparison. *)
+    batched blit — same bytes and same store count as a per-segment loop
+    of counted stores. [Giantsan_spec.Ref_kernel.poison_good_run] is that
+    loop, and the property tests hold the two equal, fault plan included. *)
 
 type fault =
   | Overstate_last of int

@@ -39,51 +39,31 @@ let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
       None
     | Region_check.Bad addr -> report ~anchor ~addr ~size
   in
-  let malloc ?kind size =
-    counters.Counters.mallocs <- counters.Counters.mallocs + 1;
-    let obj = Memsim.Heap.malloc heap ?kind size in
+  let on_malloc (obj : Memsim.Memobj.t) =
     Folding.poison_alloc m obj;
     counters.Counters.poison_segments <-
-      counters.Counters.poison_segments + (obj.Memsim.Memobj.block_len / 8);
-    if Trace.is_on () then begin
-      Trace.emit_malloc ~tool:name ~base:obj.Memsim.Memobj.base ~size
-        ~kind:(Memsim.Memobj.kind_name obj.Memsim.Memobj.kind);
+      counters.Counters.poison_segments + (obj.block_len / 8);
+    if Trace.is_on () then
       Histogram.observe hists.Histogram.h_fold_degree
-        (if size >= 8 then Folding.degree_at ~good_segments:(size / 8) else 0)
-    end;
-    obj
+        (if obj.size >= 8 then Folding.degree_at ~good_segments:(obj.size / 8)
+         else 0)
   in
-  let free ptr =
-    counters.Counters.frees <- counters.Counters.frees + 1;
-    Trace.emit_free ~tool:name ~addr:ptr;
-    match Memsim.Heap.free heap ptr with
-    | Ok { freed; evicted } ->
-      Folding.poison_free m freed;
-      List.iter (Folding.poison_evict m) evicted;
-      if Trace.is_on () then begin
-        let now = counters.Counters.frees in
-        Hashtbl.replace quarantined_at freed.Memsim.Memobj.id now;
-        List.iter
-          (fun (o : Memsim.Memobj.t) ->
-            match Hashtbl.find_opt quarantined_at o.Memsim.Memobj.id with
-            | None -> ()
-            | Some entered ->
-              Hashtbl.remove quarantined_at o.Memsim.Memobj.id;
-              Histogram.observe hists.Histogram.h_quarantine_residency
-                (now - entered))
-          evicted
-      end;
-      None
-    | Error err ->
-      let r = San.free_error_report ~name ~addr:ptr err in
-      (match r with
-      | Some r ->
-        counters.Counters.errors <- counters.Counters.errors + 1;
-        Trace.emit_report ~tool:name
-          ~kind:(Report.kind_name r.Report.kind)
-          ~addr:ptr
-      | None -> ());
-      r
+  let on_free ~(freed : Memsim.Memobj.t) ~evicted =
+    Folding.poison_free m freed;
+    List.iter (Folding.poison_evict m) evicted;
+    if Trace.is_on () then begin
+      let now = counters.Counters.frees in
+      Hashtbl.replace quarantined_at freed.id now;
+      List.iter
+        (fun (o : Memsim.Memobj.t) ->
+          match Hashtbl.find_opt quarantined_at o.id with
+          | None -> ()
+          | Some entered ->
+            Hashtbl.remove quarantined_at o.id;
+            Histogram.observe hists.Histogram.h_quarantine_residency
+              (now - entered))
+        evicted
+    end
   in
   (* The per-access telemetry, taken once per call when tracing is on: the
      width histogram before the check, then an Access event that is slow
@@ -165,41 +145,21 @@ let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
       Hashtbl.add quarantined_at id at;
       put_quarantined rest
   in
-  let snapshot, restore =
-    San.snapshot_slot
-      ~cap:(fun () ->
-        ( Memsim.Heap.snapshot heap,
-          Shadow_mem.snapshot m,
-          San.counters_copy counters,
-          Hashtbl.fold (fun id at l -> (id, at) :: l) quarantined_at [] ))
-      ~put:(fun (hs, ss, cs, qs) ->
-        Memsim.Heap.restore heap hs;
-        Shadow_mem.restore m ss;
-        San.counters_restore counters cs;
-        Hashtbl.reset quarantined_at;
-        put_quarantined qs)
+  let plane () =
+    let ss = Shadow_mem.snapshot m in
+    let qs = Hashtbl.fold (fun id at l -> (id, at) :: l) quarantined_at [] in
+    fun () ->
+      Shadow_mem.restore m ss;
+      Hashtbl.reset quarantined_at;
+      put_quarantined qs
   in
   let san =
-    {
-      San.name;
-      heap;
-      counters;
-      hists;
-      shadow_loads = (fun () -> Shadow_mem.loads m);
-      shadow_stores = (fun () -> Shadow_mem.stores m);
-      malloc;
-      free;
-      access;
-      check_region;
-      new_cache = (fun ~base -> San.new_cache ~base);
-      cached_access;
-      flush_cache;
-      supports_operation_level = true;
-      snapshot;
-      restore;
-    }
+    San.make ~name ~heap ~counters ~hists
+      ~loads:(fun () -> Shadow_mem.loads m)
+      ~stores:(fun () -> Shadow_mem.stores m)
+      ~on_malloc ~on_free ~plane ~access ~check_region ~cached_access
+      ~flush_cache ()
   in
-  San.Registry.register san;
   (san, m)
 
 let create ?name ?check_underflow config =

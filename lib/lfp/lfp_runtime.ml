@@ -16,32 +16,6 @@ let create config =
   let report ~anchor ~addr ~size =
     San.report_access ~name heap counters ~anchor ~addr ~size
   in
-  let malloc ?kind size =
-    counters.Counters.mallocs <- counters.Counters.mallocs + 1;
-    (* The allocator hands out the class size so the slot really exists;
-       the oracle still only marks the requested bytes addressable, which
-       is exactly LFP's blind spot. *)
-    let obj = Memsim.Heap.malloc heap ?kind size in
-    Trace.emit_malloc ~tool:name ~base:obj.Memsim.Memobj.base ~size
-      ~kind:(Memsim.Memobj.kind_name obj.Memsim.Memobj.kind);
-    obj
-  in
-  let free ptr =
-    counters.Counters.frees <- counters.Counters.frees + 1;
-    Trace.emit_free ~tool:name ~addr:ptr;
-    match Memsim.Heap.free heap ptr with
-    | Ok _ -> None
-    | Error err ->
-      let r = San.free_error_report ~name ~addr:ptr err in
-      (match r with
-      | Some r ->
-        counters.Counters.errors <- counters.Counters.errors + 1;
-        Trace.emit_report ~tool:name
-          ~kind:(Report.kind_name r.Report.kind)
-          ~addr:ptr
-      | None -> ());
-      r
-  in
   (* Bounds check against the slot of [anchor] (the pointer the bounds were
      derived from). *)
   let bounds_check ~anchor ~lo ~hi =
@@ -92,37 +66,13 @@ let create config =
       r
     end
   in
-  (* LFP keeps no metadata beyond the allocator's own object index, so the
-     heap snapshot already carries its whole world. *)
-  let snapshot, restore =
-    San.snapshot_slot
-      ~cap:(fun () ->
-        (Memsim.Heap.snapshot heap, San.counters_copy counters))
-      ~put:(fun (hs, cs) ->
-        Memsim.Heap.restore heap hs;
-        San.counters_restore counters cs)
-  in
-  let san = {
-    San.name;
-    heap;
-    counters;
-    hists;
-    shadow_loads = (fun () -> 0);
-    shadow_stores = (fun () -> 0);
-    malloc;
-    free;
-    access;
-    check_region;
-    new_cache = (fun ~base -> San.new_cache ~base);
-    cached_access =
-      (fun cache ~off ~width ->
-        access ~base:cache.San.cache_base
-          ~addr:(cache.San.cache_base + off) ~width);
-    flush_cache = (fun _ -> None);
-    supports_operation_level = true;
-    snapshot;
-    restore;
-  }
-  in
-  San.Registry.register san;
-  san
+  (* The allocator hands out the class size so the slot really exists; the
+     oracle still only marks the requested bytes addressable, which is
+     exactly LFP's blind spot. LFP keeps no metadata beyond the allocator's
+     own object index, so it has no plane: the heap snapshot already
+     carries its whole world. *)
+  San.make ~name ~heap ~counters ~hists ~access ~check_region
+    ~cached_access:(fun cache ~off ~width ->
+      access ~base:cache.San.cache_base
+        ~addr:(cache.San.cache_base + off) ~width)
+    ()

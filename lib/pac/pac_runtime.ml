@@ -34,34 +34,6 @@ let create_exposed ?key config =
     Trace.emit_report ~tool:name ~kind:(Report.kind_name r.Report.kind) ~addr;
     Some r
   in
-  let malloc ?kind size =
-    counters.Counters.mallocs <- counters.Counters.mallocs + 1;
-    let obj = Memsim.Heap.malloc heap ?kind size in
-    ignore (Pac.sign pac ~base:obj.Memsim.Memobj.base);
-    Trace.emit_malloc ~tool:name ~base:obj.Memsim.Memobj.base ~size
-      ~kind:(Memsim.Memobj.kind_name obj.Memsim.Memobj.kind);
-    obj
-  in
-  let free ptr =
-    counters.Counters.frees <- counters.Counters.frees + 1;
-    Trace.emit_free ~tool:name ~addr:ptr;
-    match Memsim.Heap.free heap ptr with
-    | Ok { Memsim.Heap.freed; _ } ->
-      (* strip on free: every pointer signed for this allocation is stale
-         from here on *)
-      ignore (Pac.release pac ~base:freed.Memsim.Memobj.base);
-      None
-    | Error err ->
-      let r = San.free_error_report ~name ~addr:ptr err in
-      (match r with
-      | Some r ->
-        counters.Counters.errors <- counters.Counters.errors + 1;
-        Trace.emit_report ~tool:name
-          ~kind:(Report.kind_name r.Report.kind)
-          ~addr:ptr
-      | None -> ());
-      r
-  in
   (* Authenticate the access [lo, hi) against the signature of the
      allocation [anchor] derives from, then enforce the exact signed
      bounds [base, base + size) — PAC carries the allocation identity, so
@@ -109,43 +81,27 @@ let create_exposed ?key config =
       r
     end
   in
-  let snapshot, restore =
-    San.snapshot_slot
-      ~cap:(fun () ->
-        (Memsim.Heap.snapshot heap, Pac.snapshot pac,
-         San.counters_copy counters))
-      ~put:(fun (hs, ps, cs) ->
-        Memsim.Heap.restore heap hs;
-        Pac.restore pac ps;
-        San.counters_restore counters cs)
-  in
   let san =
-    {
-      San.name;
-      heap;
-      counters;
-      hists;
+    San.make ~name ~heap ~counters ~hists
       (* the signature table is PAC's metadata plane: authentications are
          its loads, sign/strip its stores — what the cost model and the
          service loop's latency synthesis charge for *)
-      shadow_loads = (fun () -> Pac.auths pac);
-      shadow_stores = (fun () -> Pac.signs pac);
-      malloc;
-      free;
-      access;
-      check_region;
-      new_cache = (fun ~base -> San.new_cache ~base);
-      cached_access =
-        (fun cache ~off ~width ->
-          access ~base:cache.San.cache_base
-            ~addr:(cache.San.cache_base + off) ~width);
-      flush_cache = (fun _ -> None);
-      supports_operation_level = true;
-      snapshot;
-      restore;
-    }
+      ~loads:(fun () -> Pac.auths pac)
+      ~stores:(fun () -> Pac.signs pac)
+      ~on_malloc:(fun obj -> ignore (Pac.sign pac ~base:obj.Memsim.Memobj.base))
+      ~on_free:(fun ~freed ~evicted:_ ->
+        (* strip on free: every pointer signed for this allocation is stale
+           from here on *)
+        ignore (Pac.release pac ~base:freed.Memsim.Memobj.base))
+      ~plane:(fun () ->
+        let ps = Pac.snapshot pac in
+        fun () -> Pac.restore pac ps)
+      ~access ~check_region
+      ~cached_access:(fun cache ~off ~width ->
+        access ~base:cache.San.cache_base
+          ~addr:(cache.San.cache_base + off) ~width)
+      ()
   in
-  San.Registry.register san;
   (san, pac)
 
 let create ?key config = fst (create_exposed ?key config)

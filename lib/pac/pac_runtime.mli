@@ -14,9 +14,8 @@
       [\[base, base + size)] — no size-class rounding, no redzone slack.
 
     Every check costs exactly one authentication ([auth_checks]; one
-    metadata load), so region checks are O(1) and
-    [supports_operation_level] is true. [shadow_loads]/[shadow_stores]
-    report the signature-table traffic. *)
+    metadata load), so region checks are O(1). [shadow_loads]/
+    [shadow_stores] report the signature-table traffic. *)
 
 val create :
   ?key:int -> Giantsan_memsim.Heap.config -> Giantsan_sanitizer.Sanitizer.t

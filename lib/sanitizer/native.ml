@@ -1,43 +1,14 @@
-module Memsim = Giantsan_memsim
-
+(* No metadata plane and no checks: the shared runtime with the detector
+   off is the whole tool. The heap is built first, as in every backend:
+   labelled arguments evaluate right to left, and building it inside the
+   call would reorder its large allocations (peak_heap_mb in bench/e2e
+   moves with that order). *)
 let create config =
-  let heap = Memsim.Heap.create config in
+  let heap = Giantsan_memsim.Heap.create config in
   let counters = Counters.create () in
-  (* No metadata plane: restoring the heap and counters is the whole job. *)
-  let snapshot, restore =
-    Sanitizer.snapshot_slot
-      ~cap:(fun () ->
-        (Memsim.Heap.snapshot heap, Sanitizer.counters_copy counters))
-      ~put:(fun (hs, cs) ->
-        Memsim.Heap.restore heap hs;
-        Sanitizer.counters_restore counters cs)
-  in
-  let san = {
-    Sanitizer.name = "Native";
-    heap;
-    counters;
-    hists = Giantsan_telemetry.Histogram.create_set ();
-    shadow_loads = (fun () -> 0);
-    shadow_stores = (fun () -> 0);
-    malloc = (fun ?kind size -> Sanitizer.plain_malloc heap counters ?kind size);
-    free =
-      (fun ptr ->
-        counters.Counters.frees <- counters.Counters.frees + 1;
-        match Memsim.Heap.free heap ptr with
-        | Ok _ | Error Memsim.Heap.Free_null -> None
-        | Error _ ->
-          (* Native execution has no detector: invalid frees go unnoticed
-             (they would corrupt a real heap). *)
-          None);
-    access = (fun ~base:_ ~addr:_ ~width:_ -> None);
-    check_region = (fun ~lo:_ ~hi:_ -> None);
-    new_cache = (fun ~base -> Sanitizer.new_cache ~base);
-    cached_access = (fun _ ~off:_ ~width:_ -> None);
-    flush_cache = (fun _ -> None);
-    supports_operation_level = false;
-    snapshot;
-    restore;
-  }
-  in
-  Sanitizer.Registry.register san;
-  san
+  let hists = Giantsan_telemetry.Histogram.create_set () in
+  Sanitizer.make ~name:"Native" ~detector:false ~heap ~counters ~hists
+    ~access:(fun ~base:_ ~addr:_ ~width:_ -> None)
+    ~check_region:(fun ~lo:_ ~hi:_ -> None)
+    ~cached_access:(fun _ ~off:_ ~width:_ -> None)
+    ()

@@ -139,33 +139,9 @@ type t = {
   new_cache : base:int -> cache;
   cached_access : cache -> off:int -> width:int -> Report.t option;
   flush_cache : cache -> Report.t option;
-  supports_operation_level : bool;
   snapshot : unit -> unit;
   restore : unit -> unit;
 }
-
-(* Single-slot snapshot plumbing shared by every runtime constructor: [cap]
-   captures whatever backend state the tool owns, [put] reinstates it.
-   One slot is all the fuzz-mode profile needs — each exec restores to the
-   same pristine point — and re-snapshotting simply overwrites it. *)
-let snapshot_slot ~cap ~put =
-  let slot = ref None in
-  let snapshot () = slot := Some (cap ()) in
-  let restore () =
-    match !slot with
-    | None -> invalid_arg "Sanitizer.restore: no snapshot taken"
-    | Some s -> put s
-  in
-  (snapshot, restore)
-
-let counters_copy c =
-  let s = Counters.create () in
-  Counters.add s c;
-  s
-
-let counters_restore c s =
-  Counters.reset c;
-  Counters.add c s
 
 let report_access ~name heap counters ~anchor ~addr ~size =
   counters.Counters.errors <- counters.Counters.errors + 1;
@@ -177,16 +153,6 @@ let report_access ~name heap counters ~anchor ~addr ~size =
   Giantsan_telemetry.Trace.emit_report ~tool:name
     ~kind:(Report.kind_name r.Report.kind) ~addr;
   Some r
-
-let record_error t = function
-  | None -> None
-  | Some r ->
-    t.counters.Counters.errors <- t.counters.Counters.errors + 1;
-    Some r
-
-let plain_malloc heap counters ?kind size =
-  counters.Counters.mallocs <- counters.Counters.mallocs + 1;
-  Memsim.Heap.malloc heap ?kind size
 
 module Registry = struct
   type cell = {
@@ -249,3 +215,70 @@ let free_error_report ~name ~addr err =
   Option.map
     (fun kind -> Report.make ~kind ~addr ~size:0 ~detected_by:name)
     kind
+
+(* The runtime skeleton every backend shares: allocator bookkeeping, the
+   free-error path, the one snapshot slot and registration. A backend
+   supplies its metadata plane (hooks and a capture that returns its own
+   restorer) and its checks; the checks are stored exactly as passed, so a
+   check call costs no extra indirection. [detector:false] (Native) reports
+   nothing and emits no trace events. *)
+let make ~name ?(detector = true) ~heap ~counters ~hists
+    ?(loads = fun () -> 0) ?(stores = fun () -> 0)
+    ?(on_malloc = fun _ -> ()) ?(on_free = fun ~freed:_ ~evicted:_ -> ())
+    ?(plane = fun () () -> ()) ~access ~check_region ~cached_access
+    ?(flush_cache = fun _ -> None) () =
+  let malloc ?kind size =
+    counters.Counters.mallocs <- counters.Counters.mallocs + 1;
+    let obj = Memsim.Heap.malloc heap ?kind size in
+    on_malloc obj;
+    if detector then
+      Giantsan_telemetry.Trace.emit_malloc ~tool:name
+        ~base:obj.Memsim.Memobj.base ~size
+        ~kind:(Memsim.Memobj.kind_name obj.Memsim.Memobj.kind);
+    obj
+  in
+  let free ptr =
+    counters.Counters.frees <- counters.Counters.frees + 1;
+    if detector then Giantsan_telemetry.Trace.emit_free ~tool:name ~addr:ptr;
+    match Memsim.Heap.free heap ptr with
+    | Ok { Memsim.Heap.freed; evicted } ->
+      on_free ~freed ~evicted;
+      None
+    | Error _ when not detector ->
+      (* no detector: invalid frees go unnoticed (they would corrupt a
+         real heap) *)
+      None
+    | Error err ->
+      let r = free_error_report ~name ~addr:ptr err in
+      (match r with
+      | Some { Report.kind; _ } ->
+        counters.Counters.errors <- counters.Counters.errors + 1;
+        Giantsan_telemetry.Trace.emit_report ~tool:name
+          ~kind:(Report.kind_name kind) ~addr:ptr
+      | None -> ());
+      r
+  in
+  (* One slot is all the fuzz-mode profile needs: each exec restores to the
+     same pristine point, and re-snapshotting overwrites it. *)
+  let slot = ref None in
+  let snapshot () =
+    let saved = Counters.create () in
+    Counters.add saved counters;
+    slot := Some (Memsim.Heap.snapshot heap, plane (), saved)
+  in
+  let restore () =
+    match !slot with
+    | None -> invalid_arg "Sanitizer.restore: no snapshot taken"
+    | Some (hs, restore_plane, saved) ->
+      Memsim.Heap.restore heap hs;
+      restore_plane ();
+      Counters.reset counters;
+      Counters.add counters saved
+  in
+  let t =
+    { name; heap; counters; hists; shadow_loads = loads;
+      shadow_stores = stores; malloc; free; access; check_region; new_cache;
+      cached_access; flush_cache; snapshot; restore }
+  in
+  Registry.register t;
+  t

@@ -1,9 +1,15 @@
-(** The common sanitizer interface.
+(** The common sanitizer interface and the one runtime skeleton behind it.
 
     Every tool under study — Native (no protection), ASan, ASan--, GiantSan,
-    LFP — is packaged as a value of type [t]: allocation hooks plus the
+    LFP, PAC — is packaged as a value of type [t]: allocation hooks plus the
     runtime checks the instrumented program calls. The interpreter, the
     workload runner and the bug-detection harness are polymorphic over it.
+
+    Every backend builds its [t] with {!make}, which owns what the tools
+    share (GiantSan reuses ASan's allocator and runtime, §4.5): malloc/free
+    bookkeeping and tracing, the free-error reports, the snapshot/restore
+    slot and registry registration. A backend supplies only its metadata
+    plane and its checks.
 
     Checks return [Report.t option] instead of raising: the paper runs all
     tools with [halt_on_error=false]. *)
@@ -85,8 +91,6 @@ type t = {
       (** The final check after a cached loop (Figure 9 line 14): re-verify
           the whole quasi-bound to catch a deallocation that happened during
           the loop. No-op for non-caching tools. *)
-  supports_operation_level : bool;
-      (** whether region checks are O(1) (drives check-merging decisions) *)
   snapshot : unit -> unit;
       (** Fuzz-mode profile: capture the full sanitizer state — heap (arena,
           oracle, quarantine, object statuses), metadata plane (shadow with
@@ -115,36 +119,44 @@ val report_access :
     ({!Report.classify_access}: an access below [anchor] is an underflow),
     emits the [report] trace event and returns [Some] report. *)
 
-val record_error : t -> Report.t option -> Report.t option
-(** Count an error if one was produced (helper for implementers). *)
-
-val snapshot_slot :
-  cap:(unit -> 's) -> put:('s -> unit) -> (unit -> unit) * (unit -> unit)
-(** Single-slot snapshot plumbing for runtime constructors:
-    [snapshot_slot ~cap ~put] is [(snapshot, restore)] where [snapshot]
-    stores [cap ()] (overwriting any previous capture) and [restore]
-    applies [put] to it — raising [Invalid_argument] before the first
-    snapshot. *)
-
-val counters_copy : Counters.t -> Counters.t
-(** A detached copy of a counter record (snapshot side). *)
-
-val counters_restore : Counters.t -> Counters.t -> unit
-(** [counters_restore live saved] overwrites [live] with [saved]'s values
-    (restore side). *)
-
-val plain_malloc :
-  Giantsan_memsim.Heap.t ->
-  Counters.t ->
-  ?kind:Giantsan_memsim.Memobj.kind ->
-  int ->
-  Giantsan_memsim.Memobj.t
-(** Allocation without shadow poisoning (shared by Native and LFP). *)
-
 val free_error_report :
   name:string -> addr:int -> Giantsan_memsim.Heap.free_error -> Report.t option
 (** Translate an allocator free error into a report ([Free_null] is benign
     and yields [None]). *)
+
+val make :
+  name:string ->
+  ?detector:bool ->
+  heap:Giantsan_memsim.Heap.t ->
+  counters:Counters.t ->
+  hists:Giantsan_telemetry.Histogram.set ->
+  ?loads:(unit -> int) ->
+  ?stores:(unit -> int) ->
+  ?on_malloc:(Giantsan_memsim.Memobj.t -> unit) ->
+  ?on_free:
+    (freed:Giantsan_memsim.Memobj.t ->
+    evicted:Giantsan_memsim.Memobj.t list ->
+    unit) ->
+  ?plane:(unit -> unit -> unit) ->
+  access:(base:int -> addr:int -> width:int -> Report.t option) ->
+  check_region:(lo:int -> hi:int -> Report.t option) ->
+  cached_access:(cache -> off:int -> width:int -> Report.t option) ->
+  ?flush_cache:(cache -> Report.t option) ->
+  unit ->
+  t
+(** Build a backend over [heap] and register it with {!Registry}.
+
+    [make] owns the shared runtime: [malloc]/[free] count into [counters]
+    and emit [malloc]/[free] trace events; a failed free is classified by
+    {!free_error_report}, counted and traced as a [report];
+    [snapshot]/[restore] keep one slot over heap, plane and counters.
+    [~detector:false] (Native) emits no events and reports no free errors.
+
+    The backend supplies its metadata plane — [loads]/[stores] (default
+    0), [on_malloc obj] and [on_free ~freed ~evicted] (poison or sign,
+    after the allocator acted), and [plane ()], which captures the plane
+    at snapshot time and returns its restorer — plus its four checks,
+    stored exactly as passed ([flush_cache] defaults to a no-op). *)
 
 (** Opt-in registry of every sanitizer instance created while it is
     enabled: the [--telemetry] CLI paths turn it on, run an experiment

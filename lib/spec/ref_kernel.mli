@@ -34,8 +34,9 @@ val blit_pattern :
 
 val poison_good_run :
   ?fault:Giantsan_core.Folding.fault -> t -> first_seg:int -> count:int -> unit
-(** Reference for both [Folding.poison_good_run] variants: the degree
-    definition evaluated directly per position, fault plan included. *)
+(** Reference for [Folding.poison_good_run] (its only scalar twin): the
+    degree definition evaluated directly per position, one counted store
+    each, fault plan included. *)
 
 val object_segments : Giantsan_memsim.Memobj.t -> int * int
 
