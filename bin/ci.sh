@@ -1,11 +1,13 @@
 #!/bin/sh
-# CI gate: build, tests, API docs, the examples (each must exit 0),
-# regression-corpus replay (rebuild vs persistent mode, byte-compared),
-# a fixed-seed fuzz smoke including a byte-identical determinism check of
-# two runs, the pinned paper tables, the sharded-execution determinism gate
-# (serial vs --jobs NDJSON diff), and the bench gate against the committed
-# bench baseline — which also runs once more under --jobs 2 to prove the
-# parallel engine reproduces the same event counts.
+# CI gate: build, tests, API docs (and the Table 2 / Figure 10 numbers
+# EXPERIMENTS.md quotes from results/paper_experiments.txt), the examples
+# (each must exit 0), regression-corpus replay (rebuild vs persistent
+# mode, byte-compared), a fixed-seed fuzz smoke including a byte-identical
+# determinism check of two runs, the pinned paper tables, the
+# sharded-execution determinism gate (serial vs --jobs NDJSON diff), and
+# the bench gate against the committed bench baseline — which also runs
+# once more under --jobs 2 to prove the parallel engine reproduces the
+# same event counts.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -51,6 +53,29 @@ dune build @doc
 if command -v odoc >/dev/null 2>&1; then
   dune build @doc-private
 fi
+# The measured columns of EXPERIMENTS.md's Table 2 and Figure 10 must
+# quote the committed artifact: every percentage on the "Geometric Means"
+# row and on Figure 10's "Mean" row of results/paper_experiments.txt has
+# to appear in the matching EXPERIMENTS.md section.
+# doc_quotes ROW SECTION NEXT: ROW anchors the artifact line, SECTION and
+# NEXT the EXPERIMENTS.md heading that opens the section and the one that
+# follows it.
+doc_quotes() {
+  vals=$(grep -m1 "^$1 " results/paper_experiments.txt | grep -o '[0-9.]*%') \
+    || { echo "FAIL: no '$1' row in results/paper_experiments.txt" >&2; exit 1; }
+  awk -v s="^## $2" -v e="^## $3" '$0 ~ s { on = 1 } on && $0 ~ e { exit } on' \
+    EXPERIMENTS.md > "$tmpdir/doc_section.md"
+  for v in $vals; do
+    re="(^|[^0-9.])$(printf '%s' "$v" | sed 's/[.]/[.]/g')"
+    grep -Eq "$re" "$tmpdir/doc_section.md" || {
+      echo "FAIL: EXPERIMENTS.md '$2' does not quote $v from the '$1' row of results/paper_experiments.txt" >&2
+      exit 1
+    }
+  done
+}
+doc_quotes "Geometric Means" "Table 2" "Figure 10"
+doc_quotes "Mean" "Figure 10" "Table 3"
+echo "EXPERIMENTS.md Table 2 and Figure 10 quote results/paper_experiments.txt"
 
 echo "== tests =="
 dune runtest

@@ -18,11 +18,12 @@ let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
   let report ~anchor ~addr ~size =
     San.report_access ~name heap counters ~anchor ~addr ~size
   in
-  let ci ~anchor ~l ~r ~size =
-    let loads_before = if Trace.is_on () then Shadow_mem.loads m else 0 in
+  (* [traced] is the caller's one [Trace.is_on ()] read for this check *)
+  let ci ~traced ~anchor ~l ~r ~size =
+    let loads_before = if traced then Shadow_mem.loads m else 0 in
     let outcome = Region_check.check_unaligned m ~l ~r in
     Region_check.count counters outcome;
-    if Trace.is_on () then begin
+    if traced then begin
       let loads = Shadow_mem.loads m - loads_before in
       Histogram.observe hists.Histogram.h_loads_per_check loads;
       Trace.emit_region_check ~tool:name ~lo:l ~hi:r
@@ -76,43 +77,49 @@ let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
     Trace.emit_access ~tool:name ~addr ~width
       ~fast:(counters.Counters.slow_checks = slow_before)
   in
-  let check_access ~base ~addr ~width =
+  let check_access ~traced ~base ~addr ~width =
     if base > 0 && addr >= base then
       (* anchor-based: protect everything between the anchor and the
          access *)
-      ci ~anchor:base ~l:base ~r:(addr + width) ~size:width
+      ci ~traced ~anchor:base ~l:base ~r:(addr + width) ~size:width
     else if base > 0 && check_underflow then begin
       counters.Counters.underflow_checks <-
         counters.Counters.underflow_checks + 1;
-      match ci ~anchor:base ~l:addr ~r:base ~size:width with
+      match ci ~traced ~anchor:base ~l:addr ~r:base ~size:width with
       | Some r -> Some r
       | None ->
         if addr + width > base then
-          ci ~anchor:base ~l:base ~r:(addr + width) ~size:width
+          ci ~traced ~anchor:base ~l:base ~r:(addr + width) ~size:width
         else None
     end
     else
       (* no anchor (or underflow anchoring disabled, the §5.4 degraded
          mode): check only the accessed bytes *)
-      ci ~anchor:Report.no_anchor ~l:addr ~r:(addr + width) ~size:width
+      ci ~traced ~anchor:Report.no_anchor ~l:addr ~r:(addr + width)
+        ~size:width
   in
-  let access ~base ~addr ~width =
-    if Trace.is_on () then begin
+  let access_traced ~traced ~base ~addr ~width =
+    if traced then begin
       let slow_before = trace_enter ~width in
-      let r = check_access ~base ~addr ~width in
+      let r = check_access ~traced ~base ~addr ~width in
       trace_leave ~addr ~width slow_before;
       r
     end
-    else check_access ~base ~addr ~width
+    else check_access ~traced ~base ~addr ~width
   in
-  let check_region ~lo ~hi = ci ~anchor:lo ~l:lo ~r:hi ~size:(hi - lo) in
-  let check_cached (cache : San.cache) ~off ~width =
+  let access ~base ~addr ~width =
+    access_traced ~traced:(Trace.is_on ()) ~base ~addr ~width
+  in
+  let check_region ~lo ~hi =
+    ci ~traced:(Trace.is_on ()) ~anchor:lo ~l:lo ~r:hi ~size:(hi - lo)
+  in
+  let check_cached ~traced (cache : San.cache) ~off ~width =
     match Quasi_bound.access m counters cache ~off ~width with
     | Quasi_bound.Ok_cached ->
-      Trace.emit_cache_hit ~tool:name ~off;
+      if traced then Trace.emit_cache_hit ~tool:name ~off;
       None
     | Quasi_bound.Ok_checked ->
-      if Trace.is_on () then
+      if traced then
         Trace.emit_cache_update ~tool:name ~ub:(San.cache_ub cache);
       None
     | Quasi_bound.Bad addr ->
@@ -120,19 +127,42 @@ let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
   in
   let cached_access (cache : San.cache) ~off ~width =
     let base = cache.San.cache_base in
-    if off >= 0 || check_underflow then
-      if Trace.is_on () then begin
+    let traced = Trace.is_on () in
+    let w = cache.San.windows.(0) in
+    if
+      (* Figure 9's one-compare hit, written out here so it costs no call:
+         the MRU front already covers what [Quasi_bound.access] would ask
+         [San.cache_hit] about — [base, base+off+width) above the anchor,
+         [base+off, base) below it for an access that ends at or under the
+         anchor. A non-empty query covered this way forces the window to be
+         non-empty, and an empty query is a hit on the full path too. This
+         is [cache_hit]'s k = 0 case, whose promotion is a self-copy, so
+         only the hit count moves. Everything else (misses, straddles, the
+         degraded mode, traced runs) takes the full path. *)
+      (not traced)
+      &&
+      if off >= 0 then w.San.w_lo <= base && base + off + width <= w.San.w_hi
+      else
+        check_underflow && off + width <= 0
+        && w.San.w_lo <= base + off
+        && base <= w.San.w_hi
+    then begin
+      counters.Counters.cache_hits <- counters.Counters.cache_hits + 1;
+      None
+    end
+    else if off >= 0 || check_underflow then
+      if traced then begin
         let slow_before = trace_enter ~width in
-        let r = check_cached cache ~off ~width in
+        let r = check_cached ~traced cache ~off ~width in
         trace_leave ~addr:(base + off) ~width slow_before;
         r
       end
-      else check_cached cache ~off ~width
+      else check_cached ~traced cache ~off ~width
     else
       (* a negative offset in the degraded §5.4 mode: exactly the uncached
          access, which with underflow anchoring off checks only the
          accessed bytes *)
-      access ~base ~addr:(base + off) ~width
+      access_traced ~traced ~base ~addr:(base + off) ~width
   in
   let flush_cache cache =
     match Quasi_bound.flush m counters cache with

@@ -104,6 +104,3 @@ let check m ~l ~r =
    (model: an empty window is addressable). *)
 let check_unaligned m ~l ~r =
   if r <= l then Safe_fast else check m ~l:(l land lnot 7) ~r
-
-let check_unaligned_scalar m ~l ~r =
-  if r <= l then Safe_fast else check_scalar m ~l:(l land lnot 7) ~r

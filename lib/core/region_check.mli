@@ -42,11 +42,6 @@ val check_scalar : Giantsan_shadow.Shadow_mem.t -> l:int -> r:int -> outcome
     contents, which the qcheck equivalence suite and the refinement
     harness enforce. Never returns [Safe_word]. *)
 
-val check_unaligned_scalar :
-  Giantsan_shadow.Shadow_mem.t -> l:int -> r:int -> outcome
-(** [check_scalar] after aligning [l] down, with the same empty-before-align
-    rule as [check_unaligned]. *)
-
 val is_safe : outcome -> bool
 (** True for [Safe_fast], [Safe_slow] and [Safe_word]. *)
 

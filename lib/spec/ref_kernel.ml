@@ -134,6 +134,10 @@ let region_check t ~l ~r =
 let region_check_unaligned t ~l ~r =
   if r <= l then `Safe else region_check t ~l:(l land lnot 7) ~r
 
+let check_unaligned_scalar m ~l ~r =
+  if r <= l then Giantsan_core.Region_check.Safe_fast
+  else Giantsan_core.Region_check.check_scalar m ~l:(l land lnot 7) ~r
+
 (* Reference for Shadow_mem.load_word / peek_word: the word assembled from
    eight single-byte peeks, little-endian — lane k of the result is the
    code of segment p + k, with out-of-range lanes answering the fill byte.

@@ -56,6 +56,15 @@ val region_check : t -> l:int -> r:int -> [ `Safe | `Bad of int ]
 
 val region_check_unaligned : t -> l:int -> r:int -> [ `Safe | `Bad of int ]
 
+val check_unaligned_scalar :
+  Giantsan_shadow.Shadow_mem.t ->
+  l:int ->
+  r:int ->
+  Giantsan_core.Region_check.outcome
+(** The word kernel's unaligned lockstep twin, over the live shadow:
+    [Region_check.check_scalar] after aligning [l] down, with the same
+    empty-before-align rule as [Region_check.check_unaligned]. *)
+
 val word_at : t -> int -> int64
 (** Reference for [Shadow_mem.load_word]/[peek_word]: eight single-byte
     peeks assembled little-endian — lane [k] holds segment [p + k], with

@@ -263,7 +263,7 @@ let test_word_check_matches_scalar =
         let l = Rng.int rng (arena_end + 16) in
         let len = Rng.int_in rng (-8) 72 in
         let a = RC.check_unaligned m ~l ~r:(l + len)
-        and b = RC.check_unaligned_scalar m ~l ~r:(l + len) in
+        and b = Ref_kernel.check_unaligned_scalar m ~l ~r:(l + len) in
         match (a, b) with
         | ( (RC.Safe_fast | RC.Safe_slow | RC.Safe_word),
             (RC.Safe_fast | RC.Safe_slow | RC.Safe_word) ) -> ()

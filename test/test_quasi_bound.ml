@@ -307,6 +307,58 @@ let test_random_access_converges () =
     (c.Counters.cache_updates <= 12);
   Alcotest.(check bool) "rest were hits" true (c.Counters.cache_hits >= 1980)
 
+(* The inline MRU-front hit in GiantSan's [cached_access] is licensed by
+   this property: untraced calls may settle a hit inside the closure, a
+   traced call always runs [Quasi_bound.access], and on identical caches
+   the two must agree on the verdict, every counter and the windows left
+   behind — under random window histories, both offset signs, and both
+   underflow modes. *)
+let test_inline_hit_matches_full_path =
+  Helpers.q "inline cache hit = full Quasi_bound path (traced twin)"
+    QCheck.(pair small_nat bool)
+    (fun (seed, check_underflow) ->
+      let module Rng = Giantsan_util.Rng in
+      let rng = Rng.create seed in
+      let san =
+        Giantsan_core.Gs_runtime.create ~check_underflow Helpers.small_config
+      in
+      let live =
+        Array.init (Rng.int_in rng 2 5) (fun _ ->
+            san.San.malloc (Rng.int_in rng 1 200))
+      in
+      let pick () = Rng.pick rng live in
+      let anchor = pick () in
+      let base = anchor.Memsim.Memobj.base + (8 * Rng.int rng 4) in
+      let fast = San.new_cache ~base and full = San.new_cache ~base in
+      (* a random window history over the live objects, noted on both *)
+      for _ = 1 to Rng.int rng 6 do
+        let o = pick () in
+        let lo = o.Memsim.Memobj.base + Rng.int rng (o.size + 1) in
+        let hi = lo + Rng.int rng (o.size + 1) in
+        San.cache_note fast ~lo ~hi;
+        San.cache_note full ~lo ~hi
+      done;
+      let ok = ref true in
+      for _ = 1 to 24 do
+        let off = Rng.int_in rng (-96) 240 in
+        let width = Rng.pick rng [| 0; 1; 2; 4; 8; 16 |] in
+        let before = Counters.to_assoc san.San.counters in
+        let v_fast = san.San.cached_access fast ~off ~width in
+        let after_fast = Counters.to_assoc san.San.counters in
+        let v_full, _events =
+          Giantsan_telemetry.Trace.with_capture (fun () ->
+              san.San.cached_access full ~off ~width)
+        in
+        let after_full = Counters.to_assoc san.San.counters in
+        let delta a b = List.map2 (fun (k, x) (_, y) -> (k, y - x)) a b in
+        if
+          v_fast <> v_full
+          || delta before after_fast <> delta after_fast after_full
+          || San.cache_windows fast <> San.cache_windows full
+        then ok := false
+      done;
+      !ok)
+
 let suite =
   ( "quasi_bound",
     [
@@ -333,4 +385,5 @@ let suite =
       Helpers.qt "flush is silent on clean loops" `Quick
         test_flush_clean_loop_is_silent;
       Helpers.qt "random access converges" `Quick test_random_access_converges;
+      test_inline_hit_matches_full_path;
     ] )
