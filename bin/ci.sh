@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate: build, tests, API docs (and the Table 2 / Figure 10 numbers
-# EXPERIMENTS.md quotes from results/paper_experiments.txt), the examples
+# EXPERIMENTS.md quotes from results/paper_experiments.txt), the .mli vals
+# with no outside use (vs bin/unused_vals.allow), the examples
 # (each must exit 0), regression-corpus replay (rebuild vs persistent
 # mode, byte-compared), a fixed-seed fuzz smoke including a byte-identical
 # determinism check of two runs, the pinned paper tables, the
@@ -76,6 +77,13 @@ doc_quotes() {
 doc_quotes "Geometric Means" "Table 2" "Figure 10"
 doc_quotes "Mean" "Figure 10" "Table 3"
 echo "EXPERIMENTS.md Table 2 and Figure 10 quote results/paper_experiments.txt"
+
+echo "== unused vals (vs bin/unused_vals.allow) =="
+# Every lib/*/*.mli val that no .ml outside its own module mentions must be
+# on the allowlist with its reason, and every entry there must still be
+# such a val, so the public surface only shrinks on purpose.
+bin/unused_vals.sh > /dev/null
+echo "every unused .mli val is on bin/unused_vals.allow"
 
 echo "== tests =="
 dune runtest

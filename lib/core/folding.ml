@@ -19,7 +19,6 @@ type fault =
 let fault_key : fault option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let set_fault f = Domain.DLS.get fault_key := f
 let current_fault () = !(Domain.DLS.get fault_key)
 
 let with_fault f body =

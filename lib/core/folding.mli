@@ -33,19 +33,16 @@ type fault =
           positive. [Overstate_last 1] reproduces the historical
           [misfold_for_testing] switch. *)
 
-val set_fault : fault option -> unit
-(** Arm (or with [None] disarm) the poison-kernel fault plan for the
-    {e calling domain}. Domain-local on purpose: parallel chaos cells each
-    arm their own fault without racing, and a worker's fault never leaks to
-    its siblings. Exists solely so the differential fuzzer's self-tests and
-    the chaos engine can prove a real folding bug would be caught; nothing
-    else may arm it. *)
-
 val current_fault : unit -> fault option
 
 val with_fault : fault option -> (unit -> 'a) -> 'a
-(** [with_fault f body] arms [f], runs [body], and restores the previous
-    plan even on exceptions. *)
+(** [with_fault f body] arms [f] (or with [None] disarms the plan) for the
+    {e calling domain}, runs [body], and restores the previous plan even
+    on exceptions. Domain-local on purpose: parallel chaos cells each arm
+    their own fault without racing, and a worker's fault never leaks to
+    its siblings. Exists solely so the differential fuzzer's self-tests
+    and the chaos engine can prove a real folding bug would be caught;
+    nothing else may arm it. *)
 
 val poison_alloc :
   Giantsan_shadow.Shadow_mem.t -> Giantsan_memsim.Memobj.t -> unit

@@ -13,7 +13,7 @@ type config = {
   seed : int;
   minimize : bool;  (** shrink findings to minimal reproducers *)
   inject_misfold : bool;
-      (** arm {!Giantsan_core.Folding.set_fault} with [Overstate_last 1]
+      (** arm {!Giantsan_core.Folding.with_fault} with [Overstate_last 1]
           for the run — the fuzzer-finds-a-real-bug self-test *)
   mode : Exec.mode;
       (** execution profile: rebuild a sanitizer per exec, or snapshot once

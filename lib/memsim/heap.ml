@@ -105,7 +105,7 @@ let recycle t (obj : Memobj.t) =
   obj.status <- Recycled;
   Oracle.set_range t.oracle ~lo:obj.block_base ~hi:(Memobj.block_end obj)
     Oracle.Unallocated;
-  Oracle.set_owner t.oracle ~lo:obj.block_base ~hi:(Memobj.block_end obj) None;
+  Oracle.release t.oracle obj;
   put_cached t obj.block_len obj.block_base
 
 let pressure_flushes t = t.pressure_flushes
@@ -178,8 +178,7 @@ let malloc t ?(kind = Memobj.Heap) size =
   Oracle.set_range t.oracle ~lo:base ~hi:(base + size) Oracle.Addressable;
   Oracle.set_range t.oracle ~lo:(base + size) ~hi:(block_base + block_len)
     Oracle.Redzone;
-  Oracle.set_owner t.oracle ~lo:block_base ~hi:(block_base + block_len)
-    (Some obj);
+  Oracle.claim t.oracle obj;
   t.live_bytes <- t.live_bytes + size;
   obj
 
@@ -198,7 +197,10 @@ let find_object t addr =
    after the snapshot still claiming [Recycled]; the snapshot therefore
    records (object, status) pairs for everything reachable and [restore]
    writes the statuses back. Objects allocated after the snapshot become
-   unreachable on restore and their status no longer matters. *)
+   unreachable on restore and their status no longer matters.
+   [Oracle.fold_owners] visits each owned block once; the dedupe by id
+   exists only because a quarantined object still owns its block and so
+   is reachable from both the owner map and the queue. *)
 
 type snapshot = {
   s_arena : Arena.snapshot;

@@ -1,13 +1,25 @@
 type byte_state = Unallocated | Addressable | Redzone | Freed
 
+(* The owner map is two planes:
+   - [heads]: a native-endian int32 per 8-byte segment, the head (first
+     segment) of the block covering it, or -1;
+   - [objs.(h / 2)]: the object whose block starts at segment [h]. Every
+     block spans at least 2 segments, so two blocks never share a slot.
+   [heads] holds no pointers, so claiming a block costs one write barrier,
+   for its [objs] store, not one per segment. *)
 type t = {
   flags : Bytes.t;  (* one state byte per arena byte *)
-  owners : Memobj.t option array;  (* one owner slot per 8-byte segment *)
+  heads : Bytes.t;
+  objs : Memobj.t option array;
   size : int;
-  dirty : snapshot Dirty.t;  (* in bytes; owner segment k is bytes [8k, 8k+8) *)
+  dirty : snapshot Dirty.t;  (* in bytes; segment k is bytes [8k, 8k+8) *)
 }
 
-and snapshot = { s_flags : Bytes.t; s_owners : Memobj.t option array }
+and snapshot = {
+  s_flags : Bytes.t;
+  s_heads : Bytes.t;
+  s_objs : Memobj.t option array;
+}
 
 let code = function
   | Unallocated -> '\000'
@@ -24,16 +36,22 @@ let decode = function
 
 let create ~arena_size =
   let size = max 64 (Giantsan_util.Bitops.align_up 8 arena_size) in
+  let segments = size / 8 in
   {
     flags = Bytes.make size '\000';
-    owners = Array.make (size / 8) None;
+    heads = Bytes.make (4 * segments) '\255';
+    objs = Array.make ((segments + 1) / 2) None;
     size;
     dirty = Dirty.create ~size;
   }
 
-let check t lo hi =
-  if lo < 0 || hi > t.size || lo > hi then
-    invalid_arg (Printf.sprintf "Oracle: bad range [%d, %d)" lo hi)
+let bad_range lo hi =
+  invalid_arg (Printf.sprintf "Oracle: bad range [%d, %d)" lo hi)
+
+(* Inlined, with the error path out of line: [owner] runs on every LFP
+   and PAC access. *)
+let[@inline] check t lo hi =
+  if lo < 0 || hi > t.size || lo > hi then bad_range lo hi
 
 let state t addr =
   check t addr (addr + 1);
@@ -58,30 +76,64 @@ let first_bad t ~lo ~hi =
   in
   go lo
 
-let set_owner t ~lo ~hi obj =
+(* Unchecked: both callers pass a segment of the arena. *)
+external get_int32_unsafe : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+let head t seg = Int32.to_int (get_int32_unsafe t.heads (4 * seg))
+
+(* The checks both block-granular mutators share. Returns the head
+   segment of [obj]'s block (a tuple would allocate). *)
+let block_head t (obj : Memobj.t) =
+  let lo = obj.block_base in
+  let hi = lo + obj.block_len in
   check t lo hi;
+  assert (lo land 7 = 0 && obj.block_len land 7 = 0 && obj.block_len >= 16);
   Dirty.widen t.dirty ~lo ~hi;
-  if hi > lo then
-    for seg = lo / 8 to (hi - 1) / 8 do
-      t.owners.(seg) <- obj
-    done
+  lo / 8
+
+let claim t (obj : Memobj.t) =
+  let h = block_head t obj in
+  let h32 = Int32.of_int h in
+  for seg = h to h + (obj.block_len / 8) - 1 do
+    Bytes.set_int32_ne t.heads (4 * seg) h32
+  done;
+  t.objs.(h / 2) <- Some obj
+
+let release t (obj : Memobj.t) =
+  let h = block_head t obj in
+  Bytes.fill t.heads (4 * h) (4 * (obj.block_len / 8)) '\255';
+  t.objs.(h / 2) <- None
 
 let owner t addr =
   check t addr (addr + 1);
-  t.owners.(addr / 8)
+  let h = head t (addr lsr 3) in
+  if h < 0 then None else t.objs.(h lsr 1)
 
 let fold_owners t f acc =
-  Array.fold_left
-    (fun acc slot -> match slot with Some o -> f acc o | None -> acc)
-    acc t.owners
+  let rec go seg acc =
+    if seg >= t.size / 8 then acc
+    else if head t seg <> seg then go (seg + 1) acc
+    else
+      match t.objs.(seg / 2) with
+      | Some o -> go (seg + 1) (f acc o)
+      | None -> assert false
+  in
+  go 0 acc
 
 let snapshot t =
-  let s = { s_flags = Bytes.copy t.flags; s_owners = Array.copy t.owners } in
+  let s =
+    {
+      s_flags = Bytes.copy t.flags;
+      s_heads = Bytes.copy t.heads;
+      s_objs = Array.copy t.objs;
+    }
+  in
   Dirty.arm t.dirty s;
   s
 
-(* The window is in bytes; the owner slots it touches are the segments
-   overlapping it, [lo / 8, ceil (hi / 8)). *)
+(* The window is in bytes. The heads it touches are those of the segments
+   overlapping it, [lo / 8, ceil (hi / 8)); every object slot a claim or
+   release wrote since the snapshot is the slot of one of those heads. *)
 let restore t s =
   assert (Bytes.length s.s_flags = t.size);
   Dirty.rewind t.dirty s;
@@ -89,6 +141,9 @@ let restore t s =
   if lo < hi then begin
     Bytes.blit s.s_flags lo t.flags lo (hi - lo);
     let seg_lo = lo / 8 and seg_hi = (hi + 7) / 8 in
-    Array.blit s.s_owners seg_lo t.owners seg_lo (seg_hi - seg_lo)
+    Bytes.blit s.s_heads (4 * seg_lo) t.heads (4 * seg_lo)
+      (4 * (seg_hi - seg_lo));
+    let slot_lo = seg_lo / 2 and slot_hi = (seg_hi + 1) / 2 in
+    Array.blit s.s_objs slot_lo t.objs slot_lo (slot_hi - slot_lo)
   end;
   Dirty.clear t.dirty

@@ -24,28 +24,34 @@ val range_addressable : t -> lo:int -> hi:int -> bool
 val first_bad : t -> lo:int -> hi:int -> int option
 (** Address of the first non-addressable byte in [lo, hi), if any. *)
 
-val set_owner : t -> lo:int -> hi:int -> Memobj.t option -> unit
-(** Record which object owns the 8-byte segments overlapping [lo, hi)
-    (redzones included). *)
+val claim : t -> Memobj.t -> unit
+(** Record [obj] as the owner of its whole block (redzones included): one
+    int32 store per 8-byte segment and one pointer store. The block must
+    be 8-aligned and span at least 2 segments ([block_len >= 16]). *)
+
+val release : t -> Memobj.t -> unit
+(** Forget the owner of [obj]'s block, which must be the block {!claim}
+    recorded. *)
 
 val owner : t -> int -> Memobj.t option
-(** The object whose block covers [addr], if any. *)
+(** The object whose block covers [addr], if any. Two loads, no
+    allocation. *)
 
 val fold_owners : t -> ('a -> Memobj.t -> 'a) -> 'a -> 'a
-(** Fold over every owner slot holding an object, segment order. An object
-    spanning k segments is visited k times — callers dedupe by id (the heap
-    snapshot does, to record each reachable object's status once). *)
+(** Fold over every claimed object once, in ascending [block_base]
+    order. *)
 
 (** {1 Snapshot / restore (the fuzz-mode profile)}
 
-    {!set_range} and {!set_owner} widen the oracle's {!Dirty} window (in
-    bytes); restore blits back only the byte states inside it and the
-    owner slots of the segments overlapping it. *)
+    {!set_range}, {!claim} and {!release} widen the oracle's {!Dirty}
+    window (in bytes); restore blits back only the byte states inside it,
+    the heads of the segments overlapping it, and the object slots of
+    those heads. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-(** Copy of the byte states and the owner map (fuzz-mode restore point);
+(** Copy of the byte states and both owner planes (fuzz-mode restore point);
     arms an empty dirty window. *)
 
 val restore : t -> snapshot -> unit

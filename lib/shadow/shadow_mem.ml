@@ -178,8 +178,6 @@ let restore t s =
   t.loads <- s.s_loads;
   t.stores <- s.s_stores
 
-let journal_entries t = List.length t.journal
-
 let journal_segments t =
   List.fold_left (fun a (_, len) -> a + len) 0 t.journal
 

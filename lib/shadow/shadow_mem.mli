@@ -106,9 +106,6 @@ val restore : t -> snapshot -> unit
     the whole plane first, repairs it through the same blit, and arms
     that snapshot. Allocates nothing unless it re-arms. *)
 
-val journal_entries : t -> int
-(** Ranges currently journaled (diagnostics and the chaos plane). *)
-
 val journal_segments : t -> int
 (** Total journaled segments, with multiplicity — the work {!restore} will
     do, which is what the fuzz-mode throughput model charges for. *)

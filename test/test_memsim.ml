@@ -360,6 +360,172 @@ let test_heap_restore_older_snapshot () =
   Heap.restore h sb;
   Alcotest.(check string) "armed B, windowed" at_b (heap_fingerprint h)
 
+(* The owner map is exact. A random stream of mallocs, frees (valid,
+   double and interior), snapshots and restores (of the armed snapshot
+   and of older ones) runs against a reference: the objects the caller
+   has seen that the heap can still reach. After every step
+   [Heap.find_object] at every segment must return the one non-Recycled
+   reference object whose block covers it, and [Oracle.fold_owners] must
+   visit each such object once, in ascending [block_base] order. *)
+
+type owner_op =
+  | Alloc of Memobj.kind * int
+  | Free_live of int  (** a valid free of the [i]-th live object *)
+  | Free_any of int  (** the [i]-th object ever seen: mostly double frees *)
+  | Free_interior of int * int  (** byte [k] (mod length) of its block *)
+  | Snap
+  | Restore of int  (** [0] is the newest snapshot, larger ones older *)
+
+let pp_owner_op = function
+  | Alloc (k, n) -> Printf.sprintf "alloc %s %d" (Memobj.kind_name k) n
+  | Free_live i -> Printf.sprintf "free live#%d" i
+  | Free_any i -> Printf.sprintf "free any#%d" i
+  | Free_interior (i, k) -> Printf.sprintf "free #%d+%d" i k
+  | Snap -> "snapshot"
+  | Restore i -> Printf.sprintf "restore %d" i
+
+let arb_owner_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 6,
+          map2
+            (fun k n -> Alloc (k, n))
+            (oneofl [ Memobj.Heap; Stack; Global ])
+            (int_range 0 300) );
+        (3, map (fun i -> Free_live i) small_nat);
+        (1, map (fun i -> Free_any i) small_nat);
+        (1, map2 (fun i k -> Free_interior (i, k)) small_nat (int_range 1 340));
+        (1, return Snap);
+        (1, map (fun i -> Restore i) (int_range 0 3));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_owner_op ops))
+    (list_size (int_range 1 120) op)
+
+let check_owner_map h reference =
+  let owned =
+    List.filter (fun (o : Memobj.t) -> o.status <> Memobj.Recycled) reference
+  in
+  let expected = Array.make (Heap.segment_count h) None in
+  List.iter
+    (fun (o : Memobj.t) ->
+      for seg = o.block_base / 8 to (Memobj.block_end o - 1) / 8 do
+        if expected.(seg) <> None then
+          QCheck.Test.fail_reportf "segment %d covered twice" seg;
+        expected.(seg) <- Some o
+      done)
+    owned;
+  let id = function Some (o : Memobj.t) -> string_of_int o.id | None -> "-" in
+  Array.iteri
+    (fun seg want ->
+      (* one byte per segment, at each offset in turn *)
+      let addr = (8 * seg) + (seg land 7) in
+      let got = Heap.find_object h addr in
+      let same =
+        match (got, want) with
+        | None, None -> true
+        | Some g, Some w -> g == w
+        | _ -> false
+      in
+      if not same then
+        QCheck.Test.fail_reportf "find_object %d: got %s, want %s" addr
+          (id got) (id want))
+    expected;
+  let folded =
+    List.rev (Oracle.fold_owners (Heap.oracle h) (fun acc o -> o :: acc) [])
+  in
+  let by_base =
+    List.sort
+      (fun (a : Memobj.t) (b : Memobj.t) -> compare a.block_base b.block_base)
+      owned
+  in
+  if not (List.equal ( == ) folded by_base) then
+    QCheck.Test.fail_report "fold_owners: not each owner once in block order"
+
+let nth_opt_mod l i =
+  match l with [] -> None | _ -> Some (List.nth l (i mod List.length l))
+
+let run_owner_ops config ops =
+  let h = Heap.create config in
+  (* [reference]: objects the heap can reach, newest first. [seen]: every
+     object handed out, the targets of double and interior frees. A
+     snapshot keeps its reference; objects allocated after it leave. *)
+  let reference = ref [] and seen = ref [] and snaps = ref [] in
+  let free ptr = ignore (Heap.free h ptr) in
+  let step = function
+    | Alloc (kind, size) -> (
+      match Heap.malloc h ~kind size with
+      | o ->
+        reference := o :: !reference;
+        seen := o :: !seen
+      | exception Out_of_memory -> ())
+    | Free_live i -> (
+      let live =
+        List.filter (fun (o : Memobj.t) -> o.status = Memobj.Live) !reference
+      in
+      match nth_opt_mod live i with
+      | Some o -> free o.Memobj.base
+      | None -> ())
+    | Free_any i -> (
+      match nth_opt_mod !seen i with
+      | Some o -> free o.Memobj.base
+      | None -> ())
+    | Free_interior (i, k) -> (
+      match nth_opt_mod !seen i with
+      | Some o -> free (o.Memobj.block_base + (k mod o.Memobj.block_len))
+      | None -> ())
+    | Snap ->
+      let live =
+        List.filter
+          (fun (o : Memobj.t) -> o.status <> Memobj.Recycled)
+          !reference
+      in
+      snaps := (Heap.snapshot h, live) :: !snaps
+    | Restore i -> (
+      match nth_opt_mod !snaps i with
+      | Some (s, live) ->
+        Heap.restore h s;
+        reference := live
+      | None -> ())
+  in
+  List.iter
+    (fun op ->
+      step op;
+      check_owner_map h !reference)
+    ops;
+  true
+
+let owner_map_exact ?(count = 150) name config =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:("owner map is exact: " ^ name) ~count
+       arb_owner_ops (run_owner_ops config))
+
+(* The owner map is one int32 head per segment plus one object slot per
+   two segments: 8 bytes a segment, as in the old layout of one
+   [Memobj.t option] slot per segment beside the state bytes. Only the
+   heads' own block (header, record field, padding) comes on top, a few
+   words that do not grow with the arena. *)
+let test_oracle_footprint () =
+  List.iter
+    (fun size ->
+      let old_layout =
+        ( Bytes.make size '\000',
+          (Array.make (size / 8) None : Memobj.t option array),
+          size,
+          (Dirty.create ~size : unit Dirty.t) )
+      in
+      let words =
+        Obj.reachable_words (Obj.repr (Oracle.create ~arena_size:size))
+      in
+      let old_words = Obj.reachable_words (Obj.repr old_layout) in
+      if words > old_words + 4 then
+        Alcotest.failf "%d-byte arena: oracle takes %d words, the old layout %d"
+          size words old_words)
+    [ 1 lsl 16; 1 lsl 20 ]
+
 let suite =
   ( "memsim",
     [
@@ -392,4 +558,13 @@ let suite =
         test_arena_restore_older_snapshot;
       Helpers.qt "heap: restoring an older snapshot (oracle included)" `Quick
         test_heap_restore_older_snapshot;
+      owner_map_exact "redzone 1"
+        { Heap.arena_size = 1 lsl 14; redzone = 1; quarantine_budget = 1024 };
+      owner_map_exact "odd segment count"
+        { Heap.arena_size = 8 * 1001; redzone = 16; quarantine_budget = 2048 };
+      owner_map_exact "small arena, splits and flushes"
+        { Heap.arena_size = 2048; redzone = 16; quarantine_budget = 512 };
+      owner_map_exact ~count:8 "default config" Heap.default_config;
+      Helpers.qt "oracle: footprint of the old layout, plus a constant" `Quick
+        test_oracle_footprint;
     ] )
