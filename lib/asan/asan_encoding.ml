@@ -43,13 +43,11 @@ let poison_alloc m (obj : Memobj.t) =
   (* right redzone *)
   Shadow_mem.fill_range m ~lo:after ~hi:(Memobj.block_end obj / 8) rz
 
-let object_segments (obj : Memobj.t) =
-  let base_seg = obj.base / 8 in
-  let hi = if obj.size = 0 then base_seg else (obj.base + obj.size - 1) / 8 + 1 in
-  (base_seg, hi)
-
-let poison_free m obj =
-  let lo, hi = object_segments obj in
+(* The segments the object's bytes touch; bounds as two lets, not a
+   tuple, so freeing allocates nothing. *)
+let poison_free m (obj : Memobj.t) =
+  let lo = obj.base / 8 in
+  let hi = if obj.size = 0 then lo else ((obj.base + obj.size - 1) / 8) + 1 in
   Shadow_mem.fill_range m ~lo ~hi freed
 
 let poison_evict m (obj : Memobj.t) =

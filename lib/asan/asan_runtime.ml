@@ -23,9 +23,10 @@ let region_is_safe m ~lo ~hi =
       let v = Shadow_mem.load m !seg in
       let ok_upto = E.addressable_in_segment v in
       let seg_base = !seg * 8 in
-      let want_from = max lo seg_base and want_to = min hi (seg_base + 8) in
+      let want_from = Int.max lo seg_base
+      and want_to = Int.min hi (seg_base + 8) in
       if want_to - seg_base > ok_upto then
-        bad := Some (max want_from (seg_base + ok_upto));
+        bad := Some (Int.max want_from (seg_base + ok_upto));
       incr seg
     done;
     !bad
@@ -34,7 +35,10 @@ let region_is_safe m ~lo ~hi =
 let create_exposed ?(name = "ASan") config =
   let heap = Memsim.Heap.create config in
   let m = Shadow_mem.of_heap heap ~fill:E.unallocated in
-  Memsim.Heap.set_evict_hook heap (E.poison_evict m);
+  (* Applied once here, so neither the hook nor [on_free] builds a closure
+     per eviction. *)
+  let poison_evict = E.poison_evict m in
+  Memsim.Heap.set_evict_hook heap poison_evict;
   let counters = Counters.create () in
   let hists = Histogram.create_set () in
   let report ~anchor ~addr ~size =
@@ -47,7 +51,7 @@ let create_exposed ?(name = "ASan") config =
   in
   let on_free ~freed ~evicted =
     E.poison_free m freed;
-    List.iter (E.poison_evict m) evicted
+    List.iter poison_evict evicted
   in
   (* ASan's instruction checks are single-load fast-path events; its linear
      region scans are the slow path. *)

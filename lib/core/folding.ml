@@ -4,7 +4,7 @@ module Memobj = Giantsan_memsim.Memobj
 
 let degree_at ~good_segments =
   assert (good_segments >= 1);
-  min (Bitops.log2_floor good_segments) State_code.max_degree
+  Int.min (Bitops.log2_floor good_segments) State_code.max_degree
 
 (* Scheduled fault plan for the poison kernels. Domain-local so parallel
    chaos cells can each arm their own fault without racing: a worker domain
@@ -92,15 +92,11 @@ let poison_alloc m (obj : Memobj.t) =
   in
   Shadow_mem.fill_range m ~lo:after ~hi:(Memobj.block_end obj / 8) rz
 
-let object_segments (obj : Memobj.t) =
-  let base_seg = obj.base / 8 in
-  let hi =
-    if obj.size = 0 then base_seg else ((obj.base + obj.size - 1) / 8) + 1
-  in
-  (base_seg, hi)
-
-let poison_free m obj =
-  let lo, hi = object_segments obj in
+(* The segments the object's bytes touch; bounds as two lets, not a
+   tuple, so freeing allocates nothing. *)
+let poison_free m (obj : Memobj.t) =
+  let lo = obj.base / 8 in
+  let hi = if obj.size = 0 then lo else ((obj.base + obj.size - 1) / 8) + 1 in
   Shadow_mem.fill_range m ~lo ~hi State_code.freed
 
 let poison_evict m (obj : Memobj.t) =
@@ -127,7 +123,7 @@ let lower_bound m ~addr =
   (* largest d such that a degree-d fold at [p - 2^d] would not cross the
      shadow's origin *)
   let max_d =
-    min State_code.max_degree
+    Int.min State_code.max_degree
       (if start <= 1 then 0 else Giantsan_util.Bitops.log2_floor start)
   in
   8 * try_jump m start max_d
@@ -147,4 +143,4 @@ let upper_bound m ~addr =
     else (seg * 8) + State_code.addressable_in_segment v
   in
   let bound = skip (addr / 8) in
-  max addr bound
+  Int.max addr bound

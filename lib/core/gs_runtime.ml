@@ -9,7 +9,10 @@ module Histogram = Giantsan_telemetry.Histogram
 let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
   let heap = Memsim.Heap.create config in
   let m = Shadow_mem.of_heap heap ~fill:State_code.unallocated in
-  Memsim.Heap.set_evict_hook heap (Folding.poison_evict m);
+  (* Applied once here, so neither the hook nor [on_free] builds a closure
+     per eviction. *)
+  let poison_evict = Folding.poison_evict m in
+  Memsim.Heap.set_evict_hook heap poison_evict;
   let counters = Counters.create () in
   let hists = Histogram.create_set () in
   (* quarantine-residency bookkeeping (telemetry only): the free sequence
@@ -51,7 +54,7 @@ let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
   in
   let on_free ~(freed : Memsim.Memobj.t) ~evicted =
     Folding.poison_free m freed;
-    List.iter (Folding.poison_evict m) evicted;
+    List.iter poison_evict evicted;
     if Trace.is_on () then begin
       let now = counters.Counters.frees in
       Hashtbl.replace quarantined_at freed.id now;

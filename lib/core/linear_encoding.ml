@@ -11,7 +11,7 @@ let ramp =
 
 let poison_good_run m ~first_seg ~count =
   if count > 0 then begin
-    let tail = min count max_run in
+    let tail = Int.min count max_run in
     Shadow_mem.fill_range m ~lo:first_seg ~hi:(first_seg + count - tail) max_run;
     Shadow_mem.blit_pattern m ~lo:(first_seg + count - tail) ~pattern:ramp
       ~pat_off:(max_run - tail) ~len:tail

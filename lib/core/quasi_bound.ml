@@ -13,7 +13,7 @@ let refresh_above m (c : Counters.t) (cache : San.cache) ~hi_checked ~probe =
   c.cache_updates <- c.cache_updates + 1;
   let v = Shadow_mem.load m (probe / 8) in
   let ext = (probe land lnot 7) + State_code.covered_bytes v in
-  San.cache_note cache ~lo:cache.San.cache_base ~hi:(max hi_checked ext)
+  San.cache_note cache ~lo:cache.San.cache_base ~hi:(Int.max hi_checked ext)
 
 let access m (c : Counters.t) (cache : San.cache) ~off ~width =
   let base = cache.San.cache_base in
@@ -63,7 +63,7 @@ let access m (c : Counters.t) (cache : San.cache) ~off ~width =
           c.cache_updates <- c.cache_updates + 1;
           let floor = Folding.lower_bound m ~addr in
           San.cache_note cache
-            ~lo:(min floor (addr land lnot 7))
+            ~lo:(Int.min floor (addr land lnot 7))
             ~hi:base;
           `Checked
       end

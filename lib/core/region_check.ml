@@ -40,7 +40,7 @@ let check_scalar m ~l ~r =
              clamped into the checked region: for small [u] the segment's
              last byte can sit at or past [r], and an error report outside
              [l, r) would point the user at bytes the access never touched. *)
-          bad := Some (min (r - 1) (((r - u) / 8 * 8) + 7))
+          bad := Some (Int.min (r - 1) (((r - u) / 8 * 8) + 7))
       end;
       (if !bad = None then
          (* the final, possibly partial segment *)
@@ -82,7 +82,7 @@ let check_word m ~l ~r =
            (else u = 0 fails the prefix test), so u >= 8 and
            l < r - u <= r - 8 *)
       else if Shadow_mem.word_lane m ((r - u) / 8 - l_seg) <> v then
-        bad := Some (min (r - 1) (((r - u) / 8 * 8) + 7))
+        bad := Some (Int.min (r - 1) (((r - u) / 8 * 8) + 7))
     end;
     (if !bad = None then
        let last = Shadow_mem.word_lane m ((r - 1) / 8 - l_seg) in

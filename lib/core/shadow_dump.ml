@@ -8,7 +8,8 @@ let segment_line m ~seg =
 let around m ~addr ?(radius = 4) () =
   let seg = addr / 8 in
   let buf = Buffer.create 256 in
-  for s = max 0 (seg - radius) to min (Shadow_mem.segments m - 1) (seg + radius) do
+  for s = Int.max 0 (seg - radius)
+      to Int.min (Shadow_mem.segments m - 1) (seg + radius) do
     Buffer.add_string buf (if s = seg then "=> " else "   ");
     Buffer.add_string buf (segment_line m ~seg:s);
     Buffer.add_char buf '\n'
@@ -33,7 +34,7 @@ let run_summary m ~lo ~hi =
   let s = ref lo_seg in
   while !s < hi_seg do
     let w = Shadow_mem.peek_word m !s in
-    let lanes = min 8 (hi_seg - !s) in
+    let lanes = Int.min 8 (hi_seg - !s) in
     for k = 0 to lanes - 1 do
       let c = class_of (Shadow_mem.word_byte w k) in
       match !runs with

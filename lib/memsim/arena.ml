@@ -2,7 +2,7 @@ type t = { data : Bytes.t; size : int; dirty : snapshot Dirty.t }
 and snapshot = Bytes.t
 
 let create ~size =
-  let size = max 64 (Giantsan_util.Bitops.align_up 8 size) in
+  let size = Int.max 64 (Giantsan_util.Bitops.align_up 8 size) in
   { data = Bytes.make size '\000'; size; dirty = Dirty.create ~size }
 
 let size t = t.size

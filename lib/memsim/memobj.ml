@@ -11,10 +11,8 @@ type t = {
   mutable status : status;
 }
 
-let right_redzone_base t = t.base + t.size
 let block_end t = t.block_base + t.block_len
 let contains t addr = addr >= t.base && addr < t.base + t.size
-let in_block t addr = addr >= t.block_base && addr < block_end t
 
 let kind_name = function
   | Heap -> "heap"

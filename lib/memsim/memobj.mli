@@ -19,15 +19,9 @@ type t = {
   mutable status : status;
 }
 
-val right_redzone_base : t -> int
-(** First byte after the object proper, i.e. [base + size]. *)
-
 val block_end : t -> int
 val contains : t -> int -> bool
 (** [contains obj addr]: is [addr] inside the object's addressable range? *)
-
-val in_block : t -> int -> bool
-(** Is [addr] anywhere inside the block, redzones included? *)
 
 val kind_name : kind -> string
 val pp : Format.formatter -> t -> unit

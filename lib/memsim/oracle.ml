@@ -35,7 +35,7 @@ let decode = function
   | _ -> assert false
 
 let create ~arena_size =
-  let size = max 64 (Giantsan_util.Bitops.align_up 8 arena_size) in
+  let size = Int.max 64 (Giantsan_util.Bitops.align_up 8 arena_size) in
   let segments = size / 8 in
   {
     flags = Bytes.make size '\000';
@@ -76,8 +76,10 @@ let first_bad t ~lo ~hi =
   in
   go lo
 
-(* Unchecked: both callers pass a segment of the arena. *)
+(* Unchecked: every caller passes a segment of the arena. *)
 external get_int32_unsafe : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set_int32_unsafe : Bytes.t -> int -> int32 -> unit
+  = "%caml_bytes_set32u"
 
 let head t seg = Int32.to_int (get_int32_unsafe t.heads (4 * seg))
 
@@ -91,12 +93,31 @@ let block_head t (obj : Memobj.t) =
   Dirty.widen t.dirty ~lo ~hi;
   lo / 8
 
+(* Blocks up to twice this many segments are filled by the store loop
+   alone; longer ones get this many stores, then [double_heads]. The loop
+   and the blits cost the same at about 28 segments (EXPERIMENTS.md,
+   "Allocation-free write side"). *)
+let seed_segments = 16
+
+(* Heads [h, h + filled) all hold [h]: copy them onto the next [filled]
+   (or fewer, at the end) until [h, h + n) is covered, one blit per
+   doubling. The two ranges of a blit never overlap. *)
+let rec double_heads heads h ~filled n =
+  if filled < n then begin
+    let c = Int.min filled (n - filled) in
+    Bytes.unsafe_blit heads (4 * h) heads (4 * (h + filled)) (4 * c);
+    double_heads heads h ~filled:(filled + c) n
+  end
+
 let claim t (obj : Memobj.t) =
   let h = block_head t obj in
+  let n = obj.block_len / 8 in
+  let seeded = if n <= 2 * seed_segments then n else seed_segments in
   let h32 = Int32.of_int h in
-  for seg = h to h + (obj.block_len / 8) - 1 do
-    Bytes.set_int32_ne t.heads (4 * seg) h32
+  for seg = h to h + seeded - 1 do
+    set_int32_unsafe t.heads (4 * seg) h32
   done;
+  double_heads t.heads h ~filled:seeded n;
   t.objs.(h / 2) <- Some obj
 
 let release t (obj : Memobj.t) =

@@ -28,7 +28,9 @@ let strlen_checked (san : Sanitizer.t) ~addr =
      Unterminated: validate the bytes the scan walked — at least one byte,
      so a pointer already outside the arena still exercises the tool's
      shadow (which is total: out-of-range segments read as unallocated). *)
-  let hi = if terminated then addr + len + 1 else max (addr + len) (addr + 1) in
+  let hi =
+    if terminated then addr + len + 1 else Int.max (addr + len) (addr + 1)
+  in
   (len, terminated, collect [ san.Sanitizer.check_region ~lo:addr ~hi ])
 
 let strlen (san : Sanitizer.t) ~addr =
@@ -41,14 +43,14 @@ let strlen (san : Sanitizer.t) ~addr =
 let clamped_blit (san : Sanitizer.t) ~src ~dst ~len =
   if src >= 0 && dst >= 0 then begin
     let limit = Memsim.Arena.size (arena san) in
-    let n = min len (min (limit - src) (limit - dst)) in
+    let n = Int.min len (Int.min (limit - src) (limit - dst)) in
     if n > 0 then Memsim.Arena.blit (arena san) ~src ~dst ~len:n
   end
 
 let clamped_fill (san : Sanitizer.t) ~addr ~len byte =
   if addr >= 0 then begin
     let limit = Memsim.Arena.size (arena san) in
-    let n = min len (limit - addr) in
+    let n = Int.min len (limit - addr) in
     if n > 0 then Memsim.Arena.fill (arena san) ~addr ~len:n byte
   end
 
@@ -66,7 +68,7 @@ let strncpy (san : Sanitizer.t) ~dst ~src ~n =
   if n <= 0 then []
   else begin
     let len, _, src_reports = strlen_checked san ~addr:src in
-    let copy = min n (len + 1) in
+    let copy = Int.min n (len + 1) in
     let reports =
       (if copy < n then src_reports
        else collect [ san.Sanitizer.check_region ~lo:src ~hi:(src + n) ])
@@ -122,7 +124,7 @@ let realloc (san : Sanitizer.t) ~ptr ~size =
       when old.Memsim.Memobj.status = Memsim.Memobj.Live
            && old.Memsim.Memobj.base = ptr ->
       let fresh = san.Sanitizer.malloc size in
-      let keep = min size old.Memsim.Memobj.size in
+      let keep = Int.min size old.Memsim.Memobj.size in
       if keep > 0 then
         Memsim.Arena.blit (arena san) ~src:ptr
           ~dst:fresh.Memsim.Memobj.base ~len:keep;

@@ -33,7 +33,7 @@ let cache_ub c =
   for k = 0 to Array.length c.windows - 1 do
     let w = c.windows.(k) in
     if w.w_lo < w.w_hi && w.w_lo <= c.cache_base && w.w_hi > c.cache_base
-    then ub := max !ub (w.w_hi - c.cache_base)
+    then ub := Int.max !ub (w.w_hi - c.cache_base)
   done;
   !ub
 
@@ -96,8 +96,8 @@ let cache_note c ~lo ~hi =
           && w.w_lo <= !ghi
           && !glo <= w.w_hi
         then begin
-          glo := min !glo w.w_lo;
-          ghi := max !ghi w.w_hi;
+          glo := Int.min !glo w.w_lo;
+          ghi := Int.max !ghi w.w_hi;
           absorbed := !absorbed lor (1 lsl k);
           changed := true
         end
@@ -116,7 +116,7 @@ let cache_note c ~lo ~hi =
         incr keep
       end
     done;
-    shift_back ws (min !keep (n - 1));
+    shift_back ws (Int.min !keep (n - 1));
     ws.(0).w_lo <- !glo;
     ws.(0).w_hi <- !ghi;
     for k = !keep + 1 to n - 1 do

@@ -9,9 +9,15 @@ type t = {
      kernel appends the clamped range it touched, so [restore] can blit the
      snapshot back over only the segments that changed since — the
      incremental-repoisoning trick that makes per-exec reset O(dirty)
-     instead of O(arena). Newest entry first. The journal is relative to
-     the armed snapshot; restoring any other one repairs the whole plane. *)
-  mutable journal : (int * int) list;  (* (lo, len) *)
+     instead of O(arena). Entry [i < jn] is [(jlo.(i), jlen.(i))], oldest
+     first. The two arrays grow by doubling and are kept across restores,
+     so journaling a store allocates nothing; they stay empty until the
+     first [snapshot], since most shadows are never armed. The journal is
+     relative to the armed snapshot; restoring any other one repairs the
+     whole plane. *)
+  mutable jlo : int array;
+  mutable jlen : int array;
+  mutable jn : int;
   mutable armed : snapshot option;
   word : Bytes.t;
       (* the word register: the 8 segments the last [load_word] fetched *)
@@ -24,7 +30,9 @@ let create ~segments ~fill =
     fill;
     loads = 0;
     stores = 0;
-    journal = [];
+    jlo = [||];
+    jlen = [||];
+    jn = 0;
     armed = None;
     word = Bytes.make 8 (Char.chr fill);
   }
@@ -82,14 +90,36 @@ let peek_word t p =
 
 let word_byte w k = Int64.to_int (Int64.logand (Int64.shift_right_logical w (8 * k)) 0xFFL)
 
+(* Out of line: runs once per doubling. Also allocates the first arrays,
+   which [snapshot] asks for by growing an empty journal. *)
+let grow_journal t =
+  let cap = Int.max 64 (2 * Array.length t.jlo) in
+  let grow a =
+    let a' = Array.make cap 0 in
+    Array.blit a 0 a' 0 t.jn;
+    a'
+  in
+  t.jlo <- grow t.jlo;
+  t.jlen <- grow t.jlen
+
 (* Journal a clamped (in-arena) range. The newest-entry containment check
    absorbs the common poison/unpoison-the-same-block churn without growing
    the journal; overlapping entries are harmless (restore blits twice). *)
 let note_dirty t lo len =
-  if t.armed != None && len > 0 then
-    match t.journal with
-    | (l, n) :: _ when lo >= l && lo + len <= l + n -> ()
-    | _ -> t.journal <- (lo, len) :: t.journal
+  if t.armed != None && len > 0 then begin
+    let n = t.jn in
+    if
+      not
+        (n > 0
+        && lo >= t.jlo.(n - 1)
+        && lo + len <= t.jlo.(n - 1) + t.jlen.(n - 1))
+    then begin
+      if n = Array.length t.jlo then grow_journal t;
+      t.jlo.(n) <- lo;
+      t.jlen.(n) <- len;
+      t.jn <- n + 1
+    end
+  end
 
 let set t p v =
   assert (v >= 0 && v < 256);
@@ -120,7 +150,7 @@ let poke t p v =
 
 let fill_range t ~lo ~hi v =
   assert (lo <= hi && v >= 0 && v < 256);
-  let lo' = max 0 lo and hi' = min (Bytes.length t.bytes) hi in
+  let lo' = Int.max 0 lo and hi' = Int.min (Bytes.length t.bytes) hi in
   let len = hi' - lo' in
   if len > 0 then begin
     t.stores <- t.stores + len;
@@ -133,7 +163,7 @@ let blit_pattern t ~lo ~pattern ~pat_off ~len =
   (* clamp [lo, lo + len) to the arena, sliding the pattern window along *)
   let cut_lo = if lo < 0 then -lo else 0 in
   let lo' = lo + cut_lo and pat_off' = pat_off + cut_lo in
-  let len' = min (len - cut_lo) (Bytes.length t.bytes - lo') in
+  let len' = Int.min (len - cut_lo) (Bytes.length t.bytes - lo') in
   if len' > 0 then begin
     t.stores <- t.stores + len';
     note_dirty t lo' len';
@@ -153,15 +183,10 @@ let snapshot t =
   let s =
     { s_bytes = Bytes.copy t.bytes; s_loads = t.loads; s_stores = t.stores }
   in
-  t.journal <- [];
+  if Array.length t.jlo = 0 then grow_journal t;
+  t.jn <- 0;
   t.armed <- Some s;
   s
-
-let rec blit_journal src dst = function
-  | [] -> ()
-  | (lo, len) :: rest ->
-    Bytes.blit src lo dst lo len;
-    blit_journal src dst rest
 
 (* A snapshot other than the armed one (an older one, say) predates part
    of what the journal forgot at the last [snapshot]: journal the whole
@@ -171,22 +196,37 @@ let restore t s =
   (match t.armed with
   | Some a when a == s -> ()
   | _ ->
-    t.journal <- [ (0, Bytes.length t.bytes) ];
+    if Array.length t.jlo = 0 then grow_journal t;
+    t.jlo.(0) <- 0;
+    t.jlen.(0) <- Bytes.length t.bytes;
+    t.jn <- 1;
     t.armed <- Some s);
-  blit_journal s.s_bytes t.bytes t.journal;
-  t.journal <- [];
+  for i = 0 to t.jn - 1 do
+    let lo = t.jlo.(i) in
+    Bytes.blit s.s_bytes lo t.bytes lo t.jlen.(i)
+  done;
+  t.jn <- 0;
   t.loads <- s.s_loads;
   t.stores <- s.s_stores
 
 let journal_segments t =
-  List.fold_left (fun a (_, len) -> a + len) 0 t.journal
+  let sum = ref 0 in
+  for i = 0 to t.jn - 1 do
+    sum := !sum + t.jlen.(i)
+  done;
+  !sum
 
+(* The [pick]-th newest entry sits at index [jn - 1 - k]; the newer ones
+   above it shift down one slot, keeping the order. *)
 let chaos_drop_journal t ~pick =
-  let n = List.length t.journal in
+  let n = t.jn in
   if n = 0 then None
   else begin
     let k = ((pick mod n) + n) mod n in
-    let victim = List.nth t.journal k in
-    t.journal <- List.filteri (fun i _ -> i <> k) t.journal;
+    let i = n - 1 - k in
+    let victim = (t.jlo.(i), t.jlen.(i)) in
+    Array.blit t.jlo (i + 1) t.jlo i k;
+    Array.blit t.jlen (i + 1) t.jlen i k;
+    t.jn <- n - 1;
     Some victim
   end

@@ -85,17 +85,25 @@ val reset_counters : t -> unit
 
     [snapshot] copies the whole shadow plane once and arms a dirty-segment
     journal: from then on every store kernel ({!set}, {!poke},
-    {!fill_range}, {!blit_pattern}) records the clamped range it touched.
-    [restore] blits the snapshot back over only the journaled ranges — the
-    incremental re-poisoning that makes per-exec reset cost O(dirty
-    segments) instead of O(arena) — and restores the load/store counters so
-    a restored run is event-count-identical to a fresh one. *)
+    {!fill_range}, {!blit_pattern}) records the clamped range it touched,
+    unless the newest entry already contains it. [restore] blits the
+    snapshot back over only the journaled ranges — the incremental
+    re-poisoning that makes per-exec reset cost O(dirty segments) instead
+    of O(arena) — and restores the load/store counters so a restored run
+    is event-count-identical to a fresh one.
+
+    The journal is two growable [int array]s (range starts and lengths)
+    and a count, allocated by the first [snapshot] and kept across
+    restores: once they have grown to an exec's working size, journaling a
+    store allocates nothing. A shadow that is never snapshotted never
+    allocates them. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
 (** Capture the shadow plane and counters; clears the dirty journal and
-    arms it relative to this snapshot. *)
+    arms it relative to this snapshot. The first call also allocates the
+    journal's arrays. *)
 
 val restore : t -> snapshot -> unit
 (** Blit the snapshot back over every journaled range — O(segments

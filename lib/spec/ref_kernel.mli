@@ -38,8 +38,6 @@ val poison_good_run :
     degree definition evaluated directly per position, one counted store
     each, fault plan included. *)
 
-val object_segments : Giantsan_memsim.Memobj.t -> int * int
-
 val poison_alloc :
   ?fault:Giantsan_core.Folding.fault -> t -> Giantsan_memsim.Memobj.t -> unit
 

@@ -245,6 +245,60 @@ let test_traced_event_order =
     (fun () ->
       Alcotest.(check (list string)) "events" expected_trace (traced_loops ()))
 
+(* The write side under the fuzz-mode profile: one seeded malloc/free
+   stream (64 slots, sizes up to 2 KiB), with a snapshot armed and
+   restored every [churn_restore] ops, so every poisoning store lands in
+   an armed shadow journal. The heap does the same work on every backend,
+   so any minor word GiantSan or ASan spends beyond Native's is spent by
+   its plane hooks: the poison kernels and the journal. *)
+let churn_ops = 4096
+let churn_slots = 64
+let churn_restore = 256
+
+let churn_stream =
+  let rng = Giantsan_util.Rng.create 17 in
+  Array.init churn_ops (fun _ ->
+      ( Giantsan_util.Rng.int rng churn_slots,
+        Giantsan_util.Rng.int_in rng 0 2048 ))
+
+(* Minor words of one pass over the stream, after a warm-up pass that
+   grows the journal to its working size. *)
+let churn_words id =
+  Trace.disable ();
+  let san = Backend.create id Helpers.mid_config in
+  san.San.snapshot ();
+  let bases = Array.make churn_slots (-1) in
+  let pass () =
+    for i = 0 to churn_ops - 1 do
+      if i mod churn_restore = 0 then begin
+        san.San.restore ();
+        Array.fill bases 0 churn_slots (-1)
+      end;
+      let slot, size = churn_stream.(i) in
+      if bases.(slot) < 0 then
+        bases.(slot) <- (san.San.malloc size).Memsim.Memobj.base
+      else begin
+        clean "free" (san.San.free bases.(slot));
+        bases.(slot) <- -1
+      end
+    done
+  in
+  pass ();
+  Helpers.minor_words_of pass
+
+let test_churn_words_match_native =
+  Helpers.qt "malloc+free under an armed journal: Native's minor words"
+    `Quick (fun () ->
+      let native = churn_words Backend.Native in
+      List.iter
+        (fun id ->
+          let words = churn_words id in
+          if Float.abs (words -. native) > Helpers.counter_cost () then
+            Alcotest.failf "%s: %.0f words over %d ops, Native %.0f (%+.3f per op)"
+              (Backend.name id) words churn_ops native
+              ((words -. native) /. float_of_int churn_ops))
+        [ Backend.Giantsan; Asan ])
+
 let backends = [ Backend.Native; Giantsan; Asan; Lfp; Pac ]
 
 let suite =
@@ -256,4 +310,5 @@ let suite =
     @ List.concat_map
         (fun id ->
           List.map (test_case id) restore_cases @ [ test_access_loop id ])
-        backends )
+        backends
+    @ [ test_churn_words_match_native ] )

@@ -393,7 +393,10 @@ let arb_owner_ops =
           map2
             (fun k n -> Alloc (k, n))
             (oneofl [ Memobj.Heap; Stack; Global ])
-            (int_range 0 300) );
+            (* blocks of 2-42 segments straddle [Oracle.claim]'s switch
+               from its store loop to its doubling blits at 32; blocks of
+               1-2 KiB take three to four doublings *)
+            (frequency [ (4, int_range 0 300); (1, int_range 992 2016) ]) );
         (3, map (fun i -> Free_live i) small_nat);
         (1, map (fun i -> Free_any i) small_nat);
         (1, map2 (fun i k -> Free_interior (i, k)) small_nat (int_range 1 340));

@@ -141,6 +141,169 @@ let test_restore_older_snapshot =
       Shadow_mem.restore m sb;
       Alcotest.(check string) "armed B, windowed" at_b (plane m))
 
+(* The dirty journal against a reference list journal (the plain
+   newest-first transcription of its rules): every store kernel appends
+   its clamped range unless the newest entry contains it, [snapshot]
+   empties and arms it, restoring another snapshot journals the whole
+   plane first, and the chaos hook removes the k-th newest entry. Random
+   streams run both side by side, with arena straddles and long enough
+   unsnapshotted stretches to grow the journal past its first capacity;
+   after every step the journaled segments, each dropped victim and the
+   plane (restored or not) must agree. *)
+
+type journal_op =
+  | J_set of int * int
+  | J_poke of int * int
+  | J_fill of int * int * int  (** lo, len, value *)
+  | J_blit of int * int * int  (** lo, len, pattern offset *)
+  | J_snap
+  | J_restore of int  (** [0] is the armed snapshot, larger ones older *)
+  | J_drop of int
+
+let pp_journal_op = function
+  | J_set (p, v) -> Printf.sprintf "set %d %d" p v
+  | J_poke (p, v) -> Printf.sprintf "poke %d %d" p v
+  | J_fill (lo, len, v) -> Printf.sprintf "fill %d+%d %d" lo len v
+  | J_blit (lo, len, off) -> Printf.sprintf "blit %d+%d @%d" lo len off
+  | J_snap -> "snapshot"
+  | J_restore i -> Printf.sprintf "restore %d" i
+  | J_drop k -> Printf.sprintf "drop %d" k
+
+let journal_segs = 96
+let journal_pattern = Bytes.init 64 (fun i -> Char.chr (((7 * i) + 1) land 0xff))
+
+(* Bursts of stores, each ended by a snapshot, restore or chaos drop: a
+   burst of up to 150 stores grows the journal past its first capacity
+   of 64 entries. *)
+let arb_journal_ops =
+  let open QCheck.Gen in
+  let pos = int_range (-8) (journal_segs + 8) in
+  let store =
+    frequency
+      [
+        (4, map2 (fun p v -> J_set (p, v)) pos (int_range 0 255));
+        (1, map2 (fun p v -> J_poke (p, v)) pos (int_range 0 255));
+        ( 4,
+          map3
+            (fun lo len v -> J_fill (lo, len, v))
+            pos (int_range 0 40) (int_range 0 255) );
+        ( 4,
+          map3
+            (fun lo len off -> J_blit (lo, len, off))
+            pos (int_range 0 32) (int_range 0 32) );
+      ]
+  in
+  let control =
+    frequency
+      [
+        (2, return J_snap);
+        (2, map (fun i -> J_restore i) (int_range 0 2));
+        (1, map (fun k -> J_drop k) (int_range (-3) 200));
+      ]
+  in
+  let burst =
+    map2 (fun stores c -> stores @ [ c ]) (list_size (int_range 0 150) store)
+      control
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_journal_op ops))
+    (map List.concat (list_size (int_range 1 8) burst))
+
+type ref_journal = {
+  plane : Bytes.t;
+  mutable journal : (int * int) list;  (* newest first *)
+  mutable armed : int option;  (* index into the snapshot list *)
+}
+
+let ref_note r lo len =
+  if r.armed <> None && len > 0 then
+    match r.journal with
+    | (l, n) :: _ when lo >= l && lo + len <= l + n -> ()
+    | _ -> r.journal <- (lo, len) :: r.journal
+
+(* clamped store of [len] bytes from [src] at [lo]; [src k] is byte [k] *)
+let ref_store r ~lo ~len src =
+  let lo' = Int.max 0 lo and hi' = Int.min journal_segs (lo + len) in
+  if hi' > lo' then begin
+    ref_note r lo' (hi' - lo');
+    for p = lo' to hi' - 1 do
+      Bytes.set r.plane p (src (p - lo))
+    done
+  end
+
+let run_journal_ops ops =
+  let m = Shadow_mem.create ~segments:journal_segs ~fill:0xfe in
+  let r =
+    { plane = Bytes.make journal_segs '\xfe'; journal = []; armed = None }
+  in
+  (* newest first: (real snapshot, reference copy, its number) *)
+  let snaps = ref [] and taken = ref 0 in
+  let step = function
+    | J_set (p, v) ->
+      Shadow_mem.set m p v;
+      ref_store r ~lo:p ~len:1 (fun _ -> Char.chr v)
+    | J_poke (p, v) ->
+      Shadow_mem.poke m p v;
+      ref_store r ~lo:p ~len:1 (fun _ -> Char.chr v)
+    | J_fill (lo, len, v) ->
+      Shadow_mem.fill_range m ~lo ~hi:(lo + len) v;
+      ref_store r ~lo ~len (fun _ -> Char.chr v)
+    | J_blit (lo, len, off) ->
+      Shadow_mem.blit_pattern m ~lo ~pattern:journal_pattern ~pat_off:off
+        ~len;
+      ref_store r ~lo ~len (fun k -> Bytes.get journal_pattern (off + k))
+    | J_snap ->
+      let s = Shadow_mem.snapshot m in
+      snaps := (s, Bytes.copy r.plane, !taken) :: !snaps;
+      r.journal <- [];
+      r.armed <- Some !taken;
+      incr taken
+    | J_restore i -> (
+      match List.nth_opt !snaps (i mod Int.max 1 (List.length !snaps)) with
+      | None -> ()
+      | Some (s, copy, id) ->
+        Shadow_mem.restore m s;
+        if r.armed <> Some id then begin
+          r.journal <- [ (0, journal_segs) ];
+          r.armed <- Some id
+        end;
+        List.iter (fun (lo, len) -> Bytes.blit copy lo r.plane lo len) r.journal;
+        r.journal <- [])
+    | J_drop pick ->
+      let want =
+        match List.length r.journal with
+        | 0 -> None
+        | n ->
+          let k = ((pick mod n) + n) mod n in
+          let victim = List.nth r.journal k in
+          r.journal <- List.filteri (fun i _ -> i <> k) r.journal;
+          Some victim
+      in
+      if Shadow_mem.chaos_drop_journal m ~pick <> want then
+        QCheck.Test.fail_report "chaos_drop_journal dropped another entry"
+  in
+  List.iter
+    (fun op ->
+      step op;
+      let segs = List.fold_left (fun a (_, len) -> a + len) 0 r.journal in
+      if Shadow_mem.journal_segments m <> segs then
+        QCheck.Test.fail_reportf "after %s: journal_segments %d, reference %d"
+          (pp_journal_op op)
+          (Shadow_mem.journal_segments m)
+          segs;
+      for p = 0 to journal_segs - 1 do
+        if Shadow_mem.peek m p <> Char.code (Bytes.get r.plane p) then
+          QCheck.Test.fail_reportf "after %s: segment %d is %d, reference %d"
+            (pp_journal_op op) p (Shadow_mem.peek m p)
+            (Char.code (Bytes.get r.plane p))
+      done)
+    ops;
+  true
+
+let test_journal_equals_reference =
+  Helpers.q "dirty journal = reference list journal" arb_journal_ops
+    run_journal_ops
+
 let suite =
   ( "shadow",
     [
@@ -151,4 +314,5 @@ let suite =
       test_blit_pattern_window_slides_on_clamp;
       test_batched_kernels_zero_length_and_arena_end;
       test_restore_older_snapshot;
+      test_journal_equals_reference;
     ] )
