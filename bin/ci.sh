@@ -88,14 +88,15 @@ echo "every unused .mli val is on bin/unused_vals.allow"
 echo "== int-only min/max in the hot-path libraries =="
 # This build has no flambda, so Stdlib's polymorphic min/max is a
 # caml_greaterequal C call on every use; the metadata, allocator and
-# runtime libraries use Int.min/Int.max. A bare or Stdlib-qualified
-# min/max fails here. Comments are matched on purpose: a line grep cannot
-# tell a comment from code, so prose in these files says "minimum" or
-# "maximum" instead.
+# runtime libraries, the IR and the interpreter use Int.min/Int.max. A
+# bare or Stdlib-qualified min/max fails here. Comments are matched on
+# purpose: a line grep cannot tell a comment from code, so prose in these
+# files says "minimum" or "maximum" instead.
 bare_minmax="(^|[^._[:alnum:]'])(Stdlib\.)?(min|max)([^_[:alnum:]']|\$)"
 if grep -nE "$bare_minmax" \
   lib/shadow/*.ml lib/memsim/*.ml lib/core/*.ml lib/asan/*.ml \
-  lib/lfp/*.ml lib/pac/*.ml lib/sanitizer/*.ml >&2; then
+  lib/lfp/*.ml lib/pac/*.ml lib/sanitizer/*.ml lib/analysis/*.ml \
+  lib/ir/*.ml >&2; then
   echo "FAIL: bare min/max above; use Int.min/Int.max" >&2
   exit 1
 fi

@@ -218,11 +218,11 @@ let plan mode prog =
             let entries = List.rev !entries in
             if caps.merge_span && List.length entries >= 2 then begin
               let lo =
-                List.fold_left (fun m e -> min m e.w_off) max_int entries
+                List.fold_left (fun m e -> Int.min m e.w_off) max_int entries
               in
               let hi =
                 List.fold_left
-                  (fun m e -> max m (e.w_off + e.w_width))
+                  (fun m e -> Int.max m (e.w_off + e.w_width))
                   min_int entries
               in
               let first = (List.hd entries).w_acc in

@@ -25,27 +25,424 @@ type outcome = {
 exception Crash
 exception Fuel
 exception Oom
-exception Return_value of int
+exception Returned  (** a [Return]; the value travels in [state.ret] *)
 
 let max_call_depth = 200
 
+(* {1 The resolved program}
+
+   Each function body (and the main body) is one scope: every variable it
+   mentions becomes an integer slot of that scope's frame, in order of
+   first mention (the main scope numbers the globals first). Every access,
+   memset and memcpy becomes a decision site and every loop a loop site,
+   numbered densely across the whole program, so a plan's lookups become
+   array reads. *)
+
+type expr =
+  | Int of int
+  | Var of int  (** a slot of the current frame *)
+  | Unbound of string  (** a plan-region name the frame never binds *)
+  | Bin of Ast.binop * expr * expr
+  | Cmp of Ast.cmp * expr * expr
+  | Load of access
+
+and access = {
+  site : int;
+  base : expr;  (** [Var] or [Unbound] *)
+  base_id : int;  (** the base's interned name, for {!find_cache} *)
+  index : expr;
+  scale : int;
+  disp : int;
+  width : int;  (** bytes *)
+}
+
+type stmt =
+  | Assign of int * expr
+  | Store of access * expr
+  | Malloc of int * expr
+  | Alloca of int * expr
+  | Free of expr
+  | Memset of { site : int; dst : int; doff : expr; len : expr; value : expr }
+  | Memcpy of {
+      site : int;
+      dst : int;
+      doff : expr;
+      src : int;
+      soff : expr;
+      len : expr;
+    }
+  | For of { loop : int; idx : int; lo : expr; hi : expr; body : stmt array }
+  | While of { loop : int; cond : expr; body : stmt array }
+  | If of { cond : expr; then_ : stmt array; else_ : stmt array }
+  | Call of {
+      dst : int;  (** -1: no destination *)
+      callee : int;  (** index into [funcs]; -1: no such function *)
+      name : string;
+      args : expr array;
+    }
+  | Return of expr option
+
+type scope = {
+  slot_of : (string, int) Hashtbl.t;
+  mutable names : string array;  (** slot -> name, filled once resolved *)
+}
+
+type site = { id : int; scope : scope }
+(** A plan key ([acc_id], [mem_id] or [loop_id]) and the scope it sits in. *)
+
+type func = { f_scope : scope; params : int array; f_body : stmt array }
+
+type program = {
+  main : scope;
+  globals : (int * int) array;  (** slot, byte size *)
+  body : stmt array;
+  funcs : func array;
+  name_ids : (string, int) Hashtbl.t;  (** every variable name, interned *)
+  sites : site array;
+  loops : site array;
+}
+
+let resolve_program (p : Ast.program) =
+  let name_ids = Hashtbl.create 64 in
+  let intern v =
+    match Hashtbl.find_opt name_ids v with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length name_ids in
+      Hashtbl.add name_ids v k;
+      k
+  in
+  let sites = ref [] and n_sites = ref 0 in
+  let loops = ref [] and n_loops = ref 0 in
+  let add_site scope id =
+    sites := { id; scope } :: !sites;
+    incr n_sites;
+    !n_sites - 1
+  in
+  let add_loop scope id =
+    loops := { id; scope } :: !loops;
+    incr n_loops;
+    !n_loops - 1
+  in
+  let fn_index = Hashtbl.create 8 in
+  List.iteri
+    (fun k (f : Ast.func) -> Hashtbl.replace fn_index f.Ast.fn_name k)
+    p.Ast.funcs;
+  let slot scope v =
+    match Hashtbl.find_opt scope.slot_of v with
+    | Some s -> s
+    | None ->
+      let s = Hashtbl.length scope.slot_of in
+      Hashtbl.add scope.slot_of v s;
+      ignore (intern v);
+      s
+  in
+  let rec expr scope (e : Ast.expr) =
+    match e with
+    | Ast.Int n -> Int n
+    | Ast.Var v -> Var (slot scope v)
+    | Ast.Bin (op, a, b) ->
+      let a = expr scope a in
+      Bin (op, a, expr scope b)
+    | Ast.Cmp (op, a, b) ->
+      let a = expr scope a in
+      Cmp (op, a, expr scope b)
+    | Ast.Load acc -> Load (access scope acc)
+  and access scope (acc : Ast.access) =
+    let site = add_site scope acc.Ast.acc_id in
+    let base = Var (slot scope acc.Ast.base) in
+    {
+      site;
+      base;
+      base_id = intern acc.Ast.base;
+      index = expr scope acc.Ast.index;
+      scale = acc.Ast.scale;
+      disp = acc.Ast.disp;
+      width = Ast.bytes_of_width acc.Ast.width;
+    }
+  in
+  let rec block scope stmts = Array.of_list (List.map (stmt scope) stmts)
+  and stmt scope (s : Ast.stmt) =
+    match s with
+    | Ast.Assign (v, e) ->
+      let v = slot scope v in
+      Assign (v, expr scope e)
+    | Ast.Store (acc, e) ->
+      let acc = access scope acc in
+      Store (acc, expr scope e)
+    | Ast.Malloc (v, e) ->
+      let v = slot scope v in
+      Malloc (v, expr scope e)
+    | Ast.Alloca (v, e) ->
+      let v = slot scope v in
+      Alloca (v, expr scope e)
+    | Ast.Free e -> Free (expr scope e)
+    | Ast.Memset { mem_id; dst; doff; len; value } ->
+      let site = add_site scope mem_id in
+      let dst = slot scope dst in
+      let doff = expr scope doff in
+      let len = expr scope len in
+      Memset { site; dst; doff; len; value = expr scope value }
+    | Ast.Memcpy { mem_id; dst; doff; src; soff; len } ->
+      let site = add_site scope mem_id in
+      let dst = slot scope dst in
+      let doff = expr scope doff in
+      let src = slot scope src in
+      let soff = expr scope soff in
+      Memcpy { site; dst; doff; src; soff; len = expr scope len }
+    | Ast.For { loop_id; idx; lo; hi; body } ->
+      let loop = add_loop scope loop_id in
+      let idx = slot scope idx in
+      let lo = expr scope lo in
+      let hi = expr scope hi in
+      For { loop; idx; lo; hi; body = block scope body }
+    | Ast.While { loop_id; cond; body } ->
+      let loop = add_loop scope loop_id in
+      let cond = expr scope cond in
+      While { loop; cond; body = block scope body }
+    | Ast.If { cond; then_; else_ } ->
+      let cond = expr scope cond in
+      let then_ = block scope then_ in
+      If { cond; then_; else_ = block scope else_ }
+    | Ast.Call { dst; callee; args } ->
+      let dst = match dst with Some v -> slot scope v | None -> -1 in
+      let callee_index =
+        match Hashtbl.find_opt fn_index callee with Some k -> k | None -> -1
+      in
+      Call
+        {
+          dst;
+          callee = callee_index;
+          name = callee;
+          args = Array.of_list (List.map (expr scope) args);
+        }
+    | Ast.Return e -> Return (Option.map (expr scope) e)
+  in
+  let new_scope () = { slot_of = Hashtbl.create 16; names = [||] } in
+  let seal scope =
+    let names = Array.make (Hashtbl.length scope.slot_of) "" in
+    Hashtbl.iter (fun v s -> names.(s) <- v) scope.slot_of;
+    scope.names <- names
+  in
+  let main = new_scope () in
+  let globals =
+    Array.of_list
+      (List.map (fun (v, size) -> (slot main v, size)) p.Ast.globals)
+  in
+  let body = block main p.Ast.body in
+  seal main;
+  let funcs =
+    Array.of_list
+      (List.map
+         (fun (f : Ast.func) ->
+           let scope = new_scope () in
+           let params = Array.of_list (List.map (slot scope) f.Ast.fn_params) in
+           let f_body = block scope f.Ast.fn_body in
+           seal scope;
+           { f_scope = scope; params; f_body })
+         p.Ast.funcs)
+  in
+  {
+    main;
+    globals;
+    body;
+    funcs;
+    name_ids;
+    sites = Array.of_list (List.rev !sites);
+    loops = Array.of_list (List.rev !loops);
+  }
+
+(* {1 The resolved plan}
+
+   What a plan says about each site of one program, as arrays: built on the
+   first run of a (program, plan) pair and kept on the plan until a [Plan]
+   mutator resets it. *)
+
+type region = { r_base : expr; r_lo : expr; r_hi : expr }
+
+type loop_caches = {
+  c_slots : int array;  (** cached base variables in plan order *)
+  c_names : int array;  (** their interned names *)
+  c_flush : int array;
+      (** indices into [c_slots] in the order a loop exit flushes them:
+          the [Hashtbl.iter] order of the name-keyed table the tree-walking
+          interpreter built per loop entry, which this order reproduces *)
+}
+
+type resolved = {
+  source : Ast.program;  (** the program these arrays resolve *)
+  prog : program;
+  decisions : Plan.decision array;  (** per decision site *)
+  stmt_pre : region array array;  (** per decision site *)
+  loop_pre : region array array;  (** per loop site *)
+  loop_caches : loop_caches array;  (** per loop site *)
+}
+
+type Plan.memo += Resolved of resolved
+
+let no_caches = { c_slots = [||]; c_names = [||]; c_flush = [||] }
+
+(* A plan region is resolved in the scope of its site without adding slots
+   (the program resolution is shared by every plan): a name the scope never
+   mentions can never be bound there, so it reads as [Unbound]. A load in a
+   region gets a site past the program's own, one per (id, scope). *)
+let resolve_plan (p : program) source (plan : Plan.t) =
+  let extra = Queue.create () and seen = ref [] in
+  let extra_site scope id =
+    match List.find_opt (fun (s, _) -> s.id = id && s.scope == scope) !seen with
+    | Some (_, k) -> k
+    | None ->
+      let k = Array.length p.sites + List.length !seen in
+      seen := ({ id; scope }, k) :: !seen;
+      Queue.add { id; scope } extra;
+      k
+  in
+  let var scope v =
+    match Hashtbl.find_opt scope.slot_of v with
+    | Some s -> Var s
+    | None -> Unbound v
+  in
+  let rec expr scope (e : Ast.expr) =
+    match e with
+    | Ast.Int n -> Int n
+    | Ast.Var v -> var scope v
+    | Ast.Bin (op, a, b) -> Bin (op, expr scope a, expr scope b)
+    | Ast.Cmp (op, a, b) -> Cmp (op, expr scope a, expr scope b)
+    | Ast.Load acc ->
+      Load
+        {
+          site = extra_site scope acc.Ast.acc_id;
+          base = var scope acc.Ast.base;
+          (* a base outside the scope fails in [address], before any cache
+             lookup *)
+          base_id =
+            Option.value ~default:(-2) (Hashtbl.find_opt p.name_ids acc.Ast.base);
+          index = expr scope acc.Ast.index;
+          scale = acc.Ast.scale;
+          disp = acc.Ast.disp;
+          width = Ast.bytes_of_width acc.Ast.width;
+        }
+  in
+  let regions scope (rs : Plan.region list) =
+    Array.of_list
+      (List.map
+         (fun (r : Plan.region) ->
+           {
+             r_base = var scope r.Plan.rg_base;
+             r_lo = expr scope r.Plan.rg_lo;
+             r_hi = expr scope r.Plan.rg_hi;
+           })
+         rs)
+  in
+  let caches { id; scope } =
+    match Plan.caches_of plan id with
+    | [] -> no_caches
+    | vars ->
+      (* The tree walk flushed in the [Hashtbl.iter] order of a table sized
+         for [vars] holding the ones bound at loop entry. A subset iterates
+         in the order of the whole list's table, so rank the whole list. *)
+      let table = Hashtbl.create (List.length vars) in
+      List.iter (fun v -> Hashtbl.replace table v ()) vars;
+      (* a variable the scope never mentions is never bound at loop entry *)
+      let kept = List.filter (Hashtbl.mem scope.slot_of) vars in
+      let index = Hashtbl.create 8 in
+      List.iteri (fun k v -> Hashtbl.replace index v k) kept;
+      let flush = ref [] in
+      Hashtbl.iter
+        (fun v () ->
+          Option.iter (fun k -> flush := k :: !flush) (Hashtbl.find_opt index v))
+        table;
+      {
+        c_slots = Array.of_list (List.map (Hashtbl.find scope.slot_of) kept);
+        c_names = Array.of_list (List.map (Hashtbl.find p.name_ids) kept);
+        c_flush = Array.of_list (List.rev !flush);
+      }
+  in
+  let site_pre { id; scope } = regions scope (Plan.stmt_pre_of plan id) in
+  let stmt_pre = Array.map site_pre p.sites in
+  let loop_pre =
+    Array.map (fun { id; scope } -> regions scope (Plan.loop_pre_of plan id)) p.loops
+  in
+  let loop_caches = Array.map caches p.loops in
+  (* extra sites, whose own pre-regions may add further ones *)
+  let extra_sites = ref [] and extra_pre = ref [] in
+  while not (Queue.is_empty extra) do
+    let s = Queue.pop extra in
+    extra_sites := s :: !extra_sites;
+    extra_pre := site_pre s :: !extra_pre
+  done;
+  let sites = Array.append p.sites (Array.of_list (List.rev !extra_sites)) in
+  {
+    source;
+    prog = p;
+    decisions = Array.map (fun s -> Plan.decision_of plan s.id) sites;
+    stmt_pre = Array.append stmt_pre (Array.of_list (List.rev !extra_pre));
+    loop_pre;
+    loop_caches;
+  }
+
+(* The program resolutions of this domain, held only while their program
+   is alive: [sweep --jobs] interprets in worker domains, and every plan of
+   one program shares its resolution. *)
+module Programs = Ephemeron.K1.Make (struct
+  type t = Ast.program
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let programs = Domain.DLS.new_key (fun () -> Programs.create 16)
+
+let resolve (plan : Plan.t) source =
+  match plan.Plan.memo with
+  | Resolved r when r.source == source -> r
+  | _ ->
+    let table = Domain.DLS.get programs in
+    let p =
+      match Programs.find_opt table source with
+      | Some p -> p
+      | None ->
+        let p = resolve_program source in
+        Programs.replace table source p;
+        p
+    in
+    let r = resolve_plan p source plan in
+    plan.Plan.memo <- Resolved r;
+    r
+
+(* {1 Execution} *)
+
+type cache_frame = {
+  cf_names : int array;  (** interned base names; -1 where none was bound *)
+  cf_caches : San.cache array;
+  cf_flush : int array;
+}
+
+let no_frame = { cf_names = [||]; cf_caches = [||]; cf_flush = [||] }
+
 type state = {
   san : San.t;
-  plan : Plan.t;
-  mutable env : (string, int) Hashtbl.t;
+  decisions : Plan.decision array;
+  stmt_pre : region array array;
+  loop_pre : region array array;
+  loop_caches : loop_caches array;
+  funcs : func array;
+  enabled : bool;
+  use_anchor : bool;
   arena : Memsim.Arena.t;
-  funcs : (string, Ast.func) Hashtbl.t;
   stats : exec_stats;
-  mutable fuel : int;
-  mutable ops : int;
+  mutable fuel : int;  (** fuel left; [run] reports the fuel spent as ops *)
   mutable depth : int;
-  mutable frame : int list ref;  (** allocas of the current function frame *)
+  mutable vals : int array;  (** the current frame *)
+  mutable bound : Bytes.t;  (** per slot: '\001' once assigned *)
+  mutable slot_names : string array;  (** the current scope's *)
+  mutable allocas : int list;  (** allocas of the current function frame *)
   mutable reports_rev : Report.t list;
-  mutable cache_frames : (string, San.cache) Hashtbl.t list;
+  mutable cache_frames : cache_frame list;
+  mutable ret : int;
 }
 
 let tick st n =
-  st.ops <- st.ops + n;
   st.fuel <- st.fuel - n;
   if st.fuel < 0 then raise Fuel
 
@@ -55,31 +452,28 @@ let record st = function
     st.reports_rev <- r :: st.reports_rev;
     true
 
-let lookup st v =
-  match Hashtbl.find_opt st.env v with
-  | Some x -> x
-  | None -> failwith ("Interp: unbound variable " ^ v)
+let unbound v = failwith ("Interp: unbound variable " ^ v)
+let is_bound st s = Bytes.unsafe_get st.bound s <> '\000'
 
-let find_cache st base =
-  let rec go = function
-    | [] -> None
-    | frame :: rest -> (
-      match Hashtbl.find_opt frame base with
-      | Some c -> Some c
-      | None -> go rest)
-  in
-  go st.cache_frames
+let get st s =
+  if is_bound st s then Array.unsafe_get st.vals s
+  else unbound (Array.unsafe_get st.slot_names s)
 
-let run_region st (r : Plan.region) eval =
-  let base = lookup st r.Plan.rg_base in
-  let lo = base + eval r.Plan.rg_lo and hi = base + eval r.Plan.rg_hi in
-  if hi > lo then ignore (record st (st.san.San.check_region ~lo ~hi))
+let set st s v =
+  Array.unsafe_set st.vals s v;
+  Bytes.unsafe_set st.bound s '\001'
 
-let rec eval st (e : Ast.expr) =
+let rec index_in names id j =
+  if j >= Array.length names then -1
+  else if Array.unsafe_get names j = id then j
+  else index_in names id (j + 1)
+
+let rec eval st (e : expr) =
   match e with
-  | Ast.Int n -> n
-  | Ast.Var v -> lookup st v
-  | Ast.Bin (op, a, b) -> (
+  | Int n -> n
+  | Var s -> get st s
+  | Unbound v -> unbound v
+  | Bin (op, a, b) -> (
     tick st 1;
     let x = eval st a and y = eval st b in
     match op with
@@ -88,7 +482,7 @@ let rec eval st (e : Ast.expr) =
     | Ast.Mul -> x * y
     | Ast.Div -> if y = 0 then raise Crash else x / y
     | Ast.Rem -> if y = 0 then raise Crash else x mod y)
-  | Ast.Cmp (op, a, b) ->
+  | Cmp (op, a, b) ->
     tick st 1;
     let x = eval st a and y = eval st b in
     let r =
@@ -101,32 +495,41 @@ let rec eval st (e : Ast.expr) =
       | Ast.Ne -> x <> y
     in
     if r then 1 else 0
-  | Ast.Load acc ->
+  | Load acc ->
     let addr = address st acc in
     if checked_access st acc addr then
-      try Memsim.Arena.load st.arena ~addr ~width:(Ast.bytes_of_width acc.width)
+      try Memsim.Arena.load st.arena ~addr ~width:acc.width
       with Invalid_argument _ -> raise Crash
     else 0
 
-and address st (acc : Ast.access) =
-  lookup st acc.Ast.base + (eval st acc.Ast.index * acc.Ast.scale) + acc.Ast.disp
+and address st (acc : access) =
+  eval st acc.base + (eval st acc.index * acc.scale) + acc.disp
+
+and run_region st (r : region) =
+  let base = eval st r.r_base in
+  let lo = base + eval st r.r_lo and hi = base + eval st r.r_hi in
+  if hi > lo then ignore (record st (st.san.San.check_region ~lo ~hi))
+
+and run_regions st (rs : region array) =
+  for k = 0 to Array.length rs - 1 do
+    run_region st (Array.unsafe_get rs k)
+  done
 
 (* Returns true when the memory operation should really execute (no
    detected violation stands in the way). *)
-and checked_access st (acc : Ast.access) addr =
+and checked_access st (acc : access) addr =
   tick st 1;
-  let width = Ast.bytes_of_width acc.Ast.width in
+  let width = acc.width in
   (* merged-span checks scheduled just before this access: the span check
      IS this site's check, so it counts as the (possibly fast) plain one *)
-  let pres = Plan.stmt_pre_of st.plan acc.Ast.acc_id in
+  let pres = Array.unsafe_get st.stmt_pre acc.site in
   let ran_span =
-    match pres with
-    | [] -> false
-    | pres ->
+    if Array.length pres = 0 then false
+    else begin
       let fast0 = st.san.San.counters.Counters.fast_checks in
       let slow0 = st.san.San.counters.Counters.slow_checks in
-      List.iter (fun r -> run_region st r (eval st)) pres;
-      if st.plan.Plan.enabled then begin
+      run_regions st pres;
+      if st.enabled then begin
         st.stats.x_plain <- st.stats.x_plain + 1;
         let fast1 = st.san.San.counters.Counters.fast_checks in
         let slow1 = st.san.San.counters.Counters.slow_checks in
@@ -134,31 +537,38 @@ and checked_access st (acc : Ast.access) addr =
           st.stats.x_plain_fast <- st.stats.x_plain_fast + 1
       end;
       true
+    end
   in
-  if not st.plan.Plan.enabled then begin
+  if not st.enabled then begin
     st.stats.x_unchecked <- st.stats.x_unchecked + 1;
     true
   end
   else
-    match Plan.decision_of st.plan acc.Ast.acc_id with
+    match Array.unsafe_get st.decisions acc.site with
     | Plan.Eliminated ->
       if not ran_span then
         st.stats.x_eliminated <- st.stats.x_eliminated + 1;
       true
-    | Plan.Cached -> (
-      match find_cache st acc.Ast.base with
-      | Some cache ->
-        st.stats.x_cached <- st.stats.x_cached + 1;
-        let off = addr - cache.San.cache_base in
-        not (record st (st.san.San.cached_access cache ~off ~width))
-      | None -> plain_access st acc addr width)
+    | Plan.Cached -> find_cache st acc addr width st.cache_frames
     | Plan.Plain -> plain_access st acc addr width
 
-and plain_access st (acc : Ast.access) addr width =
+(* The innermost live cache of the access's base variable, by name, across
+   calls; a plain check when no enclosing loop caches it. *)
+and find_cache st acc addr width = function
+  | [] -> plain_access st acc addr width
+  | f :: rest ->
+    let j = index_in f.cf_names acc.base_id 0 in
+    if j < 0 then find_cache st acc addr width rest
+    else begin
+      let cache = Array.unsafe_get f.cf_caches j in
+      st.stats.x_cached <- st.stats.x_cached + 1;
+      let off = addr - cache.San.cache_base in
+      not (record st (st.san.San.cached_access cache ~off ~width))
+    end
+
+and plain_access st (acc : access) addr width =
   st.stats.x_plain <- st.stats.x_plain + 1;
-  let anchor =
-    if st.plan.Plan.use_anchor then lookup st acc.Ast.base else 0
-  in
+  let anchor = if st.use_anchor then eval st acc.base else 0 in
   let fast0 = st.san.San.counters.Counters.fast_checks in
   let slow0 = st.san.San.counters.Counters.slow_checks in
   let r = st.san.San.access ~base:anchor ~addr ~width in
@@ -168,117 +578,134 @@ and plain_access st (acc : Ast.access) addr width =
     st.stats.x_plain_fast <- st.stats.x_plain_fast + 1;
   not (record st r)
 
-let enter_caches st loop_id =
-  let vars = Plan.caches_of st.plan loop_id in
-  if vars = [] then None
-  else begin
-    let frame = Hashtbl.create (List.length vars) in
-    List.iter
-      (fun v ->
-        match Hashtbl.find_opt st.env v with
-        | Some base -> Hashtbl.replace frame v (st.san.San.new_cache ~base)
-        | None -> ())
-      vars;
-    st.cache_frames <- frame :: st.cache_frames;
-    Some frame
-  end
+(* Every cached variable bound at loop entry gets a cache, in plan order. *)
+let enter_caches st (c : loop_caches) =
+  let n = Array.length c.c_slots in
+  let frame = ref no_frame in
+  for j = 0 to n - 1 do
+    let s = Array.unsafe_get c.c_slots j in
+    if is_bound st s then begin
+      let cache = st.san.San.new_cache ~base:(Array.unsafe_get st.vals s) in
+      if !frame == no_frame then
+        frame :=
+          {
+            cf_names = Array.make n (-1);
+            cf_caches = Array.make n cache;
+            cf_flush = c.c_flush;
+          };
+      !frame.cf_names.(j) <- c.c_names.(j);
+      !frame.cf_caches.(j) <- cache
+    end
+  done;
+  if !frame != no_frame then st.cache_frames <- !frame :: st.cache_frames;
+  !frame
 
-let exit_caches st = function
-  | None -> ()
-  | Some frame ->
+let exit_caches st frame =
+  if frame != no_frame then begin
     (match st.cache_frames with
     | f :: rest when f == frame -> st.cache_frames <- rest
     | _ -> ());
-    Hashtbl.iter
-      (fun _ cache -> ignore (record st (st.san.San.flush_cache cache)))
-      frame
+    let flush = frame.cf_flush in
+    for k = 0 to Array.length flush - 1 do
+      let j = Array.unsafe_get flush k in
+      if frame.cf_names.(j) >= 0 then
+        ignore (record st (st.san.San.flush_cache frame.cf_caches.(j)))
+    done
+  end
 
-let rec exec_block st stmts = List.iter (exec_stmt st) stmts
+let rec exec_block st (stmts : stmt array) =
+  for k = 0 to Array.length stmts - 1 do
+    exec_stmt st (Array.unsafe_get stmts k)
+  done
 
 and exec_stmt st stmt =
   tick st 1;
   match stmt with
-  | Ast.Assign (v, e) -> Hashtbl.replace st.env v (eval st e)
-  | Ast.Store (acc, e) ->
+  | Assign (v, e) -> set st v (eval st e)
+  | Store (acc, e) ->
     let value = eval st e in
     let addr = address st acc in
     if checked_access st acc addr then begin
-      try
-        Memsim.Arena.store st.arena ~addr
-          ~width:(Ast.bytes_of_width acc.Ast.width) value
+      try Memsim.Arena.store st.arena ~addr ~width:acc.width value
       with Invalid_argument _ -> raise Crash
     end
-  | Ast.Malloc (v, e) ->
+  | Malloc (v, e) ->
     let size = eval st e in
     if size < 0 then raise Crash;
     let obj = try st.san.San.malloc size with Out_of_memory -> raise Oom in
-    Hashtbl.replace st.env v obj.Memsim.Memobj.base
-  | Ast.Alloca (v, e) ->
+    set st v obj.Memsim.Memobj.base
+  | Alloca (v, e) ->
     let size = eval st e in
     if size < 0 then raise Crash;
     let obj =
       try st.san.San.malloc ~kind:Memsim.Memobj.Stack size
       with Out_of_memory -> raise Oom
     in
-    st.frame := obj.Memsim.Memobj.base :: !(st.frame);
-    Hashtbl.replace st.env v obj.Memsim.Memobj.base
-  | Ast.Call { dst; callee; args } ->
-    let f =
-      match Hashtbl.find_opt st.funcs callee with
-      | Some f -> f
-      | None -> failwith ("Interp: unknown function " ^ callee)
-    in
-    let arg_values = List.map (eval st) args in
+    st.allocas <- obj.Memsim.Memobj.base :: st.allocas;
+    set st v obj.Memsim.Memobj.base
+  | Call { dst; callee; name; args } ->
+    if callee < 0 then failwith ("Interp: unknown function " ^ name);
+    let f = st.funcs.(callee) in
+    let n = Array.length f.f_scope.names in
+    let vals = Array.make n 0 and bound = Bytes.make n '\000' in
+    let arity_ok = Array.length args = Array.length f.params in
+    (* arguments left to right, in the caller's frame *)
+    for k = 0 to Array.length args - 1 do
+      let v = eval st args.(k) in
+      if arity_ok then begin
+        vals.(f.params.(k)) <- v;
+        Bytes.set bound f.params.(k) '\001'
+      end
+    done;
     if st.depth >= max_call_depth then raise Crash;
-    let caller_env = st.env and caller_frame = st.frame in
-    let callee_env = Hashtbl.create 16 in
-    (try List.iter2 (Hashtbl.replace callee_env) f.Ast.fn_params arg_values
-     with Invalid_argument _ ->
-       failwith ("Interp: arity mismatch calling " ^ callee));
-    st.env <- callee_env;
-    st.frame <- ref [];
+    if not arity_ok then failwith ("Interp: arity mismatch calling " ^ name);
+    let caller_vals = st.vals
+    and caller_bound = st.bound
+    and caller_names = st.slot_names
+    and caller_allocas = st.allocas in
+    st.vals <- vals;
+    st.bound <- bound;
+    st.slot_names <- f.f_scope.names;
+    st.allocas <- [];
     st.depth <- st.depth + 1;
     let restore () =
       (* the frame dies: every alloca is reclaimed and its shadow poisoned *)
-      List.iter
-        (fun base -> ignore (record st (st.san.San.free base)))
-        !(st.frame);
-      st.env <- caller_env;
-      st.frame <- caller_frame;
+      List.iter (fun base -> ignore (record st (st.san.San.free base))) st.allocas;
+      st.vals <- caller_vals;
+      st.bound <- caller_bound;
+      st.slot_names <- caller_names;
+      st.allocas <- caller_allocas;
       st.depth <- st.depth - 1
     in
     let result =
-      try
-        exec_block st f.Ast.fn_body;
+      match exec_block st f.f_body with
+      | () ->
         restore ();
         0
-      with
-      | Return_value v ->
+      | exception Returned ->
         restore ();
-        v
-      | e ->
+        st.ret
+      | exception e ->
         restore ();
         raise e
     in
-    (match dst with
-    | Some v -> Hashtbl.replace st.env v result
-    | None -> ())
-  | Ast.Return e ->
-    let v = match e with None -> 0 | Some e -> eval st e in
-    raise (Return_value v)
-  | Ast.Free e ->
+    if dst >= 0 then set st dst result
+  | Return e ->
+    st.ret <- (match e with None -> 0 | Some e -> eval st e);
+    raise Returned
+  | Free e ->
     let ptr = eval st e in
     ignore (record st (st.san.San.free ptr))
-  | Ast.Memset { mem_id; dst; doff; len; value } ->
-    let base = lookup st dst in
+  | Memset { site; dst; doff; len; value } ->
+    let base = get st dst in
     let lo = base + eval st doff in
     let n = eval st len in
     let v = eval st value in
     if n > 0 then begin
       tick st (1 + (n / 8));
       let checked =
-        if st.plan.Plan.enabled then
-          match Plan.decision_of st.plan mem_id with
+        if st.enabled then
+          match st.decisions.(site) with
           | Plan.Eliminated -> true
           | Plan.Plain | Plan.Cached ->
             not (record st (st.san.San.check_region ~lo ~hi:(lo + n)))
@@ -289,15 +716,15 @@ and exec_stmt st stmt =
         with Invalid_argument _ -> raise Crash
       end
     end
-  | Ast.Memcpy { mem_id; dst; doff; src; soff; len } ->
-    let dbase = lookup st dst and sbase = lookup st src in
+  | Memcpy { site; dst; doff; src; soff; len } ->
+    let dbase = get st dst and sbase = get st src in
     let dlo = dbase + eval st doff and slo = sbase + eval st soff in
     let n = eval st len in
     if n > 0 then begin
       tick st (1 + (n / 8));
       let checked =
-        if st.plan.Plan.enabled then
-          match Plan.decision_of st.plan mem_id with
+        if st.enabled then
+          match st.decisions.(site) with
           | Plan.Eliminated -> true
           | Plan.Plain | Plan.Cached ->
             let r1 = record st (st.san.San.check_region ~lo:slo ~hi:(slo + n)) in
@@ -310,18 +737,15 @@ and exec_stmt st stmt =
         with Invalid_argument _ -> raise Crash
       end
     end
-  | Ast.For { loop_id; idx; lo; hi; body } ->
+  | For { loop; idx; lo; hi; body } ->
     let lo = eval st lo and hi = eval st hi in
-    let frame = enter_caches st loop_id in
-    if lo < hi && st.plan.Plan.enabled then
-      List.iter
-        (fun r -> run_region st r (eval st))
-        (Plan.loop_pre_of st.plan loop_id);
+    let frame = enter_caches st st.loop_caches.(loop) in
+    if lo < hi && st.enabled then run_regions st st.loop_pre.(loop);
     let i = ref lo in
     (try
        while !i < hi do
          tick st 1;
-         Hashtbl.replace st.env idx !i;
+         set st idx !i;
          exec_block st body;
          incr i
        done;
@@ -329,8 +753,8 @@ and exec_stmt st stmt =
      with e ->
        exit_caches st frame;
        raise e)
-  | Ast.While { loop_id; cond; body } ->
-    let frame = enter_caches st loop_id in
+  | While { loop; cond; body } ->
+    let frame = enter_caches st st.loop_caches.(loop) in
     (try
        while eval st cond <> 0 do
          tick st 1;
@@ -340,59 +764,68 @@ and exec_stmt st stmt =
      with e ->
        exit_caches st frame;
        raise e)
-  | Ast.If { cond; then_; else_ } ->
+  | If { cond; then_; else_ } ->
     if eval st cond <> 0 then exec_block st then_ else exec_block st else_
 
 let run ?(fuel = 50_000_000) (san : San.t) plan (prog : Ast.program) =
+  let r = resolve plan prog in
+  let main = r.prog.main in
+  let n = Array.length main.names in
   let stats =
     { x_plain = 0; x_plain_fast = 0; x_cached = 0; x_eliminated = 0; x_unchecked = 0 }
   in
-  let funcs = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Ast.func) -> Hashtbl.replace funcs f.Ast.fn_name f)
-    prog.Ast.funcs;
   let st =
     {
       san;
-      plan;
-      env = Hashtbl.create 64;
+      decisions = r.decisions;
+      stmt_pre = r.stmt_pre;
+      loop_pre = r.loop_pre;
+      loop_caches = r.loop_caches;
+      funcs = r.prog.funcs;
+      enabled = plan.Plan.enabled;
+      use_anchor = plan.Plan.use_anchor;
       arena = Memsim.Heap.arena san.San.heap;
-      funcs;
       stats;
       fuel;
-      ops = 0;
       depth = 0;
-      frame = ref [];
+      vals = Array.make n 0;
+      bound = Bytes.make n '\000';
+      slot_names = main.names;
+      allocas = [];
       reports_rev = [];
       cache_frames = [];
+      ret = 0;
     }
   in
   let crashed = ref false and oom = ref false and starved = ref false in
   (* globals come to life (and get their redzones) before main runs *)
   (try
-     List.iter
-       (fun (name, size) ->
+     Array.iter
+       (fun (slot, size) ->
          let obj = san.San.malloc ~kind:Memsim.Memobj.Global size in
-         Hashtbl.replace st.env name obj.Memsim.Memobj.base)
-       prog.Ast.globals
+         set st slot obj.Memsim.Memobj.base)
+       r.prog.globals
    with Out_of_memory -> oom := true);
-  (try if not !oom then exec_block st prog.Ast.body with
+  (try if not !oom then exec_block st r.prog.body with
   | Crash -> crashed := true
   | Oom -> oom := true
   | Fuel -> starved := true
-  | Return_value _ -> () (* return from main ends the program *));
+  | Returned -> () (* return from main ends the program *));
   (* main's frame dies with the program *)
-  (try
-     List.iter (fun base -> ignore (record st (san.San.free base))) !(st.frame)
+  (try List.iter (fun base -> ignore (record st (san.San.free base))) st.allocas
    with Crash | Oom | Fuel -> ());
+  let final_env = ref [] in
+  for s = n - 1 downto 0 do
+    if is_bound st s then final_env := (main.names.(s), st.vals.(s)) :: !final_env
+  done;
   {
     reports = List.rev st.reports_rev;
-    ops = st.ops;
+    ops = fuel - st.fuel;
     stats = st.stats;
     crashed = !crashed;
     out_of_memory = !oom;
     fuel_exhausted = !starved;
-    final_env = Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.env [];
+    final_env = !final_env;
   }
 
 let var outcome name = List.assoc name outcome.final_env

@@ -6,6 +6,9 @@ type region = {
   rg_hi : Giantsan_ir.Ast.expr;
 }
 
+type memo = ..
+type memo += Unresolved
+
 type t = {
   mode_name : string;
   enabled : bool;
@@ -14,6 +17,7 @@ type t = {
   loop_pre : (int, region list) Hashtbl.t;
   stmt_pre : (int, region list) Hashtbl.t;
   loop_caches : (int, string list) Hashtbl.t;
+  mutable memo : memo;
 }
 
 let create ~mode_name ~enabled ~use_anchor =
@@ -25,21 +29,26 @@ let create ~mode_name ~enabled ~use_anchor =
     loop_pre = Hashtbl.create 16;
     stmt_pre = Hashtbl.create 16;
     loop_caches = Hashtbl.create 16;
+    memo = Unresolved;
   }
 
 let decision_of t id =
   match Hashtbl.find_opt t.decisions id with Some d -> d | None -> Plain
 
-let set_decision t id d = Hashtbl.replace t.decisions id d
+let set_decision t id d =
+  t.memo <- Unresolved;
+  Hashtbl.replace t.decisions id d
 
-let add_to_list tbl key v =
+let add_to_list t tbl key v =
+  t.memo <- Unresolved;
   let prev = match Hashtbl.find_opt tbl key with Some l -> l | None -> [] in
   Hashtbl.replace tbl key (prev @ [ v ])
 
-let add_loop_pre t id r = add_to_list t.loop_pre id r
-let add_stmt_pre t id r = add_to_list t.stmt_pre id r
+let add_loop_pre t id r = add_to_list t t.loop_pre id r
+let add_stmt_pre t id r = add_to_list t t.stmt_pre id r
 
 let add_loop_cache t id v =
+  t.memo <- Unresolved;
   let prev =
     match Hashtbl.find_opt t.loop_caches id with Some l -> l | None -> []
   in

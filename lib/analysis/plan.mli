@@ -17,6 +17,12 @@ type region = {
   rg_hi : Giantsan_ir.Ast.expr;  (** byte offset of region end (exclusive) *)
 }
 
+type memo = ..
+(** What the interpreter derives from a plan for the program it runs
+    ({!Interp} extends this type with its resolved arrays). *)
+
+type memo += Unresolved  (** nothing derived yet, or derived and stale *)
+
 type t = {
   mode_name : string;
   enabled : bool;  (** false = Native: no checks at all *)
@@ -30,6 +36,10 @@ type t = {
           first executes in its statement *)
   loop_caches : (int, string list) Hashtbl.t;
       (** loop id -> base variables that get a quasi-bound cache *)
+  mutable memo : memo;
+      (** the interpreter's per-plan arrays for the last program run under
+          this plan. Every mutator below resets it to [Unresolved], so
+          change the tables only through them. *)
 }
 
 val create : mode_name:string -> enabled:bool -> use_anchor:bool -> t

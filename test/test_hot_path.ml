@@ -299,6 +299,76 @@ let test_churn_words_match_native =
               ((words -. native) /. float_of_int churn_ops))
         [ Backend.Giantsan; Asan ])
 
+(* The interpreter: once a (program, plan) pair has run, a run resolves
+   nothing, so its minor words are what executing the ops allocates —
+   stack frames, loop caches, the outcome — not a hashed environment or
+   a plan lookup per op. *)
+module Runner = Giantsan_workload.Runner
+module Specgen = Giantsan_workload.Specgen
+module Instrument = Giantsan_analysis.Instrument
+module Interp = Giantsan_analysis.Interp
+
+let interp_profile () =
+  Specgen.generate
+    { (Giantsan_workload.Profiles.find "500.perlbench_r") with
+      Specgen.p_seed = 7;
+      p_phases = 4 }
+
+(* Minor words and ops of one [Interp.run] of [prog] under [plan] on a
+   [config] sanitizer restored to the snapshot taken at its creation. *)
+let interp_words config =
+  Trace.disable ();
+  let san = Runner.make_sanitizer config in
+  san.San.snapshot ();
+  fun plan prog ->
+    san.San.restore ();
+    let ops = ref 0 in
+    let words =
+      Helpers.minor_words_of (fun () ->
+          ops := (Interp.run san plan prog).Interp.ops)
+    in
+    (words, !ops)
+
+let words_per_op_bound = 0.25
+
+let test_interp_words_per_op config =
+  Helpers.qt
+    (Printf.sprintf "%s interpreted profile: <= %.2f words/op"
+       (Runner.config_name config) words_per_op_bound)
+    `Quick (fun () ->
+      let prog = interp_profile () in
+      let plan = Instrument.plan (Runner.instrument_mode config) prog in
+      let run = interp_words config in
+      ignore (run plan prog);
+      let words, ops = run plan prog in
+      let per_op = words /. float_of_int ops in
+      if per_op > words_per_op_bound then
+        Alcotest.failf "%.0f words over %d ops (%.3f per op)" words ops per_op)
+
+(* A program already resolved under one plan is not resolved again under
+   another: the first run under a second plan allocates just what the
+   first run under a third does (that plan's own arrays), while the first
+   run of a fresh copy of the program also pays for the resolution — at
+   least 8 words per access (a resolved access alone is a 7-field
+   record). *)
+let test_interp_resolution_shared =
+  Helpers.qt "second plan of a resolved program: no resolution words"
+    `Quick (fun () ->
+      let run = interp_words Runner.Giantsan in
+      let plan prog = Instrument.plan Instrument.Giantsan prog in
+      let prog = interp_profile () in
+      ignore (run (Instrument.plan Instrument.Native prog) prog);
+      let second, _ = run (plan prog) prog in
+      let third, _ = run (plan prog) prog in
+      let copy = interp_profile () in
+      let fresh, _ = run (plan copy) copy in
+      let accesses = List.length (Giantsan_ir.Ast.program_accesses prog) in
+      Alcotest.(check (float 0.)) "second plan = third plan" third second;
+      if fresh -. second < float_of_int (8 * accesses) then
+        Alcotest.failf
+          "fresh copy %.0f words, resolved program %.0f: under 8 x %d accesses"
+          fresh second accesses)
+
 let backends = [ Backend.Native; Giantsan; Asan; Lfp; Pac ]
 
 let suite =
@@ -311,4 +381,6 @@ let suite =
         (fun id ->
           List.map (test_case id) restore_cases @ [ test_access_loop id ])
         backends
-    @ [ test_churn_words_match_native ] )
+    @ [ test_churn_words_match_native ]
+    @ List.map test_interp_words_per_op [ Runner.Native; Runner.Giantsan ]
+    @ [ test_interp_resolution_shared ] )

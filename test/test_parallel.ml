@@ -249,6 +249,37 @@ let test_concurrent_sweeps () =
         true (got = expected))
     both
 
+(* One program, and one plan per configuration, interpreted from two
+   domains at once: each domain resolves the program in its own table, the
+   plans' cached arrays are shared, and every run must match the serial
+   one. *)
+let test_shared_program_two_domains () =
+  let module Interp = Giantsan_analysis.Interp in
+  let module Instrument = Giantsan_analysis.Instrument in
+  let prog = Specgen.generate (tiny (Profiles.find "500.perlbench_r")) in
+  let configs = [| Runner.Native; Runner.Giantsan; Runner.Asan; Runner.Pac |] in
+  let plans =
+    Array.map (fun c -> Instrument.plan (Runner.instrument_mode c) prog) configs
+  in
+  let tasks =
+    Array.init 16 (fun k () ->
+        let i = k mod Array.length configs in
+        let san = Runner.make_sanitizer configs.(i) in
+        let o = Interp.run san plans.(i) prog in
+        ( List.map Giantsan_sanitizer.Report.to_string o.Interp.reports,
+          (o.Interp.ops, o.Interp.stats, o.Interp.final_env),
+          (o.Interp.crashed, o.Interp.out_of_memory, o.Interp.fuel_exhausted),
+          Counters.to_assoc san.San.counters ))
+  in
+  let serial = Pool.run ~jobs:1 tasks in
+  let parallel = Pool.run ~jobs:2 tasks in
+  Array.iteri
+    (fun k got ->
+      Alcotest.(check bool)
+        (Printf.sprintf "run %d: two domains == serial" k)
+        true (got = serial.(k)))
+    parallel
+
 (* The service loop calls Pool.run once per tick, thousands of times per
    process: the pool must behave identically on the 1st and the 500th
    cycle — results in order, failures still deterministic, and no state
@@ -298,4 +329,6 @@ let suite =
         test_registry_parallel;
       Alcotest.test_case "concurrent sweeps don't corrupt" `Quick
         test_concurrent_sweeps;
+      Alcotest.test_case "interp: one program on two domains == serial"
+        `Quick test_shared_program_two_domains;
     ] )
