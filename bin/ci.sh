@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI gate: build, tests, API docs (and the Table 2 / Figure 10 numbers
-# EXPERIMENTS.md quotes from results/paper_experiments.txt), the .mli vals
+# CI gate: build, the optimised-build flags, tests, API docs (and the
+# Table 2 / Figure 10 numbers EXPERIMENTS.md quotes from
+# results/paper_experiments.txt), the .mli vals
 # with no outside use (vs bin/unused_vals.allow), the examples
 # (each must exit 0), regression-corpus replay (rebuild vs persistent
 # mode, byte-compared), a fixed-seed fuzz smoke including a byte-identical
@@ -45,6 +46,48 @@ assert_exit() {
 
 echo "== build =="
 dune build @all
+
+echo "== optimised build =="
+# dune-workspace selects the release profile, which compiles without the
+# dev profile's -opaque, so hot-path calls across modules are direct and
+# inlinable; the root dune file's env stanza adds -inline and keeps the dev
+# warnings as errors. Fail if a hot-path module's compile rule carries
+# -opaque or lacks -inline, if the dev warning spec is gone, or if -unsafe
+# or -noassert shows up anywhere in the flags, the rules or a dune file.
+dune printenv . > "$tmpdir/printenv.txt"
+for flag in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' \
+  -strict-sequence -strict-formats -short-paths -keep-locs; do
+  grep -qF -- "$flag" "$tmpdir/printenv.txt" || {
+    echo "FAIL: dune printenv lacks the dev warning spec flag $flag" >&2
+    exit 1
+  }
+done
+for m in shadow/shadow_mem:Shadow_mem core/region_check:Region_check \
+  core/gs_runtime:Gs_runtime asan/asan_runtime:Asan_runtime \
+  memsim/heap:Heap analysis/interp:Interp; do
+  mod=${m#*:} m=${m%:*}
+  dir=${m%/*}
+  dune rules "_build/default/lib/$dir/.giantsan_$dir.objs/native/giantsan_${dir}__$mod.cmx" \
+    > "$tmpdir/rule.txt"
+  if grep -qE -- '(^|[[:space:]])-opaque([[:space:]]|$)' "$tmpdir/rule.txt"; then
+    echo "FAIL: lib/$m.ml compiles with -opaque (dev profile?)" >&2
+    exit 1
+  fi
+  grep -qE -- '(^|[[:space:]])-inline([[:space:]]|$)' "$tmpdir/rule.txt" || {
+    echo "FAIL: lib/$m.ml compiles without -inline" >&2
+    exit 1
+  }
+  if grep -nE -- '-unsafe|-noassert' "$tmpdir/rule.txt" >&2; then
+    echo "FAIL: lib/$m.ml compiles with -unsafe or -noassert" >&2
+    exit 1
+  fi
+done
+if grep -nE -- '-unsafe|-noassert' "$tmpdir/printenv.txt" $(find . -path ./_build -prune \
+  -o \( -name dune -o -name dune-workspace -o -name dune-project \) -print) >&2; then
+  echo "FAIL: -unsafe or -noassert above; every bounds check and assert stays" >&2
+  exit 1
+fi
+echo "hot-path modules compile without -opaque, with -inline and the dev warnings"
 
 echo "== docs =="
 # @doc needs odoc for public packages; the libraries here are private so
@@ -242,6 +285,12 @@ QCHECK_SEED=42 dune build --force @spec
 echo "== exit-code conventions =="
 printf 'alloc 0 not-a-size heap\n' > "$tmpdir/corrupt.scn"
 assert_exit 2 main trace "$tmpdir/corrupt.scn"
+# steps the runtimes would reject are parse failures, so replay names them
+# and exits 1 instead of dying on an uncaught exception
+mkdir "$tmpdir/rejected"
+printf 'alloc 0 -8 heap\n' > "$tmpdir/rejected/negative_size.scn"
+printf 'alloc 0 32 heap\naccess 0 0 0\n' > "$tmpdir/rejected/zero_width.scn"
+assert_exit 1 main replay "$tmpdir/rejected"
 printf '{"broken\n' > "$tmpdir/corrupt.ndjson"
 assert_exit 2 main check-ndjson "$tmpdir/corrupt.ndjson"
 assert_exit 3 main chaos --oom-demo

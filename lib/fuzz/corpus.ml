@@ -63,7 +63,7 @@ let of_string text =
           | None -> fail lineno line)
         | [ "alloc"; slot; size; kind ] -> (
           match (int_of_string_opt slot, int_of_string_opt size, kind_of_string kind) with
-          | Some slot, Some size, Some kind ->
+          | Some slot, Some size, Some kind when size >= 0 ->
             steps := Scenario.Alloc { slot; size; kind } :: !steps
           | _ -> fail lineno line)
         | [ "free"; slot ] -> (
@@ -79,7 +79,7 @@ let of_string text =
           match
             (int_of_string_opt slot, int_of_string_opt off, int_of_string_opt width)
           with
-          | Some slot, Some off, Some width ->
+          | Some slot, Some off, Some width when width >= 1 ->
             steps := Scenario.Access { slot; off; width } :: !steps
           | _ -> fail lineno line)
         | [ "loop"; slot; from_; to_; step; width ] -> (
@@ -91,7 +91,7 @@ let of_string text =
               int_of_string_opt width )
           with
           | Some slot, Some from_, Some to_, Some step, Some width
-            when step <> 0 ->
+            when step <> 0 && width >= 1 ->
             steps := Scenario.Access_loop { slot; from_; to_; step; width } :: !steps
           | _ -> fail lineno line)
         | [ "region"; slot; off; len ] -> (
@@ -103,7 +103,7 @@ let of_string text =
           | _ -> fail lineno line)
         | [ "null"; off; width ] -> (
           match (int_of_string_opt off, int_of_string_opt width) with
-          | Some off, Some width ->
+          | Some off, Some width when width >= 1 ->
             steps := Scenario.Access_null { off; width } :: !steps
           | _ -> fail lineno line)
         | _ -> fail lineno line)

@@ -15,7 +15,9 @@
     Step lines: [alloc SLOT SIZE KIND], [free SLOT], [free_at SLOT DELTA],
     [access SLOT OFF WIDTH], [loop SLOT FROM TO STEP WIDTH],
     [region SLOT OFF LEN], [null OFF WIDTH]. KIND is [heap], [stack] or
-    [global]. Header lines ([id], [cwe], [buggy]) may appear in any order
+    [global]. SIZE may not be negative; WIDTH is at least 1 and a loop's
+    STEP is non-zero, so every parsed step is one the runtimes accept.
+    Header lines ([id], [cwe], [buggy]) may appear in any order
     before the steps; missing headers default to ["corpus"], [0], and the
     computed ground truth.
 

@@ -145,6 +145,9 @@ let malloc t ?(kind = Memobj.Heap) size =
       raise Out_of_memory
     end
     else t.oom_countdown <- t.oom_countdown - 1;
+  (* a block larger than the whole arena can never be placed; refusing it
+     here also keeps [layout]'s arithmetic from overflowing on huge sizes *)
+  if size > Arena.size t.arena then raise Out_of_memory;
   let left, block_len = layout t.config size in
   let block_base, block_len =
     match take_cached t block_len with

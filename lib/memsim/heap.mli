@@ -45,7 +45,8 @@ val malloc : t -> ?kind:Memobj.kind -> int -> Memobj.t
     exhausted the allocator degrades gracefully: it flushes the quarantine
     (notifying {!set_evict_hook}), recycles the flushed blocks, and retries
     — trading the temporal-detection window for forward progress (counted by
-    {!pressure_flushes}). Raises [Out_of_memory] only when even that fails. *)
+    {!pressure_flushes}). Raises [Out_of_memory] only when even that fails,
+    or at once, with no flush, when [size] exceeds the whole arena. *)
 
 val free : t -> int -> (free_outcome, free_error) result
 (** Free by pointer. On success the object's bytes become [Freed] and the

@@ -71,6 +71,19 @@ let test_corpus_rejects () =
   (match Corpus.of_string "loop 0 0 8 0 1\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a zero-step loop");
+  List.iter
+    (fun text ->
+      match Corpus.of_string text with
+      | Error e ->
+        Alcotest.(check bool) (text ^ ": " ^ e) true
+          (Astring_contains.contains e "cannot parse")
+      | Ok _ -> Alcotest.failf "accepted %S" text)
+    [
+      "alloc 0 -8 heap\n";
+      "alloc 0 32 heap\naccess 0 0 0\n";
+      "alloc 0 32 heap\nloop 0 0 8 1 0\n";
+      "null 0 -1\n";
+    ];
   match Corpus.of_string "# only comments\n\n" with
   | Ok sc -> Alcotest.(check int) "empty scenario" 0 (List.length sc.Scenario.sc_steps)
   | Error e -> Alcotest.failf "rejected empty corpus file: %s" e
@@ -201,6 +214,82 @@ let test_misfold_regressions_guard_the_bug () =
               true (Exec.diverges sc))
         guards)
 
+(* --- corpus totality ------------------------------------------------------ *)
+
+(* Random corpus text from the grammar: every step keyword with zero,
+   negative and huge integers, plus junk tokens and junk lines. Loop bounds
+   stay small (the step is drawn from the full pool): a loop's trip count is
+   (to - from) / step, and a billion-offset loop is a hang, not the
+   exception this property looks for. *)
+let gen_corpus_text =
+  let open QCheck.Gen in
+  let huge = [ max_int; min_int; max_int / 2; -(1 lsl 40); 1 lsl 40; 1 lsl 30 ] in
+  let int_tok =
+    frequency
+      [
+        (4, int_range (-2) 3);
+        (3, int_range (-64) 256);
+        (2, oneofl huge);
+        (1, int);
+      ]
+    >|= string_of_int
+  in
+  let junk = oneofl [ "x"; "-"; "0x10"; "1e3"; "nan"; "8.5"; "+"; "heap" ] in
+  let tok = frequency [ (30, int_tok); (1, junk) ] in
+  let bound = frequency [ (30, int_range (-64) 256 >|= string_of_int); (1, junk) ] in
+  let slot = frequency [ (30, int_range 0 1 >|= string_of_int); (1, tok) ] in
+  let kind = frequency [ (30, oneofl [ "heap"; "stack"; "global" ]); (1, junk) ] in
+  (* sizes and widths lean valid so most scenarios get past the parser *)
+  let size = frequency [ (4, int_range 0 300 >|= string_of_int); (1, tok) ] in
+  let width = frequency [ (6, oneofl [ "1"; "2"; "4"; "8"; "16" ]); (1, tok) ] in
+  let alloc = map3 (Printf.sprintf "alloc %s %s %s") slot size kind in
+  let line =
+    frequency
+      [
+        (3, alloc);
+        (1, map (Printf.sprintf "free %s") slot);
+        (1, map2 (Printf.sprintf "free_at %s %s") slot tok);
+        (4, map3 (Printf.sprintf "access %s %s %s") slot tok width);
+        ( 2,
+          map3
+            (fun (s, f) (t, st) w -> Printf.sprintf "loop %s %s %s %s %s" s f t st w)
+            (pair slot bound) (pair bound tok) width );
+        (2, map3 (Printf.sprintf "region %s %s %s") slot tok tok);
+        (1, map2 (Printf.sprintf "null %s %s") tok width);
+        (1, map (Printf.sprintf "cwe %s") tok);
+        (1, map2 (Printf.sprintf "%s %s") junk tok);
+      ]
+  in
+  let header =
+    frequencyl [ (9, []); (1, [ "buggy true" ]); (1, [ "buggy false" ]); (1, [ "buggy maybe" ]) ]
+  in
+  map3
+    (fun h allocs steps -> String.concat "\n" (allocs @ steps @ h))
+    header
+    (list_size (int_range 1 3) alloc)
+    (list_size (int_range 0 8) line)
+
+let test_corpus_total =
+  (* one long-lived persistent context, as replay --mode persistent uses *)
+  let ctx = lazy (Exec.make_ctx ()) in
+  Helpers.q "corpus parse and replay never raise on any text"
+    (QCheck.make ~print:Fun.id gen_corpus_text)
+    (fun text ->
+      match Corpus.of_string text with
+      | exception e ->
+        QCheck.Test.fail_reportf "of_string raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok sc ->
+        (* the replay path, rebuild and persistent, on all five backends *)
+        List.iter
+          (fun ctx ->
+            match Exec.run ?ctx sc with
+            | Ok _ | Error _ -> ()
+            | exception e ->
+              QCheck.Test.fail_reportf "Exec.run raised %s" (Printexc.to_string e))
+          [ None; Some (Lazy.force ctx) ];
+        true)
+
 let suite =
   ( "fuzz",
     [
@@ -225,4 +314,5 @@ let suite =
         test_regressions_replay_green;
       Helpers.qt "misfold regressions guard the bug class" `Quick
         test_misfold_regressions_guard_the_bug;
+      test_corpus_total;
     ] )
