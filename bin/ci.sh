@@ -291,6 +291,16 @@ mkdir "$tmpdir/rejected"
 printf 'alloc 0 -8 heap\n' > "$tmpdir/rejected/negative_size.scn"
 printf 'alloc 0 32 heap\naccess 0 0 0\n' > "$tmpdir/rejected/zero_width.scn"
 assert_exit 1 main replay "$tmpdir/rejected"
+# a loop of 2^62 offsets, and one whose second step would wrap past
+# max_int, are parse failures too: replay exits 1 at once, where an
+# unbounded walk would spin until timeout kills it (exit 124)
+mkdir "$tmpdir/long_loop" "$tmpdir/wrapping_loop"
+printf 'alloc 0 8 heap\nloop 0 0 4611686018427387903 1 1\n' \
+  > "$tmpdir/long_loop/long_loop.scn"
+printf 'alloc 0 8 heap\nloop 0 4611686018427387902 4611686018427387903 4611686018427387903 1\n' \
+  > "$tmpdir/wrapping_loop/wrapping_loop.scn"
+assert_exit 1 timeout 10 _build/default/bin/main.exe replay "$tmpdir/long_loop"
+assert_exit 1 timeout 10 _build/default/bin/main.exe replay "$tmpdir/wrapping_loop"
 printf '{"broken\n' > "$tmpdir/corrupt.ndjson"
 assert_exit 2 main check-ndjson "$tmpdir/corrupt.ndjson"
 assert_exit 3 main chaos --oom-demo

@@ -12,15 +12,43 @@ type step =
 
 type t = { sc_id : string; sc_cwe : int; sc_buggy : bool; sc_steps : step list }
 
+let max_loop_trips = 1 lsl 20
+
 (* The one stepping rule: from_, from_ + step, ... strictly before to_
-   (above it when step < 0). *)
+   (above it when step < 0). A step that would leave the int range ends
+   the walk, where unchecked [+] would wrap and go on. The loop runs up to
+   [lim], below which no step overflows, so it needs no check per offset;
+   at most one offset lies between [lim] and [to_], and its step would
+   overflow. *)
 let iter_loop ~from_ ~to_ ~step f =
   assert (step <> 0);
   let off = ref from_ in
-  while if step > 0 then !off < to_ else !off > to_ do
-    f !off;
-    off := !off + step
-  done
+  if step > 0 then begin
+    let lim = Int.min to_ (max_int - step + 1) in
+    while !off < lim do
+      f !off;
+      off := !off + step
+    done;
+    if !off < to_ then f !off
+  end
+  else begin
+    let lim = Int.max to_ (min_int - step - 1) in
+    while !off > lim do
+      f !off;
+      off := !off + step
+    done;
+    if !off > to_ then f !off
+  end
+
+let loop_bounded ~from_ ~to_ ~step =
+  assert (step <> 0);
+  let rec walk off n =
+    (not (if step > 0 then off < to_ else off > to_))
+    || n < max_loop_trips
+       && (if step > 0 then off <= max_int - step else off >= min_int - step)
+       && walk (off + step) (n + 1)
+  in
+  walk from_ 0
 
 let loop_offsets ~from_ ~to_ ~step =
   let acc = ref [] in

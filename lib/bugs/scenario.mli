@@ -38,7 +38,16 @@ val iter_loop : from_:int -> to_:int -> step:int -> (int -> unit) -> unit
     when [from_] is already past [to_]. The one stepping rule: the
     executor, {!ground_truth}, {!loop_offsets}, SoftBound and the chaos
     engine all step through it. Allocates nothing per offset. Requires
-    [step <> 0]. *)
+    [step <> 0]. A step whose result would leave the int range ends the
+    walk instead of wrapping. *)
+
+val max_loop_trips : int
+(** The most offsets a replayable loop may visit ([2^20]). *)
+
+val loop_bounded : from_:int -> to_:int -> step:int -> bool
+(** Does {!iter_loop} visit at most {!max_loop_trips} offsets, with the
+    step after each of them inside the int range? Walks at most
+    [max_loop_trips] offsets. Requires [step <> 0]. *)
 
 val loop_offsets : from_:int -> to_:int -> step:int -> int list
 (** The offsets {!iter_loop} visits, as a list. *)

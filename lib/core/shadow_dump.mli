@@ -2,10 +2,6 @@
     legend ASan prints under its crash reports. Debugging aid for the
     simulator and the examples. *)
 
-val segment_line :
-  Giantsan_shadow.Shadow_mem.t -> seg:int -> string
-(** One segment's state, e.g. ["seg   42 [336,344)  (3)-folded"]. *)
-
 val around :
   Giantsan_shadow.Shadow_mem.t -> addr:int -> ?radius:int -> unit -> string
 (** Render the segments surrounding [addr] ([radius] segments each side,

@@ -91,7 +91,8 @@ let of_string text =
               int_of_string_opt width )
           with
           | Some slot, Some from_, Some to_, Some step, Some width
-            when step <> 0 && width >= 1 ->
+            when step <> 0 && width >= 1
+                 && Scenario.loop_bounded ~from_ ~to_ ~step ->
             steps := Scenario.Access_loop { slot; from_; to_; step; width } :: !steps
           | _ -> fail lineno line)
         | [ "region"; slot; off; len ] -> (

@@ -16,7 +16,10 @@
     [access SLOT OFF WIDTH], [loop SLOT FROM TO STEP WIDTH],
     [region SLOT OFF LEN], [null OFF WIDTH]. KIND is [heap], [stack] or
     [global]. SIZE may not be negative; WIDTH is at least 1 and a loop's
-    STEP is non-zero, so every parsed step is one the runtimes accept.
+    STEP is non-zero, so every parsed step is one the runtimes accept. A
+    loop visits at most {!Giantsan_bugs.Scenario.max_loop_trips} offsets
+    and none of its steps leaves the int range, so every parsed scenario
+    replays in bounded time.
     Header lines ([id], [cwe], [buggy]) may appear in any order
     before the steps; missing headers default to ["corpus"], [0], and the
     computed ground truth.

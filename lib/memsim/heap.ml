@@ -103,8 +103,6 @@ let take_fit t block_len =
 
 let recycle t (obj : Memobj.t) =
   obj.status <- Recycled;
-  Oracle.set_range t.oracle ~lo:obj.block_base ~hi:(Memobj.block_end obj)
-    Oracle.Unallocated;
   Oracle.release t.oracle obj;
   put_cached t obj.block_len obj.block_base
 
@@ -177,10 +175,6 @@ let malloc t ?(kind = Memobj.Heap) size =
     }
   in
   t.next_id <- t.next_id + 1;
-  Oracle.set_range t.oracle ~lo:block_base ~hi:base Oracle.Redzone;
-  Oracle.set_range t.oracle ~lo:base ~hi:(base + size) Oracle.Addressable;
-  Oracle.set_range t.oracle ~lo:(base + size) ~hi:(block_base + block_len)
-    Oracle.Redzone;
   Oracle.claim t.oracle obj;
   t.live_bytes <- t.live_bytes + size;
   obj
@@ -191,16 +185,18 @@ let find_object t addr =
 
 (* {1 Snapshot / restore (the fuzz-mode profile)}
 
-   Everything the allocator can mutate is captured: arena bytes, oracle
-   flags + owner map, quarantine FIFO, the free cache (deep-copied — its
+   Everything the allocator can mutate is captured: arena bytes, the
+   oracle's owner map, quarantine FIFO, the free cache (deep-copied — its
    cells are mutable refs), the scalar cursors, and — the subtle part —
    the [status] field of every reachable [Memobj.t]. Objects are shared by
    reference between the owner map, the quarantine queue and caller-held
    pointers, so restoring the maps alone would leave an object recycled
    after the snapshot still claiming [Recycled]; the snapshot therefore
    records (object, status) pairs for everything reachable and [restore]
-   writes the statuses back. Objects allocated after the snapshot become
-   unreachable on restore and their status no longer matters.
+   writes the statuses back (they also decide the oracle's byte states,
+   which it derives from owner and status). Objects allocated after the
+   snapshot become unreachable on restore and their status no longer
+   matters.
    [Oracle.fold_owners] visits each owned block once; the dedupe by id
    exists only because a quarantined object still owns its block and so
    is reachable from both the owner map and the queue. *)
@@ -283,8 +279,6 @@ let free t ptr =
       else begin
         obj.status <- Quarantined;
         t.live_bytes <- t.live_bytes - obj.size;
-        Oracle.set_range t.oracle ~lo:obj.base ~hi:(obj.base + obj.size)
-          Oracle.Freed;
         let evicted =
           match obj.kind with
           | Heap -> Quarantine.push t.quarantine obj

@@ -2,7 +2,8 @@
     freed-memory quarantine, mirroring the ASan allocator that GiantSan
     reuses unchanged (§4.5).
 
-    The heap maintains ground truth (oracle byte states, object registry)
+    The heap maintains ground truth (the oracle's owner map and each
+    object's [status], from which {!Oracle.state} derives byte states)
     but never touches shadow memory: each sanitizer runtime wraps [malloc] /
     [free] and poisons shadow according to its own encoding. *)
 
@@ -49,9 +50,9 @@ val malloc : t -> ?kind:Memobj.kind -> int -> Memobj.t
     or at once, with no flush, when [size] exceeds the whole arena. *)
 
 val free : t -> int -> (free_outcome, free_error) result
-(** Free by pointer. On success the object's bytes become [Freed] and the
-    block enters quarantine (heap objects) — stack/global objects are
-    recycled immediately. *)
+(** Free by pointer. On success the object becomes [Quarantined], so the
+    oracle derives [Freed] for its bytes, and the block enters quarantine
+    (heap objects) — stack/global objects are recycled immediately. *)
 
 val find_object : t -> int -> Memobj.t option
 (** Object whose block (redzones included) covers the address. *)
@@ -78,16 +79,16 @@ val quarantine_ids : t -> int list
     refinement harness can check it against the pure model's queue. *)
 
 val set_evict_hook : t -> (Memobj.t -> unit) -> unit
-(** Called for every block recycled by a pressure flush, after its oracle
-    state is reset, so the wrapping sanitizer can unpoison its shadow (the
+(** Called for every block recycled by a pressure flush, after its block
+    has left the oracle's owner map, so the wrapping sanitizer can unpoison its shadow (the
     same duty as [free_outcome.evicted] on the normal path). Default:
     [ignore]. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-(** Capture everything the allocator can mutate — arena bytes, oracle
-    state + owner map, quarantine FIFO, free cache, the scalar cursors
+(** Capture everything the allocator can mutate — arena bytes, the
+    oracle's owner map, quarantine FIFO, free cache, the scalar cursors
     ([brk], id counter, live bytes, pressure flushes) and the mutable
     [status] of every reachable object (objects are shared by reference
     across the owner map, the quarantine and caller-held pointers, so the

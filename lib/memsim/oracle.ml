@@ -6,39 +6,21 @@ type byte_state = Unallocated | Addressable | Redzone | Freed
    - [objs.(h / 2)]: the object whose block starts at segment [h]. Every
      block spans at least 2 segments, so two blocks never share a slot.
    [heads] holds no pointers, so claiming a block costs one write barrier,
-   for its [objs] store, not one per segment. *)
+   for its [objs] store, not one per segment. Byte states are not stored:
+   {!state} derives them from the owner and its [status]. *)
 type t = {
-  flags : Bytes.t;  (* one state byte per arena byte *)
   heads : Bytes.t;
   objs : Memobj.t option array;
   size : int;
   dirty : snapshot Dirty.t;  (* in bytes; segment k is bytes [8k, 8k+8) *)
 }
 
-and snapshot = {
-  s_flags : Bytes.t;
-  s_heads : Bytes.t;
-  s_objs : Memobj.t option array;
-}
-
-let code = function
-  | Unallocated -> '\000'
-  | Addressable -> '\001'
-  | Redzone -> '\002'
-  | Freed -> '\003'
-
-let decode = function
-  | '\000' -> Unallocated
-  | '\001' -> Addressable
-  | '\002' -> Redzone
-  | '\003' -> Freed
-  | _ -> assert false
+and snapshot = { s_heads : Bytes.t; s_objs : Memobj.t option array }
 
 let create ~arena_size =
   let size = Int.max 64 (Giantsan_util.Bitops.align_up 8 arena_size) in
   let segments = size / 8 in
   {
-    flags = Bytes.make size '\000';
     heads = Bytes.make (4 * segments) '\255';
     objs = Array.make ((segments + 1) / 2) None;
     size;
@@ -52,29 +34,6 @@ let bad_range lo hi =
    and PAC access. *)
 let[@inline] check t lo hi =
   if lo < 0 || hi > t.size || lo > hi then bad_range lo hi
-
-let state t addr =
-  check t addr (addr + 1);
-  decode (Bytes.get t.flags addr)
-
-let set_range t ~lo ~hi st =
-  check t lo hi;
-  Dirty.widen t.dirty ~lo ~hi;
-  Bytes.fill t.flags lo (hi - lo) (code st)
-
-let range_addressable t ~lo ~hi =
-  check t lo hi;
-  let rec go i = i >= hi || (Bytes.get t.flags i = '\001' && go (i + 1)) in
-  go lo
-
-let first_bad t ~lo ~hi =
-  check t lo hi;
-  let rec go i =
-    if i >= hi then None
-    else if Bytes.get t.flags i <> '\001' then Some i
-    else go (i + 1)
-  in
-  go lo
 
 (* Unchecked: every caller passes a segment of the arena. *)
 external get_int32_unsafe : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
@@ -130,6 +89,34 @@ let owner t addr =
   let h = head t (addr lsr 3) in
   if h < 0 then None else t.objs.(h lsr 1)
 
+(* [addr]'s state inside the block of its owner [o]. The owner map never
+   holds a [Recycled] object: [Heap.recycle] releases the block first. *)
+let object_state (o : Memobj.t) addr =
+  if addr < o.base || addr >= o.base + o.size then Redzone
+  else
+    match o.status with
+    | Live -> Addressable
+    | Quarantined -> Freed
+    | Recycled -> assert false
+
+let state t addr =
+  match owner t addr with None -> Unallocated | Some o -> object_state o addr
+
+(* One owner lookup per object the range crosses, not one per byte: an
+   addressable byte vouches for the rest of its object's bytes. *)
+let first_bad t ~lo ~hi =
+  check t lo hi;
+  let rec go i =
+    if i >= hi then None
+    else
+      match owner t i with
+      | Some o when object_state o i = Addressable -> go (o.base + o.size)
+      | _ -> Some i
+  in
+  go lo
+
+let range_addressable t ~lo ~hi = Option.is_none (first_bad t ~lo ~hi)
+
 let fold_owners t f acc =
   let rec go seg acc =
     if seg >= t.size / 8 then acc
@@ -142,13 +129,7 @@ let fold_owners t f acc =
   go 0 acc
 
 let snapshot t =
-  let s =
-    {
-      s_flags = Bytes.copy t.flags;
-      s_heads = Bytes.copy t.heads;
-      s_objs = Array.copy t.objs;
-    }
-  in
+  let s = { s_heads = Bytes.copy t.heads; s_objs = Array.copy t.objs } in
   Dirty.arm t.dirty s;
   s
 
@@ -156,11 +137,10 @@ let snapshot t =
    overlapping it, [lo / 8, ceil (hi / 8)); every object slot a claim or
    release wrote since the snapshot is the slot of one of those heads. *)
 let restore t s =
-  assert (Bytes.length s.s_flags = t.size);
+  assert (Bytes.length s.s_heads = Bytes.length t.heads);
   Dirty.rewind t.dirty s;
   let lo = Dirty.lo t.dirty and hi = Dirty.hi t.dirty in
   if lo < hi then begin
-    Bytes.blit s.s_flags lo t.flags lo (hi - lo);
     let seg_lo = lo / 8 and seg_hi = (hi + 7) / 8 in
     Bytes.blit s.s_heads (4 * seg_lo) t.heads (4 * seg_lo)
       (4 * (seg_hi - seg_lo));

@@ -3,7 +3,15 @@
     The oracle is the referee: property tests compare every sanitizer's
     verdicts against it, and the bug harness uses it to decide whether a
     synthetic access really was a violation. It is maintained by the heap,
-    never consulted by sanitizers. *)
+    never consulted by sanitizers.
+
+    The oracle stores only the owner map (which object's block covers
+    each 8-byte segment). Byte states are derived, not stored: a byte no
+    block covers is [Unallocated]; inside its owner's block, a byte of
+    [[base, base + size)] is [Addressable] while the owner is [Live] and
+    [Freed] while it is [Quarantined], and every other byte is [Redzone].
+    So the heap's [claim], [release] and [status] updates are the whole
+    upkeep, and no allocation pays a store per arena byte. *)
 
 type byte_state =
   | Unallocated  (** never allocated, or recycled after quarantine *)
@@ -15,8 +23,8 @@ type t
 
 val create : arena_size:int -> t
 val state : t -> int -> byte_state
-val set_range : t -> lo:int -> hi:int -> byte_state -> unit
-(** Set bytes [lo, hi) to a state. *)
+(** The derived state of one byte: an owner lookup, then a compare
+    against the owner's object range and a match on its [status]. *)
 
 val range_addressable : t -> lo:int -> hi:int -> bool
 (** Are all bytes of [lo, hi) addressable? [true] for an empty range. *)
@@ -43,16 +51,17 @@ val fold_owners : t -> ('a -> Memobj.t -> 'a) -> 'a -> 'a
 
 (** {1 Snapshot / restore (the fuzz-mode profile)}
 
-    {!set_range}, {!claim} and {!release} widen the oracle's {!Dirty}
-    window (in bytes); restore blits back only the byte states inside it,
-    the heads of the segments overlapping it, and the object slots of
-    those heads. *)
+    {!claim} and {!release} widen the oracle's {!Dirty} window (in bytes);
+    restore blits back only the heads of the segments overlapping it and
+    the object slots of those heads. Byte states need no restore of their
+    own: they follow from the owner map and the objects' statuses, which
+    [Heap.restore] writes back. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-(** Copy of the byte states and both owner planes (fuzz-mode restore point);
-    arms an empty dirty window. *)
+(** Copy of both owner planes (fuzz-mode restore point); arms an empty
+    dirty window. *)
 
 val restore : t -> snapshot -> unit
 (** Rewind to any snapshot taken from this oracle, in O(bytes and

@@ -31,9 +31,6 @@ val pac_shift : int
 val pac_bits : int
 (** Width of the PAC field (16). *)
 
-val pac_mask : int
-val addr_mask : int
-
 type t
 
 val default_key : int

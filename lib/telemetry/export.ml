@@ -1,8 +1,6 @@
 let ndjson_lines events =
   List.map (fun (seq, ev) -> Json.to_string (Event.to_json ~seq ev)) events
 
-let trace_ndjson () = ndjson_lines (Trace.events ())
-
 let check_ndjson_line ?(lax = false) line =
   match Json.parse line with
   | Error e -> Error e

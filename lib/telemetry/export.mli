@@ -5,9 +5,6 @@
 val ndjson_lines : (int * Event.t) list -> string list
 (** One compact JSON object per event, in order. *)
 
-val trace_ndjson : unit -> string list
-(** [ndjson_lines] of the current global sink contents. *)
-
 val check_ndjson_line : ?lax:bool -> string -> (unit, string) result
 (** A valid trace line is one JSON object with an ["ev"] string field and
     a non-negative ["seq"] int field — and, unless [lax] (default

@@ -124,12 +124,6 @@ let create_set () =
     h_quarantine_residency = create "quarantine_residency";
   }
 
-let reset_set s =
-  reset s.h_loads_per_check;
-  reset s.h_fold_degree;
-  reset s.h_access_width;
-  reset s.h_quarantine_residency
-
 let merge_set a b =
   {
     h_loads_per_check = merge a.h_loads_per_check b.h_loads_per_check;

@@ -73,7 +73,5 @@ type set = {
 }
 
 val create_set : unit -> set
-val reset_set : set -> unit
 val merge_set : set -> set -> set
-val set_to_list : set -> t list
 val set_to_json : set -> Json.t

@@ -58,7 +58,6 @@ let observe t v =
 let count t = t.l_count
 let sum t = t.l_sum
 let max_value t = t.l_max
-let min_value t = t.l_min
 let mean t = if t.l_count = 0 then 0.0 else float_of_int t.l_sum /. float_of_int t.l_count
 
 let reset t =

@@ -30,9 +30,6 @@ val observe : t -> int -> unit
 val count : t -> int
 val sum : t -> int
 val max_value : t -> int
-val min_value : t -> int
-(** Smallest observed value; 0 when empty. *)
-
 val mean : t -> float
 val reset : t -> unit
 
@@ -49,7 +46,7 @@ val equal : t -> t -> bool
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0, 1]: the linearly-interpolated value at
     fractional rank [q * (count - 1)] (the numpy-linear convention),
-    clamped to [[min_value, max_value]]. 0.0 on an empty histogram. The
+    clamped to the smallest observed value and {!max_value}. 0.0 on an empty histogram. The
     qcheck suite holds it to the sorted-array oracle at bucket
     granularity. *)
 

@@ -193,7 +193,22 @@ let test_scenario_loop_offsets_edges () =
   Alcotest.(check bool) "empty range runs clean" true
     (not (run san (sc 5 5 1)));
   Alcotest.(check bool) "single descending step clean" true
-    (not (run (Helpers.giantsan ~config:Helpers.small_config ()) (sc 5 4 (-1))))
+    (not (run (Helpers.giantsan ~config:Helpers.small_config ()) (sc 5 4 (-1))));
+  (* a step that would pass max_int (or min_int) ends the walk; a wrapping
+     walk is cut after three offsets so it fails rather than runs on *)
+  let first_offsets from_ to_ step =
+    let acc = ref [] in
+    (try
+       iter_loop ~from_ ~to_ ~step (fun off ->
+           acc := off :: !acc;
+           if List.length !acc >= 3 then raise Exit)
+     with Exit -> ());
+    List.rev !acc
+  in
+  Alcotest.(check (list int)) "up to max_int" [ max_int - 1 ]
+    (first_offsets (max_int - 1) max_int max_int);
+  Alcotest.(check (list int)) "down to min_int" [ min_int + 1 ]
+    (first_offsets (min_int + 1) min_int min_int)
 
 let test_lfp_region_of_freed () =
   let san = Helpers.lfp ~config:Helpers.small_config () in

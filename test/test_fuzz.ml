@@ -83,7 +83,20 @@ let test_corpus_rejects () =
       "alloc 0 32 heap\naccess 0 0 0\n";
       "alloc 0 32 heap\nloop 0 0 8 1 0\n";
       "null 0 -1\n";
+      (* 2^62 offsets; and a step that wraps past max_int *)
+      "alloc 0 8 heap\nloop 0 0 4611686018427387903 1 1\n";
+      "alloc 0 8 heap\nloop 0 4611686018427387902 4611686018427387903 \
+       4611686018427387903 1\n";
+      Printf.sprintf "alloc 0 8 heap\nloop 0 0 %d 1 1\n"
+        (Scenario.max_loop_trips + 1);
     ];
+  (match
+     Corpus.of_string
+       (Printf.sprintf "alloc 0 8 heap\nloop 0 0 %d 1 1\n"
+          Scenario.max_loop_trips)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "rejected a loop at the cap: %s" e);
   match Corpus.of_string "# only comments\n\n" with
   | Ok sc -> Alcotest.(check int) "empty scenario" 0 (List.length sc.Scenario.sc_steps)
   | Error e -> Alcotest.failf "rejected empty corpus file: %s" e
@@ -218,9 +231,8 @@ let test_misfold_regressions_guard_the_bug () =
 
 (* Random corpus text from the grammar: every step keyword with zero,
    negative and huge integers, plus junk tokens and junk lines. Loop bounds
-   stay small (the step is drawn from the full pool): a loop's trip count is
-   (to - from) / step, and a billion-offset loop is a hang, not the
-   exception this property looks for. *)
+   are mostly small but sometimes huge, and so are steps, so some loops
+   would visit billions of offsets or step past max_int. *)
 let gen_corpus_text =
   let open QCheck.Gen in
   let huge = [ max_int; min_int; max_int / 2; -(1 lsl 40); 1 lsl 40; 1 lsl 30 ] in
@@ -236,7 +248,14 @@ let gen_corpus_text =
   in
   let junk = oneofl [ "x"; "-"; "0x10"; "1e3"; "nan"; "8.5"; "+"; "heap" ] in
   let tok = frequency [ (30, int_tok); (1, junk) ] in
-  let bound = frequency [ (30, int_range (-64) 256 >|= string_of_int); (1, junk) ] in
+  let bound =
+    frequency
+      [
+        (30, int_range (-64) 256 >|= string_of_int);
+        (3, oneofl (max_int - 1 :: huge) >|= string_of_int);
+        (1, junk);
+      ]
+  in
   let slot = frequency [ (30, int_range 0 1 >|= string_of_int); (1, tok) ] in
   let kind = frequency [ (30, oneofl [ "heap"; "stack"; "global" ]); (1, junk) ] in
   (* sizes and widths lean valid so most scenarios get past the parser *)
@@ -269,16 +288,42 @@ let gen_corpus_text =
     (list_size (int_range 1 3) alloc)
     (list_size (int_range 0 8) line)
 
+(* Does [line] hold a loop the parser would otherwise accept that walks
+   more than [Scenario.max_loop_trips] offsets, or steps out of the int
+   range? Counted here under that step budget, with the sign of each
+   step's result as the overflow test, so the library's own stepping rule
+   is not trusted. *)
+let oversized_loop line =
+  match List.filter (( <> ) "") (String.split_on_char ' ' (String.trim line)) with
+  | [ "loop"; slot; from_; to_; step; width ] -> (
+    match List.map int_of_string_opt [ slot; from_; to_; step; width ] with
+    | [ Some _; Some from_; Some to_; Some step; Some width ]
+      when step <> 0 && width >= 1 ->
+      let rec walk off n =
+        (if step > 0 then off < to_ else off > to_)
+        && (n >= Scenario.max_loop_trips
+           || (off + step > off) <> (step > 0)
+           || walk (off + step) (n + 1))
+      in
+      walk from_ 0
+    | _ -> false)
+  | _ -> false
+
 let test_corpus_total =
   (* one long-lived persistent context, as replay --mode persistent uses *)
   let ctx = lazy (Exec.make_ctx ()) in
   Helpers.q "corpus parse and replay never raise on any text"
     (QCheck.make ~print:Fun.id gen_corpus_text)
     (fun text ->
+      let oversized =
+        List.exists oversized_loop (String.split_on_char '\n' text)
+      in
       match Corpus.of_string text with
       | exception e ->
         QCheck.Test.fail_reportf "of_string raised %s" (Printexc.to_string e)
       | Error _ -> true
+      | Ok _ when oversized ->
+        QCheck.Test.fail_report "accepted an oversized or wrapping loop"
       | Ok sc ->
         (* the replay path, rebuild and persistent, on all five backends *)
         List.iter

@@ -117,12 +117,15 @@ let restore_cases : (string * (San.t -> int -> int -> unit)) list =
       fun san b ->
         san.San.snapshot ();
         let heap = san.San.heap in
+        let oracle = Memsim.Heap.oracle heap in
+        let obj = Option.get (Memsim.Heap.find_object heap b) in
         fun i ->
           Memsim.Arena.store (Memsim.Heap.arena heap)
             ~addr:(b + (8 * (i land 31)))
             ~width:8 i;
-          Memsim.Oracle.set_range (Memsim.Heap.oracle heap) ~lo:b ~hi:(b + 64)
-            Memsim.Oracle.Freed;
+          (* dirties the object's heads and slot; [claim] is left out
+             because its [Some obj] box is claim's cost, not restore's *)
+          Memsim.Oracle.release oracle obj;
           san.San.restore () );
   ]
 

@@ -384,7 +384,7 @@ let pp_owner_op = function
   | Snap -> "snapshot"
   | Restore i -> Printf.sprintf "restore %d" i
 
-let arb_owner_ops =
+let arb_ops sizes =
   let open QCheck.Gen in
   let op =
     frequency
@@ -393,10 +393,7 @@ let arb_owner_ops =
           map2
             (fun k n -> Alloc (k, n))
             (oneofl [ Memobj.Heap; Stack; Global ])
-            (* blocks of 2-42 segments straddle [Oracle.claim]'s switch
-               from its store loop to its doubling blits at 32; blocks of
-               1-2 KiB take three to four doublings *)
-            (frequency [ (4, int_range 0 300); (1, int_range 992 2016) ]) );
+            sizes );
         (3, map (fun i -> Free_live i) small_nat);
         (1, map (fun i -> Free_any i) small_nat);
         (1, map2 (fun i k -> Free_interior (i, k)) small_nat (int_range 1 340));
@@ -407,6 +404,12 @@ let arb_owner_ops =
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map pp_owner_op ops))
     (list_size (int_range 1 120) op)
+
+(* Blocks of 2-42 segments straddle [Oracle.claim]'s switch from its
+   store loop to its doubling blits at 32; blocks of 1-2 KiB take three
+   to four doublings. *)
+let arb_owner_ops =
+  arb_ops QCheck.Gen.(frequency [ (4, int_range 0 300); (1, int_range 992 2016) ])
 
 let check_owner_map h reference =
   let owned =
@@ -506,28 +509,119 @@ let owner_map_exact ?(count = 150) name config =
     (QCheck.Test.make ~name:("owner map is exact: " ^ name) ~count
        arb_owner_ops (run_owner_ops config))
 
-(* The owner map is one int32 head per segment plus one object slot per
-   two segments: 8 bytes a segment, as in the old layout of one
-   [Memobj.t option] slot per segment beside the state bytes. Only the
-   heads' own block (header, record field, padding) comes on top, a few
-   words that do not grow with the arena. *)
+(* The oracle is the owner map alone: one int32 head per segment plus
+   one object slot per two segments. Only the heads' own block (header,
+   record field, padding) comes on top, a few words that do not grow with
+   the arena, so a plane with a byte (or more) per arena byte fails. *)
 let test_oracle_footprint () =
   List.iter
     (fun size ->
-      let old_layout =
-        ( Bytes.make size '\000',
-          (Array.make (size / 8) None : Memobj.t option array),
+      let segments = size / 8 in
+      let owner_planes =
+        ( Bytes.make (4 * segments) '\255',
+          (Array.make ((segments + 1) / 2) None : Memobj.t option array),
           size,
           (Dirty.create ~size : unit Dirty.t) )
       in
       let words =
         Obj.reachable_words (Obj.repr (Oracle.create ~arena_size:size))
       in
-      let old_words = Obj.reachable_words (Obj.repr old_layout) in
-      if words > old_words + 4 then
-        Alcotest.failf "%d-byte arena: oracle takes %d words, the old layout %d"
-          size words old_words)
+      let planes_words = Obj.reachable_words (Obj.repr owner_planes) in
+      if words > planes_words + 4 then
+        Alcotest.failf
+          "%d-byte arena: oracle takes %d words, its owner planes %d" size
+          words planes_words)
     [ 1 lsl 16; 1 lsl 20 ]
+
+(* Derived byte states equal the per-byte plane the oracle used to keep.
+   The reference plane is written exactly as that plane was: on malloc,
+   [Redzone] / [Addressable] / [Redzone] over the block's three parts; on
+   a successful free, [Freed] over the object; [Unallocated] over every
+   block that leaves quarantine, through [free]'s [evicted] list or the
+   evict hook of a pressure flush. A snapshot copies the plane and a
+   restore copies it back. After every step each byte's [Oracle.state]
+   must equal the plane. *)
+let state_char = function
+  | Oracle.Unallocated -> 'u'
+  | Addressable -> 'a'
+  | Redzone -> 'r'
+  | Freed -> 'f'
+
+let set_plane plane ~lo ~hi st = Bytes.fill plane lo (hi - lo) (state_char st)
+
+let recycle_plane plane (o : Memobj.t) =
+  set_plane plane ~lo:o.block_base ~hi:(Memobj.block_end o) Oracle.Unallocated
+
+let check_states h plane =
+  let o = Heap.oracle h in
+  Bytes.iteri
+    (fun addr want ->
+      let got = state_char (Oracle.state o addr) in
+      if got <> want then
+        QCheck.Test.fail_reportf "state of byte %d: got %c, want %c" addr got
+          want)
+    plane
+
+let run_state_ops config ops =
+  let h = Heap.create config in
+  let plane = Bytes.make (Arena.size (Heap.arena h)) (state_char Unallocated) in
+  Heap.set_evict_hook h (recycle_plane plane);
+  let seen = ref [] and snaps = ref [] in
+  let free ptr =
+    match Heap.free h ptr with
+    | Ok { Heap.freed = o; evicted } ->
+      set_plane plane ~lo:o.base ~hi:(o.base + o.size) Oracle.Freed;
+      List.iter (recycle_plane plane) evicted
+    | Error _ -> ()
+  in
+  let step = function
+    | Alloc (kind, size) -> (
+      match Heap.malloc h ~kind size with
+      | o ->
+        let base = o.Memobj.base in
+        set_plane plane ~lo:o.block_base ~hi:base Oracle.Redzone;
+        set_plane plane ~lo:base ~hi:(base + size) Oracle.Addressable;
+        set_plane plane ~lo:(base + size) ~hi:(Memobj.block_end o)
+          Oracle.Redzone;
+        seen := o :: !seen
+      | exception Out_of_memory -> ())
+    | Free_live i -> (
+      let live =
+        List.filter (fun (o : Memobj.t) -> o.status = Memobj.Live) !seen
+      in
+      match nth_opt_mod live i with Some o -> free o.base | None -> ())
+    | Free_any i -> (
+      match nth_opt_mod !seen i with Some o -> free o.base | None -> ())
+    | Free_interior (i, k) -> (
+      match nth_opt_mod !seen i with
+      | Some o -> free (o.block_base + (k mod o.block_len))
+      | None -> ())
+    | Snap -> snaps := (Heap.snapshot h, Bytes.copy plane) :: !snaps
+    | Restore i -> (
+      match nth_opt_mod !snaps i with
+      | Some (s, saved) ->
+        Heap.restore h s;
+        Bytes.blit saved 0 plane 0 (Bytes.length plane)
+      | None -> ())
+  in
+  List.iter
+    (fun op ->
+      step op;
+      check_states h plane)
+    ops;
+  true
+
+(* Size 0 (a block of redzone alone) drawn often, not once in 300. *)
+let arb_state_ops =
+  arb_ops
+    QCheck.Gen.(
+      frequency
+        [ (1, return 0); (4, int_range 1 300); (1, int_range 992 2016) ])
+
+let states_derived ?(count = 100) name config =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:("derived states: " ^ name) ~count arb_state_ops
+       (run_state_ops config))
 
 let suite =
   ( "memsim",
@@ -568,6 +662,12 @@ let suite =
       owner_map_exact "small arena, splits and flushes"
         { Heap.arena_size = 2048; redzone = 16; quarantine_budget = 512 };
       owner_map_exact ~count:8 "default config" Heap.default_config;
-      Helpers.qt "oracle: footprint of the old layout, plus a constant" `Quick
+      Helpers.qt "oracle: footprint, no byte plane" `Quick
         test_oracle_footprint;
+      states_derived "redzone 1, splits and flushes"
+        { Heap.arena_size = 4096; redzone = 1; quarantine_budget = 512 };
+      states_derived "redzone 16, splits and flushes"
+        { Heap.arena_size = 2048; redzone = 16; quarantine_budget = 512 };
+      states_derived "redzone 512"
+        { Heap.arena_size = 1 lsl 14; redzone = 512; quarantine_budget = 4096 };
     ] )
