@@ -301,6 +301,22 @@ printf 'alloc 0 8 heap\nloop 0 4611686018427387902 4611686018427387903 461168601
   > "$tmpdir/wrapping_loop/wrapping_loop.scn"
 assert_exit 1 timeout 10 _build/default/bin/main.exe replay "$tmpdir/long_loop"
 assert_exit 1 timeout 10 _build/default/bin/main.exe replay "$tmpdir/wrapping_loop"
+# an access or region offset whose off + width would wrap is a parse
+# failure as well; replay must name it, since exit 1 alone could also be a
+# divergence (false positives on four backends)
+for step in 'access 0 4611686018427387900 8' 'region 0 4611686018427387900 8'; do
+  rm -rf "$tmpdir/wrapping_offset"
+  mkdir "$tmpdir/wrapping_offset"
+  printf 'alloc 0 8 heap\n%s\n' "$step" > "$tmpdir/wrapping_offset/wrap.scn"
+  rc=0
+  _build/default/bin/main.exe replay "$tmpdir/wrapping_offset" \
+    > "$tmpdir/wrapping_offset.txt" 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -qF "cannot parse" "$tmpdir/wrapping_offset.txt"; then
+    echo "FAIL: replay of '$step' exited $rc without a parse error" >&2
+    cat "$tmpdir/wrapping_offset.txt" >&2
+    exit 1
+  fi
+done
 printf '{"broken\n' > "$tmpdir/corrupt.ndjson"
 assert_exit 2 main check-ndjson "$tmpdir/corrupt.ndjson"
 assert_exit 3 main chaos --oom-demo

@@ -12,19 +12,29 @@
     process is not corrupted); an UNdetected violation really executes, and
     genuinely wild ones crash the run like a segfault would.
 
-    {b Resolution.} [run] does not walk the AST with a string-keyed
-    environment. It executes a resolved form of the program:
+    {b Compilation.} [run] does not walk a tree. It runs a closure-compiled
+    form of the program, built once:
     - each function body, and the main body, is one scope, and each
       variable it mentions is a slot of that scope's frame;
     - a call gets a fresh frame, so globals are not visible in callees;
-    - each access, memset, memcpy and loop is a dense site index.
+    - each access, memset, memcpy and loop is a dense site index;
+    - each expression becomes a [state -> int] closure, and each
+      statement, block and function body a [state -> unit] closure.
+      Common shapes ([v + 3], [v < n], [a[i]], [a[2]], [x = v + 1],
+      [x = a[i]], [a[i] = v]) read their variable and constant operands
+      in place. Each closure ticks where the tree walk ticked and reads
+      its operands in the tree walk's order (left before right, an
+      address's index before its base), so ops, fuel exhaustion, failure
+      messages and report order match the tree walk's.
 
-    The resolved program is cached per domain, keyed by the program's
+    The compiled program is cached per domain, keyed by the program's
     physical identity, and held only while the program is alive (an
-    ephemeron). Every plan of one program shares it. What a plan says about
-    each site (decisions, pre-regions, loop caches) is resolved into arrays
-    on the first run of a (program, plan) pair and kept in the plan's
-    [memo] until a {!Plan} mutator resets it. *)
+    ephemeron). It keeps only its scopes, sites, loops and closures.
+    Every plan of one program shares it: the closures read what a plan
+    says about each site (decisions, loop caches, and pre-regions
+    compiled to closures) from arrays built on the first run of a
+    (program, plan) pair and kept in the plan's [memo] until a {!Plan}
+    mutator resets it. *)
 
 type exec_stats = {
   mutable x_plain : int;  (** accesses executed under a plain check *)
@@ -57,3 +67,7 @@ val run :
 
 val var : outcome -> string -> int
 (** Final value of a variable. Raises [Not_found]. *)
+
+val program_words : Giantsan_ir.Ast.program -> int
+(** Words reachable from the compiled form of a program (compiled first if
+    this domain has not yet), for footprint tests. *)

@@ -13,6 +13,7 @@ type step =
 type t = { sc_id : string; sc_cwe : int; sc_buggy : bool; sc_steps : step list }
 
 let max_loop_trips = 1 lsl 20
+let max_replay_offset = 1 lsl 32
 
 (* The one stepping rule: from_, from_ + step, ... strictly before to_
    (above it when step < 0). A step that would leave the int range ends
@@ -99,7 +100,7 @@ let ground_truth t =
   let oob slot off width =
     match Hashtbl.find_opt slots slot with
     | None -> true
-    | Some (size, freed) -> freed || off < 0 || off + width > size
+    | Some (size, freed) -> freed || off < 0 || off > size - width
   in
   List.iter
     (fun step ->

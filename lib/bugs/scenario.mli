@@ -44,6 +44,12 @@ val iter_loop : from_:int -> to_:int -> step:int -> (int -> unit) -> unit
 val max_loop_trips : int
 (** The most offsets a replayable loop may visit ([2^20]). *)
 
+val max_replay_offset : int
+(** The largest magnitude of a byte offset a replayable access, loop,
+    region or null step may name ([2^32]): far beyond any arena, and small
+    enough that a runtime's [base + off + width] stays inside the int
+    range. *)
+
 val loop_bounded : from_:int -> to_:int -> step:int -> bool
 (** Does {!iter_loop} visit at most {!max_loop_trips} offsets, with the
     step after each of them inside the int range? Walks at most

@@ -38,6 +38,11 @@ let strip_comment line =
   | Some i -> String.sub line 0 i
   | None -> line
 
+(* An offset a runtime can add to a base and a width without leaving the
+   int range. *)
+let offset_ok off =
+  off >= -Scenario.max_replay_offset && off <= Scenario.max_replay_offset
+
 let of_string text =
   let id = ref "corpus" and cwe = ref 0 and buggy = ref None in
   let steps = ref [] in
@@ -79,7 +84,7 @@ let of_string text =
           match
             (int_of_string_opt slot, int_of_string_opt off, int_of_string_opt width)
           with
-          | Some slot, Some off, Some width when width >= 1 ->
+          | Some slot, Some off, Some width when width >= 1 && offset_ok off ->
             steps := Scenario.Access { slot; off; width } :: !steps
           | _ -> fail lineno line)
         | [ "loop"; slot; from_; to_; step; width ] -> (
@@ -91,7 +96,7 @@ let of_string text =
               int_of_string_opt width )
           with
           | Some slot, Some from_, Some to_, Some step, Some width
-            when step <> 0 && width >= 1
+            when step <> 0 && width >= 1 && offset_ok from_ && offset_ok to_
                  && Scenario.loop_bounded ~from_ ~to_ ~step ->
             steps := Scenario.Access_loop { slot; from_; to_; step; width } :: !steps
           | _ -> fail lineno line)
@@ -99,12 +104,12 @@ let of_string text =
           match
             (int_of_string_opt slot, int_of_string_opt off, int_of_string_opt len)
           with
-          | Some slot, Some off, Some len ->
+          | Some slot, Some off, Some len when offset_ok off ->
             steps := Scenario.Region { slot; off; len } :: !steps
           | _ -> fail lineno line)
         | [ "null"; off; width ] -> (
           match (int_of_string_opt off, int_of_string_opt width) with
-          | Some off, Some width when width >= 1 ->
+          | Some off, Some width when width >= 1 && offset_ok off ->
             steps := Scenario.Access_null { off; width } :: !steps
           | _ -> fail lineno line)
         | _ -> fail lineno line)

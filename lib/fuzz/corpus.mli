@@ -31,7 +31,10 @@ val to_string : Giantsan_bugs.Scenario.t -> string
 val of_string : string -> (Giantsan_bugs.Scenario.t, string) result
 (** Inverse of {!to_string}; [Error] names the first offending line. The
     [sc_buggy] label is cross-checked against the ground truth and rejected
-    when inconsistent (a corpus file must never lie about its label). *)
+    when inconsistent (a corpus file must never lie about its label).
+    Steps a runtime could not replay are parse errors: negative sizes, zero
+    widths, loops failing {!Giantsan_bugs.Scenario.loop_bounded}, and
+    offsets beyond {!Giantsan_bugs.Scenario.max_replay_offset}. *)
 
 val save_file : ?trace:string list -> string -> Giantsan_bugs.Scenario.t -> unit
 (** [save_file ?trace path t] writes {!to_string}[ t]; when [trace] is

@@ -68,39 +68,47 @@ let parse s =
            Backend.all_classes)
     in
     let clause acc item =
-      let* acc = acc in
+      let* seen, acc = acc in
       match String.index_opt item '=' with
       | None -> Error (Printf.sprintf "policy clause %S is not key=value" item)
       | Some i ->
         let key = String.trim (String.sub item 0 i) in
         let v = String.trim (String.sub item (i + 1) (String.length item - i - 1)) in
-        (match key with
-        | "budget" -> (
-          match float_of_string_opt v with
-          | Some f when f >= 1.0 -> Ok { acc with budget = f }
-          | Some _ ->
+        let* acc =
+          match key with
+          | _ when List.mem key seen ->
+            Error (Printf.sprintf "policy key %S given twice" key)
+          | "budget" -> (
+            match float_of_string_opt v with
+            | Some f when not (Float.is_finite f) ->
+              Error (Printf.sprintf "budget %S is not a finite number" v)
+            | Some f when f >= 1.0 -> Ok { acc with budget = f }
+            | Some _ ->
+              Error
+                (Printf.sprintf
+                   "budget %S is below 1.0 (native costs 1.0 by definition)" v)
+            | None -> Error (Printf.sprintf "budget %S: bad number" v))
+          | "prefer" ->
+            let* weights = parse_prefer v in
+            Ok { acc with weights }
+          | "fallback" -> (
+            match Backend.of_name v with
+            | Some b -> Ok { acc with fallback = b }
+            | None ->
+              Error
+                (Printf.sprintf
+                   "unknown backend %S (want giantsan, asan, lfp, pac or \
+                    native)"
+                   v))
+          | _ ->
             Error
               (Printf.sprintf
-                 "budget %S is below 1.0 (native costs 1.0 by definition)" v)
-          | None -> Error (Printf.sprintf "budget %S: bad number" v))
-        | "prefer" ->
-          let* weights = parse_prefer v in
-          Ok { acc with weights }
-        | "fallback" -> (
-          match Backend.of_name v with
-          | Some b -> Ok { acc with fallback = b }
-          | None ->
-            Error
-              (Printf.sprintf
-                 "unknown backend %S (want giantsan, asan, lfp, pac or \
-                  native)"
-                 v))
-        | _ ->
-          Error
-            (Printf.sprintf
-               "unknown policy key %S (want budget, prefer or fallback)" key))
+                 "unknown policy key %S (want budget, prefer or fallback)" key)
+        in
+        Ok (key :: seen, acc)
     in
-    List.fold_left clause (Ok default) (String.split_on_char ',' s)
+    Result.map snd
+      (List.fold_left clause (Ok ([], default)) (String.split_on_char ',' s))
   end
 
 let to_string t =

@@ -26,13 +26,14 @@ val default : spec
 
 val parse : string -> (spec, string) result
 (** Comma-separated [key=value] clauses over {!default}:
-    [budget=F] (>= 1.0), [prefer=cls:w;cls:w;...] (classes not named
-    weigh 0), [fallback=backend]. E.g.
+    [budget=F] (finite, >= 1.0), [prefer=cls:w;cls:w;...] (classes not
+    named weigh 0), [fallback=backend], each at most once. E.g.
     ["budget=1.5,prefer=oob:3;uaf:2,fallback=native"]. Errors name the
     offending clause. *)
 
 val to_string : spec -> string
-(** Canonical render; [parse (to_string s)] round-trips. *)
+(** Canonical render (the budget to six significant digits); {!parse}
+    accepts every render and renders what it reads back the same. *)
 
 val score : spec -> Backend.id -> int
 (** [sum (weight * detection)] over the four classes. *)

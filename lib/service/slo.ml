@@ -23,13 +23,21 @@ let parse s =
         let v = String.trim (String.sub item (i + 1) (String.length item - i - 1)) in
         let* f =
           match float_of_string_opt v with
+          | Some f when not (Float.is_finite f) ->
+            Error (Printf.sprintf "SLO clause %S: %S is not a finite number" item v)
           | Some f when f >= 0.0 -> Ok f
           | _ -> Error (Printf.sprintf "SLO clause %S: bad number %S" item v)
         in
+        let set old t =
+          if Option.is_none old then Ok t
+          else Error (Printf.sprintf "SLO key %S given twice" key)
+        in
         (match key with
-        | "p999" -> Ok { acc with max_p999_ns = Some f }
-        | "err" -> Ok { acc with max_error_rate = Some f }
-        | "ops" -> Ok { acc with min_ops_per_sec = Some f }
+        | "p999" -> set acc.max_p999_ns { acc with max_p999_ns = Some f }
+        | "err" when f > 1.0 ->
+          Error (Printf.sprintf "SLO clause %S: err is a fraction, at most 1" item)
+        | "err" -> set acc.max_error_rate { acc with max_error_rate = Some f }
+        | "ops" -> set acc.min_ops_per_sec { acc with min_ops_per_sec = Some f }
         | _ ->
           Error
             (Printf.sprintf "unknown SLO key %S (want p999, err or ops)" key))

@@ -21,12 +21,14 @@ val is_none : t -> bool
 val parse : string -> (t, string) result
 (** Parse a compact spec: comma-separated [key=value] clauses with keys
     [p999] (ns), [err] (fraction) and [ops] (per second), e.g.
-    ["p999=20000,err=0.02,ops=50000"]. Unknown keys and malformed numbers
-    are named errors. The empty string is {!none}. *)
+    ["p999=20000,err=0.02,ops=50000"]. Unknown keys, malformed, negative
+    or non-finite numbers, an [err] above 1 and a key given twice are named
+    errors. The empty string is {!none}. *)
 
 val to_string : t -> string
-(** Inverse of {!parse} (clauses in p999, err, ops order); ["none"] for
-    {!none}. *)
+(** Canonical render (clauses in p999, err, ops order, numbers to six
+    significant digits); ["none"] for {!none}. {!parse} accepts every
+    render and renders what it reads back the same. *)
 
 type breach = {
   b_slo : string;  (** "p999" | "error_rate" | "ops_per_sec" *)

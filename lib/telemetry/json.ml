@@ -33,7 +33,14 @@ let rec emit buf = function
       Buffer.add_string buf "null"
     else if Float.is_integer f && Float.abs f < 1e15 then
       Buffer.add_string buf (Printf.sprintf "%.1f" f)
-    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+    else begin
+      let digits = Printf.sprintf "%.17g" f in
+      Buffer.add_string buf digits;
+      (* an integral float of 16 or 17 digits needs a mark to parse back
+         as a [Float] *)
+      if not (String.exists (fun c -> c = '.' || c = 'e') digits) then
+        Buffer.add_string buf ".0"
+    end
   | Str s -> escape buf s
   | List l ->
     Buffer.add_char buf '[';
@@ -68,6 +75,9 @@ let member key = function
 (* ------------------------------------------------------------------ *)
 
 exception Bad of string
+
+(* deeper nesting is an error, not a stack overflow *)
+let max_depth = 512
 
 let parse text =
   let n = String.length text in
@@ -149,22 +159,27 @@ let parse text =
     let s = String.sub text start (!pos - start) in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then
       match float_of_string_opt s with
-      | Some f -> Float f
+      | Some f when Float.is_finite f -> Float f
+      | Some _ -> fail ("number out of range " ^ s)
       | None -> fail ("bad number " ^ s)
     else
       match int_of_string_opt s with
       | Some i -> Int i
       | None -> fail ("bad number " ^ s)
   in
+  let depth = ref 0 in
   let rec parse_value () =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when !depth >= max_depth -> fail "nested too deep"
     | Some '{' ->
       advance ();
+      incr depth;
       skip_ws ();
       if peek () = Some '}' then begin
         advance ();
+        decr depth;
         Obj []
       end
       else begin
@@ -177,16 +192,18 @@ let parse text =
           skip_ws ();
           match peek () with
           | Some ',' -> advance (); members ((k, v) :: acc)
-          | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
+          | Some '}' -> advance (); decr depth; Obj (List.rev ((k, v) :: acc))
           | _ -> fail "expected , or } in object"
         in
         members []
       end
     | Some '[' ->
       advance ();
+      incr depth;
       skip_ws ();
       if peek () = Some ']' then begin
         advance ();
+        decr depth;
         List []
       end
       else begin
@@ -195,7 +212,7 @@ let parse text =
           skip_ws ();
           match peek () with
           | Some ',' -> advance (); elements (v :: acc)
-          | Some ']' -> advance (); List (List.rev (v :: acc))
+          | Some ']' -> advance (); decr depth; List (List.rev (v :: acc))
           | _ -> fail "expected , or ] in array"
         in
         elements []

@@ -17,7 +17,10 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Parse exactly one JSON document; trailing non-whitespace is an error.
-    Numbers without [.], [e] or [E] parse as [Int]. *)
+    Numbers without [.], [e] or [E] parse as [Int]; a number out of the
+    [int] or finite [float] range, and nesting deeper than 512, are
+    errors. Never raises; [parse (to_string v)] gives back every value
+    [parse] returns. *)
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on anything else or a missing key. *)

@@ -58,3 +58,14 @@ let counter_cost () = minor_words_of ignore
 let qt = Alcotest.test_case
 let q name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:200 arb prop)
+
+(* Comma-joined [key=value] clauses drawn from [keys] and [values], now
+   and then a junk clause: the input of the spec parser totality
+   properties. *)
+let clause_soup keys values =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      let pair = map2 (fun k v -> k ^ "=" ^ v) (oneofl keys) (oneofl values) in
+      let junk = oneofl ([ ""; " "; "="; "=="; "x"; ";"; ":" ] @ keys @ values) in
+      list_size (int_bound 5) (frequency [ (8, pair); (1, junk) ])
+      >|= String.concat ",")

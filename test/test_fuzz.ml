@@ -89,7 +89,45 @@ let test_corpus_rejects () =
        4611686018427387903 1\n";
       Printf.sprintf "alloc 0 8 heap\nloop 0 0 %d 1 1\n"
         (Scenario.max_loop_trips + 1);
+      (* offsets whose [off + width] wraps: labelled either way, these were
+         a lying label or false positives on four backends *)
+      "alloc 0 8 heap\nbuggy true\naccess 0 4611686018427387900 8\n";
+      "alloc 0 8 heap\nbuggy false\naccess 0 4611686018427387900 8\n";
+      "alloc 0 8 heap\nbuggy true\nregion 0 4611686018427387900 8\n";
+      "alloc 0 8 heap\nbuggy false\nregion 0 4611686018427387900 8\n";
+      "alloc 0 8 heap\nloop 0 4611686018427387900 4611686018427387903 1 8\n";
+      Printf.sprintf "alloc 0 8 heap\naccess 0 %d 8\n"
+        (Scenario.max_replay_offset + 1);
+      Printf.sprintf "alloc 0 8 heap\nregion 0 %d 8\n"
+        (-Scenario.max_replay_offset - 1);
+      Printf.sprintf "null %d 1\n" (Scenario.max_replay_offset + 1);
+      Printf.sprintf "alloc 0 8 heap\nloop 0 %d %d 1 1\n"
+        (-Scenario.max_replay_offset - 1) (-Scenario.max_replay_offset);
     ];
+  List.iter
+    (fun text ->
+      match Corpus.of_string text with
+      | Ok sc ->
+        Alcotest.(check bool) (text ^ ": buggy") true sc.Scenario.sc_buggy
+      | Error e -> Alcotest.failf "rejected an offset at the cap: %s" e)
+    [
+      Printf.sprintf "alloc 0 8 heap\naccess 0 %d 8\n" Scenario.max_replay_offset;
+      Printf.sprintf "alloc 0 8 heap\nregion 0 %d 8\n" (-Scenario.max_replay_offset);
+      Printf.sprintf "null %d 1\n" (-Scenario.max_replay_offset);
+    ];
+  (* the ground truth itself does not wrap, whatever the parser admits *)
+  Alcotest.(check bool) "an offset near max_int is out of bounds" true
+    (Scenario.ground_truth
+       {
+         Scenario.sc_id = "wrap";
+         sc_cwe = 0;
+         sc_buggy = true;
+         sc_steps =
+           [
+             Scenario.Alloc { slot = 0; size = 8; kind = Giantsan_memsim.Memobj.Heap };
+             Scenario.Access { slot = 0; off = max_int - 3; width = 8 };
+           ];
+       });
   (match
      Corpus.of_string
        (Printf.sprintf "alloc 0 8 heap\nloop 0 0 %d 1 1\n"
@@ -232,10 +270,18 @@ let test_misfold_regressions_guard_the_bug () =
 (* Random corpus text from the grammar: every step keyword with zero,
    negative and huge integers, plus junk tokens and junk lines. Loop bounds
    are mostly small but sometimes huge, and so are steps, so some loops
-   would visit billions of offsets or step past max_int. *)
+   would visit billions of offsets or step past max_int. Huge integers
+   include offsets just inside and just past the replay cap and ones whose
+   [off + width] wraps. *)
 let gen_corpus_text =
   let open QCheck.Gen in
-  let huge = [ max_int; min_int; max_int / 2; -(1 lsl 40); 1 lsl 40; 1 lsl 30 ] in
+  let cap = Scenario.max_replay_offset in
+  let huge =
+    [
+      max_int; min_int; max_int / 2; -(1 lsl 40); 1 lsl 40; 1 lsl 30;
+      max_int - 3; max_int - 7; cap; cap + 1; -cap; -cap - 1;
+    ]
+  in
   let int_tok =
     frequency
       [
@@ -309,21 +355,48 @@ let oversized_loop line =
     | _ -> false)
   | _ -> false
 
+(* Does [line] hold an access, region, null or loop the parser would
+   otherwise accept with an offset beyond [Scenario.max_replay_offset]? *)
+let offset_beyond_cap line =
+  let beyond off = off > Scenario.max_replay_offset || off < -Scenario.max_replay_offset in
+  let ints toks = List.map int_of_string_opt toks in
+  match List.filter (( <> ) "") (String.split_on_char ' ' (String.trim line)) with
+  | [ "access"; slot; off; width ] -> (
+    match ints [ slot; off; width ] with
+    | [ Some _; Some off; Some width ] -> width >= 1 && beyond off
+    | _ -> false)
+  | [ "region"; slot; off; len ] -> (
+    match ints [ slot; off; len ] with
+    | [ Some _; Some off; Some _ ] -> beyond off
+    | _ -> false)
+  | [ "null"; off; width ] -> (
+    match ints [ off; width ] with
+    | [ Some off; Some width ] -> width >= 1 && beyond off
+    | _ -> false)
+  | [ "loop"; slot; from_; to_; step; width ] -> (
+    match ints [ slot; from_; to_; step; width ] with
+    | [ Some _; Some from_; Some to_; Some step; Some width ] ->
+      step <> 0 && width >= 1 && (beyond from_ || beyond to_)
+    | _ -> false)
+  | _ -> false
+
 let test_corpus_total =
   (* one long-lived persistent context, as replay --mode persistent uses *)
   let ctx = lazy (Exec.make_ctx ()) in
   Helpers.q "corpus parse and replay never raise on any text"
     (QCheck.make ~print:Fun.id gen_corpus_text)
     (fun text ->
-      let oversized =
-        List.exists oversized_loop (String.split_on_char '\n' text)
-      in
+      let lines = String.split_on_char '\n' text in
+      let oversized = List.exists oversized_loop lines in
+      let beyond_cap = List.exists offset_beyond_cap lines in
       match Corpus.of_string text with
       | exception e ->
         QCheck.Test.fail_reportf "of_string raised %s" (Printexc.to_string e)
       | Error _ -> true
       | Ok _ when oversized ->
         QCheck.Test.fail_report "accepted an oversized or wrapping loop"
+      | Ok _ when beyond_cap ->
+        QCheck.Test.fail_report "accepted an offset beyond the replay cap"
       | Ok sc ->
         (* the replay path, rebuild and persistent, on all five backends *)
         List.iter

@@ -372,6 +372,30 @@ let test_interp_resolution_shared =
           "fresh copy %.0f words, resolved program %.0f: under 8 x %d accesses"
           fresh second accesses)
 
+(* What a compiled program keeps, against the source AST, over the Table 2
+   profiles at the spec-sweep's 48 phases: its scopes, sites, loops and
+   closures come to 1.266 times the AST's words. The bound leaves 10% of
+   headroom; keeping the resolved statement trees beside the closures
+   (2.53 times the AST's words in all) fails it. *)
+let compiled_footprint_bound = 1.39
+
+let test_compiled_footprint =
+  Helpers.qt
+    (Printf.sprintf "compiled Table 2 programs: <= %.2f x the AST's words"
+       compiled_footprint_bound)
+    `Quick (fun () ->
+      let progs =
+        List.map
+          (fun (p : Specgen.profile) -> Specgen.generate { p with Specgen.p_phases = 48 })
+          Giantsan_workload.Profiles.all
+      in
+      let sum f = List.fold_left (fun acc p -> acc + f p) 0 progs in
+      let ast = sum (fun p -> Obj.reachable_words (Obj.repr p)) in
+      let compiled = sum Interp.program_words in
+      let ratio = float_of_int compiled /. float_of_int ast in
+      if ratio > compiled_footprint_bound then
+        Alcotest.failf "compiled %d words, AST %d words: %.3f x" compiled ast ratio)
+
 let backends = [ Backend.Native; Giantsan; Asan; Lfp; Pac ]
 
 let suite =
@@ -386,4 +410,4 @@ let suite =
         backends
     @ [ test_churn_words_match_native ]
     @ List.map test_interp_words_per_op [ Runner.Native; Runner.Giantsan ]
-    @ [ test_interp_resolution_shared ] )
+    @ [ test_interp_resolution_shared; test_compiled_footprint ] )

@@ -422,6 +422,189 @@ let test_foreign_plan_regions () =
   Alcotest.(check (option string)) "fails on the foreign name"
     (Some "Interp: unbound variable zzz") r.failure
 
+(* {1 Fuel-exact runs} *)
+
+module Rng = Giantsan_util.Rng
+
+(* Statements that read names nothing binds, one per specialised shape:
+   [u] as a base or operand, [z] as an index or the other operand, [y] as
+   a stored value. Fuel running out at each of the statement's ticks, and
+   which name fails first, tell where a node ticks and in what order it
+   reads its operands. *)
+let probes =
+  B.
+    [
+      (fun _ -> assign "k" (v "u" + i 1));
+      (fun _ -> assign "k" (v "s" + (v "u" + i 1)));
+      (fun _ -> assign "k" ((v "s" * i 2) + (v "u" - i 1)));
+      (fun _ -> assign "k" ((v "s" + (v "u" * i 2)) * i 3));
+      (fun _ -> assign "k" ((v "u" + i 1) + (v "s" * i 2)));
+      (fun _ -> assign "k" (i 3 - v "u"));
+      (fun _ -> assign "k" ((v "s" + i 1) * v "u"));
+      (fun _ -> assign "k" (v "z" * v "u"));
+      (fun _ -> assign "k" (v "u"));
+      (fun _ -> assign "k" (v "u" < i 3));
+      (fun _ -> assign "k" (v "s" / i 0));
+      (fun b -> assign "k" ((v "s" + i 1) + load b ~base:"u" ~index:(v "z") ~scale:8 ()));
+      (fun b -> assign "k" (load b ~base:"u" ~index:(v "z") ~scale:8 ()));
+      (fun b -> assign "k" (load b ~base:"u" ~index:(v "z") ~scale:8 () * i 2));
+      (fun b -> assign "k" (load b ~base:"u" ~index:(v "z" + i 1) ~scale:8 () * i 2));
+      (fun b -> assign "k" (load b ~base:"a" ~index:(v "u") ~scale:8 () * i 2));
+      (fun b -> store b ~base:"u" ~index:(v "z") ~scale:8 ~value:(v "y") ());
+      (fun b -> store b ~base:"u" ~index:(v "z") ~scale:8 ~value:(v "s") ());
+      (fun b -> store b ~base:"u" ~index:(v "z" + i 1) ~scale:8 ~value:(v "s") ());
+      (fun b -> store b ~base:"u" ~index:(v "z") ~scale:8 ~value:(v "s" + i 1) ());
+      (fun b -> store b ~base:"u" ~index:(i 2) ~scale:8 ~value:(v "s" + i 1) ());
+      (fun b -> while_ b ~cond:(v "u" < i 3) []);
+      (fun _ -> if_ (v "z" <= v "u") [] []);
+      (fun _ -> if_ (v "s" + i 1 < v "u") [] []);
+      (fun b -> for_ b ~idx:"k" ~lo:(i 0) ~hi:(v "u") []);
+      (fun _ -> call ~dst:"k" "helper" [ v "u" ]);
+      (fun b -> memset b ~dst:"u" ~doff:(v "z") ~len:(i 8) ~value:(i 1));
+      (fun b -> memcpy b ~dst:"a" ~doff:(i 0) ~src:"u" ~soff:(v "z") ~len:(i 8));
+      (fun _ -> free (v "u"));
+    ]
+
+(* A small program over two 64-byte arrays and a helper function, drawn so
+   that every shape the compiler specialises appears: arithmetic and
+   comparisons over variables and constants, accesses with a variable base
+   and a variable, constant or computed index, assignments of a sum or a
+   load, stores of a variable or a computed value, loops, calls, returns
+   (some from inside a loop) and allocas. Some divisors are zero, so a run
+   may crash at any arithmetic node. A [probe], if any, goes at a random
+   point of the main body, alone or in a loop. *)
+let fuel_program seed probe =
+  let rng = Rng.create (seed + 4242) in
+  let b = B.create () in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let const () = B.i (Rng.int_in rng (-1) 5) in
+  let access_index vars =
+    match Rng.int rng 3 with
+    | 0 -> B.v (pick vars)
+    | 1 -> const ()
+    | _ -> B.(v (pick vars) + i (Rng.int rng 3))
+  in
+  (* [vars] are the variables of the scope, [arrs] its arrays *)
+  let rec expr vars arrs depth =
+    match Rng.int rng (if depth > 1 then 3 else 9) with
+    | 0 -> const ()
+    | 1 -> B.v (pick vars)
+    | 2 -> B.(v (pick vars) + i (Rng.int_in rng 1 3))
+    | 3 ->
+      let op = pick Ast.[ Add; Sub; Mul; Div; Rem ] in
+      Ast.Bin (op, expr vars arrs (depth + 1), expr vars arrs (depth + 1))
+    | 4 ->
+      let op = pick Ast.[ Lt; Le; Gt; Ge; Eq; Ne ] in
+      Ast.Cmp (op, expr vars arrs (depth + 1), expr vars arrs (depth + 1))
+    | 5 ->
+      let a = expr vars arrs (depth + 1) in
+      B.(a + load b ~base:(pick arrs) ~index:(v (pick vars)) ~scale:8 ())
+    | 6 -> B.(i 3 - v (pick vars))
+    | _ -> B.load b ~base:(pick arrs) ~index:(access_index vars) ~scale:8 ()
+  in
+  let rec stmts vars arrs ~ret depth budget =
+    if budget <= 0 then []
+    else
+      stmt vars arrs ~ret depth budget :: stmts vars arrs ~ret depth (budget - 1)
+  and stmt vars arrs ~ret depth budget =
+    let var () = pick vars and arr () = pick arrs in
+    let dst = pick vars in
+    let e () = expr vars arrs 0 in
+    let nested () = stmts vars arrs ~ret (depth + 1) (budget / 2) in
+    match Rng.int rng (if depth > 1 then 8 else 13) with
+    | 0 -> B.assign dst (e ())
+    | 1 -> B.assign dst B.(v (var ()) + i (Rng.int_in rng 1 3))
+    | 2 -> B.assign dst B.(v (var ()) + e ())
+    | 3 -> B.assign dst (B.load b ~base:(arr ()) ~index:(B.v (var ())) ~scale:8 ())
+    | 4 ->
+      let value = if Rng.bool rng then B.v (var ()) else e () in
+      B.store b ~base:(arr ()) ~index:(access_index vars) ~scale:8 ~value ()
+    | 5 ->
+      B.memset b ~dst:(arr ()) ~doff:(B.i (8 * Rng.int rng 4))
+        ~len:(B.i (8 * Rng.int rng 5)) ~value:(const ())
+    | 6 ->
+      B.memcpy b ~dst:(arr ()) ~doff:(B.i 0) ~src:(arr ()) ~soff:(B.i 8)
+        ~len:(B.i (8 * Rng.int rng 4))
+    | 7 -> if ret && Rng.int rng 3 = 0 then B.return_ (Some (e ())) else B.assign dst (e ())
+    | 8 ->
+      B.for_ b ~idx:(pick vars) ~lo:(const ()) ~hi:(B.i (Rng.int_in rng 0 4)) (nested ())
+    | 9 ->
+      let w = Printf.sprintf "w%d" depth in
+      B.while_ b
+        ~cond:B.(v w < i (Rng.int_in rng 0 4))
+        (nested () @ [ B.assign w B.(v w + i 1) ])
+    | 10 -> B.if_ (e ()) (nested ()) (nested ())
+    | 11 -> B.call ~dst "helper" [ e () ]
+    | _ -> if Rng.int rng 4 = 0 then B.free (B.v (arr ())) else B.assign dst (e ())
+  in
+  let helper =
+    B.func "helper" ~params:[ "m" ]
+      ([ B.alloca "hbuf" (B.i 32); B.assign "w0" (B.i 0); B.assign "w1" (B.i 0) ]
+      @ stmts [ "m" ] [ "hbuf" ] ~ret:true 0 (Rng.int_in rng 1 4)
+      @ [ B.return_ (Some (B.v "m")) ])
+  in
+  let vars = [ "i"; "s"; "k" ] and arrs = [ "a"; "c" ] in
+  let body = stmts vars arrs ~ret:false 0 (Rng.int_in rng 4 12) in
+  let body =
+    match probe with
+    | None -> body
+    | Some probe ->
+      let probe = probe b in
+      let probe =
+        if Rng.bool rng then probe
+        else
+          B.for_ b ~idx:"w1" ~lo:(B.i 0) ~hi:(B.i 2)
+            [ B.assign "k" B.(v "k" + i 1); probe ]
+      in
+      let at = Rng.int rng (List.length body + 1) in
+      List.filteri (fun j _ -> j < at) body
+      @ (probe :: List.filteri (fun j _ -> j >= at) body)
+  in
+  B.program ~funcs:[ helper ] (Printf.sprintf "fuel_%d" seed)
+    ([
+       B.malloc "a" (B.i 64);
+       B.malloc "c" (B.i 64);
+       B.assign "i" (B.i 1);
+       B.assign "s" (B.i 2);
+       B.assign "k" (B.i 0);
+       B.assign "w0" (B.i 0);
+       B.assign "w1" (B.i 0);
+     ]
+    @ body)
+
+let fuel_heap =
+  { Memsim.Heap.arena_size = 1 lsl 12; redzone = 16; quarantine_budget = 256 }
+
+(* Both interpreters at every fuel from 0 up to the first that lets the
+   run end without running out: the same op, flags, reports, counters,
+   events and variables at every point a run can stop, or the same
+   failure. Case [k] of a run carries probe [k] (the cases cycle through
+   every probe, then one with none), so every shape is probed on each
+   run. *)
+let prop_fuel_exact =
+  let cases = List.map Option.some probes @ [ None ] in
+  let case = ref 0 in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:(3 * List.length cases)
+       ~name:"small programs: compiled = tree walk at every fuel"
+       QCheck.small_int (fun seed ->
+         let probe = List.nth cases (!case mod List.length cases) in
+         incr case;
+         let prog = fuel_program seed probe in
+         List.iter
+           (fun config ->
+             let plan = Instrument.plan (Runner.instrument_mode config) prog in
+             let what = Printf.sprintf "fuel seed %d" seed in
+             let rec from fuel =
+               let r = same ~heap:fuel_heap ~fuel what config plan prog in
+               match r.flags with
+               | _, _, true when fuel < 100_000 -> from (fuel + 1)
+               | _ -> ()
+             in
+             from 0)
+           [ Runner.Native; Giantsan; Asan ];
+         true))
+
 let suite =
   ( "interp diff",
     [
@@ -439,4 +622,5 @@ let suite =
       Helpers.qt "flush order of five caches" `Quick test_flush_order;
       Helpers.qt "plan edit between runs" `Quick test_plan_edit_between_runs;
       Helpers.qt "foreign plan regions" `Quick test_foreign_plan_regions;
+      prop_fuel_exact;
     ] )

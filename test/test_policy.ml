@@ -341,6 +341,51 @@ let test_registry_consistent () =
   check "Backend.all ascends in overhead"
     (List.sort_uniq compare overheads = overheads)
 
+(* [Policy.parse] never raises; what it accepts has a finite budget of at
+   least 1.0 and a weight for every class, and its render parses back to
+   the same render. *)
+let prop_policy_parse_total =
+  let valid (spec : Policy.spec) =
+    Float.is_finite spec.Policy.budget && spec.budget >= 1.0
+    && List.map fst spec.weights = Backend.all_classes
+  in
+  Helpers.q "policy parse: total, in range, render round-trips"
+    (Helpers.clause_soup
+       [ "budget"; "prefer"; "fallback"; " budget "; "speed" ]
+       [
+         "1"; "1.5"; "2.5"; "0.5"; "1.0000001"; "-1"; "inf"; "nan"; "1e400";
+         "oob:3;uaf:2"; "oob:1;oob:2"; "double-free:0"; "uaf-realloc:x";
+         "uaf:1;"; "oob"; "native"; "giantsan"; "asan"; "pac"; "lfp"; "x"; "";
+       ])
+    (fun text ->
+      match Policy.parse text with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok spec -> (
+        valid spec
+        &&
+        match Policy.parse (Policy.to_string spec) with
+        | Ok spec' -> valid spec' && Policy.to_string spec' = Policy.to_string spec
+        | Error e ->
+          QCheck.Test.fail_reportf "render %S: %s" (Policy.to_string spec) e))
+
+let test_policy_parse_rejects () =
+  List.iter
+    (fun (text, want) ->
+      match Policy.parse text with
+      | Ok spec -> Alcotest.failf "accepted %S as %s" text (Policy.to_string spec)
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "%S: %s" text e) true
+          (Helpers.contains e want))
+    [
+      ("budget=inf", "finite");
+      ("budget=1e400", "finite");
+      ("budget=nan", "finite");
+      ("budget=1.5,budget=2", "twice");
+      ("fallback=native,prefer=oob:1,fallback=asan", "twice");
+      ("prefer=oob:1,prefer=uaf:1", "twice");
+    ]
+
 let suite =
   ( "policy",
     [
@@ -367,4 +412,7 @@ let suite =
         test_tenant_backend_event_recorded;
       Helpers.qt "backend table and configurations are consistent" `Quick
         test_registry_consistent;
+      prop_policy_parse_total;
+      Helpers.qt "policy parse: non-finite budgets and repeated clauses" `Quick
+        test_policy_parse_rejects;
     ] )

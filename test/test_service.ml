@@ -318,6 +318,52 @@ let test_per_tenant_pac_keys =
       | Ok _ -> ()
       | Error f -> Alcotest.fail ("self-auth failed: " ^ Pac.failure_to_string f))
 
+(* [Slo.parse] never raises; what it accepts is in range and its render
+   parses back to the same render. *)
+let prop_slo_parse_total =
+  let valid (t : Slo.t) =
+    let ok = function None -> true | Some f -> Float.is_finite f && f >= 0.0 in
+    ok t.Slo.max_p999_ns && ok t.max_error_rate && ok t.min_ops_per_sec
+    && Option.fold ~none:true ~some:(fun f -> f <= 1.0) t.max_error_rate
+  in
+  Helpers.q "SLO parse: total, in range, render round-trips"
+    (Helpers.clause_soup
+       [ "p999"; "err"; "ops"; " err "; "latency" ]
+       [
+         "0"; "1"; "1.5"; "0.02"; "0.999999"; "20000"; "999999999"; "-1"; "inf";
+         "-inf"; "nan"; "1e400"; "1e-400"; "x"; "0x10"; "1_000"; "";
+       ])
+    (fun text ->
+      match Slo.parse text with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok t -> (
+        valid t
+        &&
+        match Slo.parse (Slo.to_string t) with
+        | Ok t' -> valid t' && Slo.to_string t' = Slo.to_string t
+        | Error e -> QCheck.Test.fail_reportf "render %S: %s" (Slo.to_string t) e))
+
+let test_slo_parse_rejects () =
+  List.iter
+    (fun (text, want) ->
+      match Slo.parse text with
+      | Ok t -> Alcotest.failf "accepted %S as %s" text (Slo.to_string t)
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "%S: %s" text e) true
+          (Helpers.contains e want))
+    [
+      ("err=1.5", "fraction");
+      ("p999=inf", "finite");
+      ("ops=1e400", "finite");
+      ("err=-inf", "finite");
+      ("p999=20000,p999=1", "twice");
+      ("err=0.1,ops=5,err=0.2", "twice");
+    ];
+  match Slo.parse "err=1" with
+  | Ok t -> Alcotest.(check (option (float 0.))) "err=1 is a fraction" (Some 1.0) t.Slo.max_error_rate
+  | Error e -> Alcotest.fail e
+
 let suite =
   ( "service",
     [
@@ -334,4 +380,7 @@ let suite =
       test_slo_parse;
       test_quantum_halved_when_degraded;
       test_per_tenant_pac_keys;
+      prop_slo_parse_total;
+      Helpers.qt "SLO parse: out-of-range, non-finite and repeated clauses"
+        `Quick test_slo_parse_rejects;
     ] )

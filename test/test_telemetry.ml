@@ -811,6 +811,150 @@ let test_summary_keys_rows_by_name =
       Alcotest.(check bool) "pac row survives giantsan's absence" true
         (Helpers.contains without "\"tool\":\"pac\""))
 
+(* {1 Parser totality} *)
+
+let json_tokens =
+  [
+    "{"; "}"; "["; "]"; ","; ":"; "\"k\""; "\"a b\""; "\""; "\\"; "\\n";
+    "\\u00e9"; "\\u12"; "\\u1_23"; "true"; "false"; "null"; "nul"; "0"; "-0";
+    "12"; "007"; "1.5"; "-2.5e3"; "1e400"; "-1e400"; "1e-400"; "1e15";
+    "1234567890123456.0"; "4611686018427387903"; "99999999999999999999"; "-";
+    "."; "e"; "+"; " "; "\n"; "x";
+  ]
+
+(* Printed random values, with the floats, ints and strings printing
+   is easiest to get wrong. *)
+let gen_json_text =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ small_signed_int; oneofl [ max_int; min_int ] ]);
+        map
+          (fun f -> Json.Float f)
+          (oneof
+             [
+               float;
+               oneofl
+                 [ 1e15; -1e15; 1e16; 1234567890123456.; 0.1; -0.; 5e-324; 1e300 ];
+             ]);
+        map (fun s -> Json.Str s) (string_size ~gen:char (int_bound 6));
+      ]
+  in
+  let value =
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (3, leaf);
+              (1, map (fun l -> Json.List l) (list_size (int_bound 3) (self (depth - 1))));
+              ( 1,
+                map
+                  (fun kvs -> Json.Obj kvs)
+                  (list_size (int_bound 3)
+                     (pair (string_size ~gen:char (int_bound 3)) (self (depth - 1)))) );
+            ])
+      3
+  in
+  map Json.to_string value
+
+(* [Json.parse] never raises, and every value it returns prints and
+   parses back to itself. *)
+let prop_json_parse_total =
+  Helpers.q "json parse: total, and every value round-trips"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         frequency
+           [
+             (2, list_size (int_bound 16) (oneofl json_tokens) >|= String.concat "");
+             (1, gen_json_text);
+           ]))
+    (fun text ->
+      match Json.parse text with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok v -> (
+        match Json.parse (Json.to_string v) with
+        | Ok v' -> v' = v
+        | Error e -> QCheck.Test.fail_reportf "render %S: %s" (Json.to_string v) e))
+
+let test_json_named_errors () =
+  List.iter
+    (fun (text, want) ->
+      match Json.parse text with
+      | Ok v -> Alcotest.failf "accepted %S as %s" text (Json.to_string v)
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "%S: %s" text e) true
+          (Helpers.contains e want))
+    [
+      ("1e400", "out of range");
+      ("[-1e400]", "out of range");
+      (String.make 100_000 '[', "too deep");
+      (String.concat "" (List.init 1000 (fun _ -> "{\"a\":")), "too deep");
+    ];
+  (* an integral float of 16 digits keeps its float mark *)
+  let v = Json.List [ Json.Float 1e15; Json.Float (-1234567890123456.) ] in
+  match Json.parse (Json.to_string v) with
+  | Ok v' -> Alcotest.(check bool) (Json.to_string v) true (v = v')
+  | Error e -> Alcotest.fail e
+
+(* The BENCH_giantsan.json readers never raise, on JSON soup or on
+   documents of the right shape with fields missing or mistyped; service
+   rows they accept print and parse back unchanged. *)
+let prop_bench_parsers_total =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        map (fun i -> Json.Int i) (int_range (-3) 100_000);
+        map (fun f -> Json.Float f) (float_range (-1e3) 1e9);
+        map (fun s -> Json.Str s) (oneofl [ "total"; "t0"; "" ]);
+        return Json.Null;
+        return (Json.List []);
+      ]
+  in
+  let row fields =
+    map
+      (fun kvs -> Json.Obj (List.filter_map Fun.id kvs))
+      (flatten_l
+         (List.map
+            (fun k -> frequency [ (8, map (fun v -> Some (k, v)) scalar); (1, return None) ])
+            fields))
+  in
+  let doc =
+    frequency
+      [
+        (1, map (String.concat "") (list_size (int_bound 16) (oneofl json_tokens)));
+        ( 3,
+          map2
+            (fun service profiles ->
+              Json.to_string
+                (Json.Obj [ ("service", Json.List service); ("profiles", Json.List profiles) ]))
+            (list_size (int_bound 3)
+               (row
+                  [
+                    "scope"; "tenants"; "windows"; "ops"; "errors"; "breaches";
+                    "ops_per_sec"; "latency_p50"; "latency_p99"; "latency_p999";
+                  ]))
+            (list_size (int_bound 3)
+               (row ("profile" :: "config" :: "ns_per_op" :: Export.gate_count_fields))) );
+      ]
+  in
+  Helpers.q "bench parsers: total, and service rows round-trip"
+    (QCheck.make ~print:Fun.id doc)
+    (fun text ->
+      match (Export.parse_bench_service text, Export.parse_bench_profiles text) with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Ok rows, _ ->
+        Export.parse_bench_service
+          (Export.bench_json ~groups:[] ~profiles:[] ~service:rows ())
+        = Ok rows
+      | Error _, _ -> true)
+
 let suite =
   ( "telemetry",
     [
@@ -856,4 +1000,8 @@ let suite =
         test_gate_rules_fail_alone;
       Helpers.qt "gate: missing fig11/fuzzmode rows are an error" `Quick
         test_gate_missing_rows_are_errors;
+      prop_json_parse_total;
+      Helpers.qt "json: out-of-range numbers and deep nesting are errors" `Quick
+        test_json_named_errors;
+      prop_bench_parsers_total;
     ] )
