@@ -2,7 +2,8 @@
 # CI gate: build, the optimised-build flags, tests, API docs (and the
 # Table 2 / Figure 10 numbers EXPERIMENTS.md quotes from
 # results/paper_experiments.txt), the .mli vals
-# with no outside use (vs bin/unused_vals.allow), the examples
+# with no outside use (vs bin/unused_vals.allow), the polymorphic-compare
+# scan of the hot-path objects (bin/poly_scan.sh), the examples
 # (each must exit 0), regression-corpus replay (rebuild vs persistent
 # mode, byte-compared), a fixed-seed fuzz smoke including a byte-identical
 # determinism check of two runs, the pinned paper tables, the
@@ -128,22 +129,15 @@ echo "== unused vals (vs bin/unused_vals.allow) =="
 bin/unused_vals.sh > /dev/null
 echo "every unused .mli val is on bin/unused_vals.allow"
 
-echo "== int-only min/max in the hot-path libraries =="
-# This build has no flambda, so Stdlib's polymorphic min/max is a
-# caml_greaterequal C call on every use; the metadata, allocator and
-# runtime libraries, the IR and the interpreter use Int.min/Int.max. A
-# bare or Stdlib-qualified min/max fails here. Comments are matched on
-# purpose: a line grep cannot tell a comment from code, so prose in these
-# files says "minimum" or "maximum" instead.
-bare_minmax="(^|[^._[:alnum:]'])(Stdlib\.)?(min|max)([^_[:alnum:]']|\$)"
-if grep -nE "$bare_minmax" \
-  lib/shadow/*.ml lib/memsim/*.ml lib/core/*.ml lib/asan/*.ml \
-  lib/lfp/*.ml lib/pac/*.ml lib/sanitizer/*.ml lib/analysis/*.ml \
-  lib/ir/*.ml >&2; then
-  echo "FAIL: bare min/max above; use Int.min/Int.max" >&2
-  exit 1
-fi
-echo "no polymorphic min/max in the hot-path libraries"
+echo "== no polymorphic compare in the hot-path objects =="
+# This build has no flambda, so a comparison left generic is a C call
+# (caml_equal, caml_compare, ...) and Stdlib's min/max are generic
+# functions making that call. bin/poly_scan.sh reads the native objects of
+# lib/{shadow,memsim,core,asan,lfp,pac,sanitizer,ir,analysis} and fails on
+# any such call, a direct call of Stdlib's min/max/compare, or min/max
+# taken as a value; library code uses Int.min/Int.max and typed equalities.
+bin/poly_scan.sh
+echo "no polymorphic compare or min/max in the hot-path objects"
 
 echo "== tests =="
 dune runtest

@@ -1,0 +1,83 @@
+#!/bin/sh
+# Scans the native objects of the hot-path libraries for polymorphic
+# comparison: prints each hit as object, function and what it calls or
+# loads, and exits 1 if there is one.
+#
+#   bin/poly_scan.sh [DIR]     # DIR: a built checkout (default: this one)
+#
+# This build has no flambda, so a comparison the type checker cannot
+# specialise to ints stays a C call (caml_equal, caml_compare, ...), and
+# Stdlib's min/max are polymorphic functions whose bodies make that call.
+# A hit is any of:
+#   - a relocation to caml_(equal|notequal|compare|lessthan|lessequal|
+#     greaterthan|greaterequal): a generic =, <>, compare, <, <=, >, >=
+#     (also one used as a value, whose wrapper calls the primitive);
+#   - a relocation to camlStdlib.(min|max|compare)_*: a direct call of
+#     Stdlib's generic min, max or compare;
+#   - a load of Stdlib's min or max closure out of the Stdlib module block
+#     (min or max passed as a value). The field offsets are read off a
+#     probe compiled here with the same ocamlopt, and the register the
+#     block is loaded into is followed until it is overwritten, a call,
+#     an unconditional jump or a return.
+# Library code uses Int.min/Int.max and typed equalities instead.
+set -eu
+
+cd "${1:-$(dirname "$0")/..}"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# stdlib_loads BAD: reads objdump -dr output on stdin; prints
+# "<function> <hit>" for every hit, BAD being the space-separated field
+# offsets (0x..) of Stdlib's min and max, or "any" to print every field
+# load from the Stdlib block.
+stdlib_loads() {
+  awk -v bad="$1" '
+    BEGIN { n = split(bad, b, " "); for (i = 1; i <= n; i++) badoff[b[i]] = 1 }
+    /^[0-9a-f]+ <.*>:$/ { fn = $2; reg = ""; next }
+    /R_X86_64_/ {
+      sym = $NF
+      if (sym ~ /^caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)([-+]|$)/ ||
+          sym ~ /^camlStdlib\.(min|max|compare)_/) print fn, sym
+      else if (sym ~ /^camlStdlib([-+]|$)/) reg = last_dst
+      next
+    }
+    /^ +[0-9a-f]+:\t/ {
+      insn = $0
+      sub(/^ +[0-9a-f]+:\t/, "", insn)
+      sub(/ *#.*$/, "", insn)
+      op = insn; sub(/ .*$/, "", op)
+      args = insn; sub(/^[^ ]* */, "", args)
+      if (reg != "" && match(args, "^-?0x[0-9a-f]+\\(%" reg "\\)")) {
+        off = substr(args, 1, index(args, "(") - 1)
+        if (bad == "any" || off in badoff) print fn, "camlStdlib+" off
+      }
+      dst = args; sub(/^.*,/, "", dst)
+      last_dst = (dst ~ /^%[a-z0-9]+$/) ? substr(dst, 2) : ""
+      if (op ~ /^(call|jmp|ret)/ || (reg != "" && last_dst == reg)) reg = ""
+      next
+    }'
+}
+
+# The probe takes min and max as values, the only way they reach the
+# Stdlib block instead of a direct call.
+printf 'let probe () = Sys.opaque_identity (min, max)\n' > "$tmp/probe.ml"
+(cd "$tmp" && ocamlopt -c probe.ml)
+minmax=$(objdump -dr --no-show-raw-insn "$tmp/probe.o" | stdlib_loads any \
+  | awk '{ sub(/^camlStdlib\+/, "", $2); print $2 }' | sort -u | tr '\n' ' ')
+if [ "$(echo $minmax | wc -w)" -ne 2 ]; then
+  echo "FAIL: the probe loads '$minmax' from Stdlib, expected min and max" >&2
+  exit 1
+fi
+
+for d in shadow memsim core asan lfp pac sanitizer ir analysis; do
+  set -- _build/default/lib/$d/.giantsan_$d.objs/native/*.o
+  [ -e "$1" ] || { echo "FAIL: no native objects for lib/$d; build first" >&2; exit 1; }
+  for o in "$@"; do
+    objdump -dr --no-show-raw-insn "$o" | stdlib_loads "$minmax" \
+      | sed "s|^|${o##*/} |"
+  done
+done > "$tmp/hits"
+if [ -s "$tmp/hits" ]; then
+  cat "$tmp/hits"
+  exit 1
+fi

@@ -176,7 +176,9 @@ let[@inline] holds op (x : int) y =
   | Ast.Eq -> x = y
   | Ast.Ne -> x <> y
 
-let rec index_in names id j =
+(* Typed [int] so the compare is an immediate one: left generic, [=] is a
+   [caml_equal] call on every cached access. *)
+let rec index_in (names : int array) (id : int) j =
   if j >= Array.length names then -1
   else if Array.unsafe_get names j = id then j
   else index_in names id (j + 1)

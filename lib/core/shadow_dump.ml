@@ -21,6 +21,12 @@ let class_of v =
   else if State_code.is_partial v then `Partial v
   else `Error v
 
+let same_class a b =
+  match a, b with
+  | `Folded, `Folded -> true
+  | `Partial x, `Partial y | `Error x, `Error y -> Int.equal x y
+  | _ -> false
+
 let class_name = function
   | `Folded -> "folded"
   | `Partial v -> State_code.describe v
@@ -38,7 +44,7 @@ let run_summary m ~lo ~hi =
     for k = 0 to lanes - 1 do
       let c = class_of (Shadow_mem.word_byte w k) in
       match !runs with
-      | (c', n) :: rest when c' = c -> runs := (c', n + 1) :: rest
+      | (c', n) :: rest when same_class c' c -> runs := (c', n + 1) :: rest
       | _ -> runs := (c, 1) :: !runs
     done;
     s := !s + 8

@@ -106,6 +106,23 @@ let parse text =
     end
     else fail ("expected " ^ word)
   in
+  (* the four hex digits of a \u escape, exactly four *)
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let v = ref 0 in
+    for k = 0 to 3 do
+      v := (!v lsl 4) lor digit text.[!pos + k]
+    done;
+    pos := !pos + 4;
+    !v
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -129,16 +146,22 @@ let parse text =
              | 'f' -> Buffer.add_char buf '\012'; advance ()
              | 'u' ->
                advance ();
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let hex = String.sub text !pos 4 in
-               (match int_of_string_opt ("0x" ^ hex) with
-               | None -> fail "bad \\u escape"
-               | Some code ->
-                 (* keep it simple: store the low byte for codes < 256,
-                    '?' otherwise (exports never emit higher ones) *)
-                 Buffer.add_char buf
-                   (if code < 256 then Char.chr code else '?');
-                 pos := !pos + 4)
+               let code = hex4 () in
+               if code >= 0xdc00 && code <= 0xdfff then
+                 fail "lone surrogate in \\u escape";
+               let code =
+                 if code < 0xd800 || code > 0xdbff then code
+                 else if !pos + 1 < n && text.[!pos] = '\\' && text.[!pos + 1] = 'u'
+                 then begin
+                   pos := !pos + 2;
+                   let low = hex4 () in
+                   if low < 0xdc00 || low > 0xdfff then
+                     fail "lone surrogate in \\u escape";
+                   0x10000 + ((code - 0xd800) lsl 10) + (low - 0xdc00)
+                 end
+                 else fail "lone surrogate in \\u escape"
+               in
+               Buffer.add_utf_8_uchar buf (Uchar.of_int code)
              | c -> fail (Printf.sprintf "bad escape \\%c" c));
           go ()
         | c -> Buffer.add_char buf c; advance (); go ()

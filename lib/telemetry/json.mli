@@ -19,7 +19,9 @@ val parse : string -> (t, string) result
 (** Parse exactly one JSON document; trailing non-whitespace is an error.
     Numbers without [.], [e] or [E] parse as [Int]; a number out of the
     [int] or finite [float] range, and nesting deeper than 512, are
-    errors. Never raises; [parse (to_string v)] gives back every value
+    errors. A [\u] escape takes exactly four hex digits and is decoded
+    to UTF-8; a surrogate pair makes one code point and a lone surrogate
+    is an error. Never raises; [parse (to_string v)] gives back every value
     [parse] returns. *)
 
 val member : string -> t -> t option

@@ -605,6 +605,89 @@ let prop_fuel_exact =
            [ Runner.Native; Giantsan; Asan ];
          true))
 
+(* {1 Cache lookup at its boundaries} *)
+
+(* A cached load in a plan region, run at a store's site inside a loop
+   that caches [p] and [late] ([late] is unbound at loop entry, so its
+   cache slot holds no name). The load's base is a name the program never
+   mentions (no interned id), or one only a callee binds: either way the
+   run fails on the name before any cache is looked up. *)
+let test_cached_foreign_base () =
+  let b = B.create () in
+  let loop =
+    B.for_ b ~idx:"i" ~lo:(B.i 0) ~hi:(B.i 2)
+      [
+        B.store b ~base:"p" ~index:(B.v "i") ~scale:8 ~value:(B.v "i") ();
+        B.malloc "late" (B.i 8);
+      ]
+  in
+  let loop_id, store_id =
+    match loop with
+    | Ast.For { loop_id; body = Ast.Store (acc, _) :: _; _ } -> (loop_id, acc.Ast.acc_id)
+    | _ -> assert false
+  in
+  let f = B.func "other" ~params:[ "only_here" ] [ B.return_ (Some (B.v "only_here")) ] in
+  let prog =
+    B.program ~funcs:[ f ] "cached_foreign_base"
+      [ B.malloc "p" (B.i 32); loop; B.call ~dst:"r" "other" [ B.i 1 ] ]
+  in
+  List.iter
+    (fun name ->
+      let probe = { (B.access b ~base:name ~index:(B.i 0) ~scale:8 ()) with Ast.acc_id = 9002 } in
+      let plan = Plan.create ~mode_name:"manual" ~enabled:true ~use_anchor:true in
+      Plan.add_loop_cache plan loop_id "p";
+      Plan.add_loop_cache plan loop_id "late";
+      Plan.set_decision plan store_id Plan.Cached;
+      Plan.set_decision plan 9002 Plan.Cached;
+      Plan.add_stmt_pre plan store_id
+        { Plan.rg_base = "p"; rg_lo = Ast.Load probe; rg_hi = Ast.Int 16 };
+      let r = same ("cached base " ^ name) Runner.Giantsan plan prog in
+      Alcotest.(check (option string)) ("fails on " ^ name)
+        (Some ("Interp: unbound variable " ^ name)) r.failure)
+    [ "ghost"; "only_here" ]
+
+(* The caller caches its [p] around a loop that calls [first q]; the
+   callee caches its own [p] (the caller's [q], 8 bytes) and leaves its
+   loop by a [Return]. The caller's next access through [p] must hit the
+   caller's cache: the callee's, still stacked, would judge it against
+   [q] and report an overflow. *)
+let test_return_pops_callee_cache () =
+  let b = B.create () in
+  let inner = B.access b ~base:"p" ~index:(B.v "j") ~scale:8 () in
+  let callee_loop =
+    B.while_ b
+      ~cond:B.(v "j" < i 4)
+      [ B.assign "t" (Ast.Load inner); B.return_ (Some (B.v "t")) ]
+  in
+  let f = B.func "first" ~params:[ "p" ] [ B.assign "j" (B.i 0); callee_loop ] in
+  let before = B.access b ~base:"p" ~index:(B.v "k") ~scale:8 () in
+  let after = B.access b ~base:"p" ~index:B.(v "k" + i 4) ~scale:8 () in
+  let caller_loop =
+    B.while_ b
+      ~cond:B.(v "k" < i 3)
+      [
+        B.assign "s" (Ast.Load before);
+        B.call ~dst:"r" "first" [ B.v "q" ];
+        B.assign "u" (Ast.Load after);
+        B.assign "k" B.(v "k" + i 1);
+      ]
+  in
+  let loop_id = function Ast.While { loop_id; _ } -> loop_id | _ -> assert false in
+  let prog =
+    B.program ~funcs:[ f ] "return_pops_cache"
+      [ B.malloc "p" (B.i 64); B.malloc "q" (B.i 8); B.assign "k" (B.i 0); caller_loop ]
+  in
+  let plan = Plan.create ~mode_name:"manual" ~enabled:true ~use_anchor:true in
+  List.iter
+    (fun (acc : Ast.access) -> Plan.set_decision plan acc.Ast.acc_id Plan.Cached)
+    [ inner; before; after ];
+  Plan.add_loop_cache plan (loop_id caller_loop) "p";
+  Plan.add_loop_cache plan (loop_id callee_loop) "p";
+  let r = same "return pops the callee's cache" Runner.Giantsan plan prog in
+  Alcotest.(check int) "every access went through a cache" 9
+    (Option.get r.stats).Interp.x_cached;
+  Alcotest.(check (list string)) "no report" [] r.reports
+
 let suite =
   ( "interp diff",
     [
@@ -623,4 +706,8 @@ let suite =
       Helpers.qt "plan edit between runs" `Quick test_plan_edit_between_runs;
       Helpers.qt "foreign plan regions" `Quick test_foreign_plan_regions;
       prop_fuel_exact;
+      Helpers.qt "cached load on a foreign base fails first" `Quick
+        test_cached_foreign_base;
+      Helpers.qt "return pops the callee's cache" `Quick
+        test_return_pops_callee_cache;
     ] )

@@ -895,6 +895,17 @@ let test_json_named_errors () =
       ("[-1e400]", "out of range");
       (String.make 100_000 '[', "too deep");
       (String.concat "" (List.init 1000 (fun _ -> "{\"a\":")), "too deep");
+      ({|"\u1_23"|}, "bad \\u escape");
+      ({|"\u+123"|}, "bad \\u escape");
+      ({|"\u 123"|}, "bad \\u escape");
+      ({|"\u0x12"|}, "bad \\u escape");
+      ({|"\u12"|}, "truncated \\u escape");
+      ({|"\ud83d"|}, "lone surrogate");
+      ({|"\ude00"|}, "lone surrogate");
+      ({|"\ud83dx"|}, "lone surrogate");
+      ({|"\ud83dA"|}, "lone surrogate");
+      ({|"\ud83d\ud83d"|}, "lone surrogate");
+      ({|"\ud83d\u12"|}, "truncated \\u escape");
     ];
   (* an integral float of 16 digits keeps its float mark *)
   let v = Json.List [ Json.Float 1e15; Json.Float (-1234567890123456.) ] in
@@ -955,6 +966,134 @@ let prop_bench_parsers_total =
         = Ok rows
       | Error _, _ -> true)
 
+(* Events with hostile fields: strings of any byte (quotes, backslashes,
+   control and high bytes), ints at the ends of the range, floats that
+   print as null. *)
+let gen_event =
+  let open QCheck.Gen in
+  let str = oneof [ string_size ~gen:char (int_bound 8); oneofl [ ""; "\"\\"; "\x00\x1f\x7f\xff" ] ] in
+  let int = oneof [ small_signed_int; oneofl [ max_int; min_int; 0 ] ] in
+  let path = oneofl [ Event.Fast; Event.Slow ] in
+  let fl = oneof [ float; oneofl [ Float.nan; Float.infinity; 0.5 ] ] in
+  oneof
+    [
+      map3 (fun tool base (size, kind) -> Event.Malloc { tool; base; size; kind })
+        str int (pair int str);
+      map2 (fun tool addr -> Event.Free { tool; addr }) str int;
+      map3 (fun tool (addr, width) path -> Event.Access { tool; addr; width; path })
+        str (pair int int) path;
+      map2 (fun tool count -> Event.Shadow_load { tool; count }) str int;
+      map2 (fun tool off -> Event.Cache_hit { tool; off }) str int;
+      map2 (fun tool ub -> Event.Cache_update { tool; ub }) str int;
+      map3
+        (fun tool (lo, hi) (path, loads) -> Event.Region_check { tool; lo; hi; path; loads })
+        str (pair int int) (pair path int);
+      map3 (fun tool kind addr -> Event.Report { tool; kind; addr }) str str int;
+      map (fun name -> Event.Phase_begin { name }) str;
+      map (fun name -> Event.Phase_end { name }) str;
+      map3
+        (fun (tenant, op) (slot, arg, width) (latency_ns, t_ns) ->
+          Event.Service_op { tenant; op; slot; arg; width; latency_ns; t_ns })
+        (pair int str) (triple int int int) (pair int int);
+      map3 (fun tenant (kind, addr) t_ns -> Event.Service_report { tenant; kind; addr; t_ns })
+        int (pair str int) int;
+      map3
+        (fun (tenant, slo) (value, limit) t_ns ->
+          Event.Slo_breach { tenant; slo; value; limit; t_ns })
+        (pair int str) (pair fl fl) int;
+      map3 (fun tenant state t_ns -> Event.Tenant_state { tenant; state; t_ns }) int str int;
+      map3 (fun tenant detail t_ns -> Event.Tenant_fault { tenant; detail; t_ns }) int str int;
+      map3 (fun tenant backend t_ns -> Event.Tenant_backend { tenant; backend; t_ns })
+        int str int;
+    ]
+
+let ndjson_tokens =
+  json_tokens
+  @ [ "\"ev\""; "\"seq\""; "\"tool\""; "\\u1_23"; "\\ud83d"; "\\ude00"; "\\ud83d\\ude00" ]
+  @ List.map (Printf.sprintf "%S") Event.all_names
+
+(* The NDJSON checkers never raise, on token soup or on mutated valid
+   lines (a byte dropped, replaced or inserted, a token spliced in, the
+   line cut short); every line [Export.ndjson_lines] prints is accepted,
+   and a document of such lines counts them all. *)
+let prop_ndjson_total =
+  let open QCheck.Gen in
+  let mutate line =
+    let n = String.length line in
+    int_bound (max 0 (n - 1)) >>= fun i ->
+    oneof
+      [
+        return (String.sub line 0 i ^ String.sub line (i + 1) (n - i - 1));
+        map (fun c -> String.sub line 0 i ^ String.make 1 c ^ String.sub line (i + 1) (n - i - 1)) char;
+        map (fun t -> String.sub line 0 i ^ t ^ String.sub line i (n - i)) (oneofl ndjson_tokens);
+        return (String.sub line 0 i);
+      ]
+  in
+  let valid = list_size (int_range 1 4) (pair (int_bound 1_000_000) gen_event) in
+  let soup = list_size (int_bound 16) (oneofl ndjson_tokens) >|= String.concat "" in
+  let case =
+    valid >>= fun events ->
+    let lines = Export.ndjson_lines events in
+    list_size (int_bound 3) (oneof [ soup; oneofl lines >>= mutate ]) >|= fun noise ->
+    (lines, noise)
+  in
+  Helpers.q "ndjson checkers: total, and every printed line is accepted"
+    (QCheck.make
+       ~print:(fun (lines, noise) -> String.concat "\n" (lines @ ("--" :: noise)))
+       case)
+    (fun (lines, noise) ->
+      let total f x =
+        match f x with
+        | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+        | r -> r
+      in
+      List.iter
+        (fun l ->
+          match total (Export.check_ndjson_line ~lax:false) l with
+          | Ok () -> ()
+          | Error e -> QCheck.Test.fail_reportf "rejected %S: %s" l e)
+        lines;
+      List.iter
+        (fun l ->
+          ignore (total (Export.check_ndjson_line ~lax:false) l);
+          ignore (total (Export.check_ndjson_line ~lax:true) l))
+        noise;
+      (match total (Export.check_ndjson ~lax:false) (String.concat "\n" lines) with
+      | Ok n when n = List.length lines -> ()
+      | Ok n -> QCheck.Test.fail_reportf "counted %d of %d lines" n (List.length lines)
+      | Error e -> QCheck.Test.fail_reportf "document rejected: %s" e);
+      ignore (total (Export.check_ndjson ~lax:false) (String.concat "\n" (lines @ noise)));
+      ignore (total (Export.check_ndjson ~lax:true) (String.concat "\n" (noise @ lines)));
+      true)
+
+(* [\u] escapes decode to UTF-8, surrogate pairs combined; the
+   malformed ones are in [test_json_named_errors]. *)
+let test_json_unicode_escapes () =
+  List.iter
+    (fun (text, want) ->
+      match Json.parse text with
+      | Ok (Json.Str s) -> Alcotest.(check string) text want s
+      | Ok v -> Alcotest.failf "%S parsed as %s" text (Json.to_string v)
+      | Error e -> Alcotest.failf "%S: %s" text e)
+    [
+      ({|"\u0041"|}, "A");
+      ({|"\u001f"|}, "\x1f");
+      ({|"\u00e9"|}, "\xc3\xa9");
+      ({|"\u00E9"|}, "\xc3\xa9");
+      ({|"\u20ac"|}, "\xe2\x82\xac");
+      ({|"\uffff"|}, "\xef\xbf\xbf");
+      ({|"\ud83d\ude00"|}, "\xf0\x9f\x98\x80");
+      ({|"\uDBFF\uDFFF"|}, "\xf4\x8f\xbf\xbf");
+      ({|"a\u0000b"|}, "a\x00b");
+    ];
+  (* the same escapes inside a trace line *)
+  (match Export.check_ndjson_line {|{"seq":0,"ev":"report","tool":"\u1_23"}|} with
+  | Ok () -> Alcotest.fail "trace line with \\u1_23 accepted"
+  | Error e -> Alcotest.(check bool) e true (Helpers.contains e "bad \\u escape"));
+  match Export.check_ndjson_line {|{"seq":0,"ev":"report","tool":"\u00e9\ud83d\ude00"}|} with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let suite =
   ( "telemetry",
     [
@@ -1004,4 +1143,7 @@ let suite =
       Helpers.qt "json: out-of-range numbers and deep nesting are errors" `Quick
         test_json_named_errors;
       prop_bench_parsers_total;
+      prop_ndjson_total;
+      Helpers.qt "json: \\u escapes decode to UTF-8"
+        `Quick test_json_unicode_escapes;
     ] )
