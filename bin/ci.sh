@@ -3,8 +3,8 @@
 # Table 2 / Figure 10 numbers EXPERIMENTS.md quotes from
 # results/paper_experiments.txt), the .mli vals
 # with no outside use (vs bin/unused_vals.allow), the polymorphic-compare
-# scan of the hot-path objects (bin/poly_scan.sh), the examples
-# (each must exit 0), regression-corpus replay (rebuild vs persistent
+# and call-free-counters scan of the hot-path objects (bin/poly_scan.sh),
+# the examples (each must exit 0), regression-corpus replay (rebuild vs persistent
 # mode, byte-compared), a fixed-seed fuzz smoke including a byte-identical
 # determinism check of two runs, the pinned paper tables, the
 # sharded-execution determinism gate (serial vs --jobs NDJSON diff), and
@@ -129,15 +129,17 @@ echo "== unused vals (vs bin/unused_vals.allow) =="
 bin/unused_vals.sh > /dev/null
 echo "every unused .mli val is on bin/unused_vals.allow"
 
-echo "== no polymorphic compare in the hot-path objects =="
+echo "== no polymorphic compare in the hot-path objects, no call in the counter arithmetic =="
 # This build has no flambda, so a comparison left generic is a C call
 # (caml_equal, caml_compare, ...) and Stdlib's min/max are generic
 # functions making that call. bin/poly_scan.sh reads the native objects of
 # lib/{shadow,memsim,core,asan,lfp,pac,sanitizer,ir,analysis} and fails on
 # any such call, a direct call of Stdlib's min/max/compare, or min/max
 # taken as a value; library code uses Int.min/Int.max and typed equalities.
+# It also fails if Counters.reset or Counters.add, which run on every
+# fuzz-mode restore, make any call or reference another symbol.
 bin/poly_scan.sh
-echo "no polymorphic compare or min/max in the hot-path objects"
+echo "no polymorphic compare or min/max in the hot-path objects; Counters.reset/add call-free"
 
 echo "== tests =="
 dune runtest

@@ -20,6 +20,13 @@
 #     block is loaded into is followed until it is overwritten, a call,
 #     an unconditional jump or a return.
 # Library code uses Int.min/Int.max and typed equalities instead.
+#
+# It also fails if Counters.reset or Counters.add (lib/sanitizer) makes a
+# call: they run on every fuzz-mode restore and are written out field by
+# field, so any call, indirect jump or relocation there (a reference to
+# another function or a global: Metric's closure walk over the spec, a tail
+# call, a stack-growth check) is a hit, and so is either function missing
+# from the object.
 set -eu
 
 cd "${1:-$(dirname "$0")/..}"
@@ -77,6 +84,19 @@ for d in shadow memsim core asan lfp pac sanitizer ir analysis; do
       | sed "s|^|${o##*/} |"
   done
 done > "$tmp/hits"
+
+counters=_build/default/lib/sanitizer/.giantsan_sanitizer.objs/native/giantsan_sanitizer__Counters.o
+objdump -dr --no-show-raw-insn "$counters" | awk '
+  /^[0-9a-f]+ <.*>:$/ {
+    fn = $2
+    on = fn ~ /^<camlGiantsan_sanitizer__Counters\.(reset|add)_[0-9]+>:$/
+    if (on) seen++
+    next
+  }
+  on && /R_X86_64_/ { print fn, "relocation to " $NF; next }
+  on && /^ +[0-9a-f]+:\t(call|jmp +\*)/ { sub(/^ +[0-9a-f]+:\t/, ""); print fn, $0 }
+  END { if (seen != 2) print "Counters.o:", seen + 0, "of reset/add found, expected 2" }' \
+  | sed "s|^|${counters##*/} |" >> "$tmp/hits"
 if [ -s "$tmp/hits" ]; then
   cat "$tmp/hits"
   exit 1

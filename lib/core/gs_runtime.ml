@@ -128,27 +128,21 @@ let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
     | Quasi_bound.Bad addr ->
       report ~anchor:cache.San.cache_base ~addr ~size:width
   in
-  let cached_access (cache : San.cache) ~off ~width =
+  (* Everything [cached_access] does not settle itself: the
+     negative-offset inline hit, misses, the degraded §5.4 mode and traced
+     calls. *)
+  let cached_slow (cache : San.cache) ~off ~width =
     let base = cache.San.cache_base in
     let traced = Trace.is_on () in
     let w = cache.San.windows.(0) in
     if
-      (* Figure 9's one-compare hit, written out here so it costs no call:
-         the MRU front already covers what [Quasi_bound.access] would ask
-         [San.cache_hit] about — [base, base+off+width) above the anchor,
-         [base+off, base) below it for an access that ends at or under the
-         anchor. A non-empty query covered this way forces the window to be
-         non-empty, and an empty query is a hit on the full path too. This
-         is [cache_hit]'s k = 0 case, whose promotion is a self-copy, so
-         only the hit count moves. Everything else (misses, straddles, the
-         degraded mode, traced runs) takes the full path. *)
+      (* the underflow side of Figure 9's one-compare hit: [base+off, base)
+         for an access that ends at or under the anchor, covered by the MRU
+         front, is [cache_hit]'s k = 0 case, as in [cached_access] *)
       (not traced)
-      &&
-      if off >= 0 then w.San.w_lo <= base && base + off + width <= w.San.w_hi
-      else
-        check_underflow && off + width <= 0
-        && w.San.w_lo <= base + off
-        && base <= w.San.w_hi
+      && off < 0 && check_underflow && off + width <= 0
+      && w.San.w_lo <= base + off
+      && base <= w.San.w_hi
     then begin
       counters.Counters.cache_hits <- counters.Counters.cache_hits + 1;
       None
@@ -166,6 +160,28 @@ let create_exposed ?(name = "GiantSan") ?(check_underflow = true) config =
          access, which with underflow anchoring off checks only the
          accessed bytes *)
       access_traced ~traced ~base ~addr:(base + off) ~width
+  in
+  let cached_access (cache : San.cache) ~off ~width =
+    let base = cache.San.cache_base in
+    let w = cache.San.windows.(0) in
+    if
+      (* Figure 9's one-compare hit, in a closure of its own so the hit
+         shares no frame with the slow path: the MRU front already covers
+         what [Quasi_bound.access] would ask [San.cache_hit] about,
+         [base, base+off+width) above the anchor. A non-empty query covered
+         this way forces the window to be non-empty, and an empty query is a
+         hit on the full path too. This is [cache_hit]'s k = 0 case, whose
+         promotion is a self-copy, so only the hit count moves. The trace
+         switch is read last: a traced run takes the full path. *)
+      off >= 0
+      && w.San.w_lo <= base
+      && base + off + width <= w.San.w_hi
+      && not (Trace.is_on ())
+    then begin
+      counters.Counters.cache_hits <- counters.Counters.cache_hits + 1;
+      None
+    end
+    else cached_slow cache ~off ~width
   in
   let flush_cache cache =
     match Quasi_bound.flush m counters cache with

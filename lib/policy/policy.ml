@@ -112,7 +112,8 @@ let parse s =
   end
 
 let to_string t =
-  Printf.sprintf "budget=%g,prefer=%s,fallback=%s" t.budget
+  Printf.sprintf "budget=%s,prefer=%s,fallback=%s"
+    (Giantsan_util.Table.shortest_float t.budget)
     (String.concat ";"
        (List.map
           (fun (c, w) -> Printf.sprintf "%s:%d" (Backend.class_name c) w)

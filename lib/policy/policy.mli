@@ -32,8 +32,9 @@ val parse : string -> (spec, string) result
     offending clause. *)
 
 val to_string : spec -> string
-(** Canonical render (the budget to six significant digits); {!parse}
-    accepts every render and renders what it reads back the same. *)
+(** Canonical render (the budget in the shortest form that parses back to
+    the same float); {!parse} accepts every render and reads back the same
+    value. *)
 
 val score : spec -> Backend.id -> int
 (** [sum (weight * detection)] over the four classes. *)

@@ -3,9 +3,12 @@
     from these, and the unit tests assert on them — e.g. that a folded
     region check really loaded O(1) shadow bytes.
 
-    The operations are derived from one declarative field list ([spec]),
-    so [reset]/[add]/[to_assoc]/[pp] cannot drift from the record: adding
-    a field means adding exactly one line to the spec. *)
+    [to_assoc]/[pp]/[total_checks] are derived from one declarative field
+    list ([spec]). [reset] and [add] run on every fuzz-mode restore, so
+    they are written out field by field, with no call; test_counters.ml
+    holds them equal to [Metric.reset]/[Metric.add] over [spec] on random
+    records, so a field added to the record and the spec but not to them
+    fails that test. *)
 
 type t = {
   mutable mallocs : int;

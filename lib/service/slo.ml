@@ -46,12 +46,15 @@ let parse s =
   end
 
 let to_string t =
+  let clause key =
+    Option.map (fun f -> key ^ "=" ^ Giantsan_util.Table.shortest_float f)
+  in
   let clauses =
     List.filter_map Fun.id
       [
-        Option.map (fun f -> Printf.sprintf "p999=%g" f) t.max_p999_ns;
-        Option.map (fun f -> Printf.sprintf "err=%g" f) t.max_error_rate;
-        Option.map (fun f -> Printf.sprintf "ops=%g" f) t.min_ops_per_sec;
+        clause "p999" t.max_p999_ns;
+        clause "err" t.max_error_rate;
+        clause "ops" t.min_ops_per_sec;
       ]
   in
   if clauses = [] then "none" else String.concat "," clauses

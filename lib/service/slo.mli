@@ -26,9 +26,10 @@ val parse : string -> (t, string) result
     errors. The empty string is {!none}. *)
 
 val to_string : t -> string
-(** Canonical render (clauses in p999, err, ops order, numbers to six
-    significant digits); ["none"] for {!none}. {!parse} accepts every
-    render and renders what it reads back the same. *)
+(** Canonical render (clauses in p999, err, ops order, each number the
+    shortest form that parses back to the same float, so ["ops=999999999"]
+    stays exact); ["none"] for {!none}. {!parse} accepts every render and
+    reads back the same value. *)
 
 type breach = {
   b_slo : string;  (** "p999" | "error_rate" | "ops_per_sec" *)

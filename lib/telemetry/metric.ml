@@ -9,8 +9,8 @@ let field f_name f_get f_set = { f_name; f_get; f_set }
 type 'a spec = 'a field list
 
 let names spec = List.map (fun f -> f.f_name) spec
-(* [reset] and [add] run on every fuzz-mode restore, so they recurse
-   instead of building a closure over [t] per call: no allocation. *)
+(* [reset] and [add] recurse instead of building a closure over [t] per
+   call: no allocation. *)
 let rec reset spec t =
   match spec with
   | [] -> ()
@@ -30,6 +30,11 @@ let to_assoc spec t = List.map (fun f -> (f.f_name, f.f_get t)) spec
 let get spec name t =
   match List.find_opt (fun f -> f.f_name = name) spec with
   | Some f -> f.f_get t
+  | None -> raise Not_found
+
+let set spec name t v =
+  match List.find_opt (fun f -> f.f_name = name) spec with
+  | Some f -> f.f_set t v
   | None -> raise Not_found
 
 let sum spec ~names t =

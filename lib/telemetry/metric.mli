@@ -7,7 +7,9 @@
     Counters boilerplate invited: add a field, forget one of the four
     copies). The derived [add] is a commutative monoid with the all-zero
     record as identity, which the qcheck suites verify on the concrete
-    instance. *)
+    instance. A record on a hot path may write [reset]/[add] out field by
+    field instead (each derived one makes two indirect calls per field);
+    [Counters] does, and its tests hold the two equal to these. *)
 
 type 'a field
 
@@ -30,6 +32,10 @@ val to_assoc : 'a spec -> 'a -> (string * int) list
 val get : 'a spec -> string -> 'a -> int
 (** [get spec name t] reads one declared field; raises [Not_found] for an
     undeclared name. *)
+
+val set : 'a spec -> string -> 'a -> int -> unit
+(** [set spec name t v] writes one declared field; raises [Not_found] for
+    an undeclared name. *)
 
 val sum : 'a spec -> names:string list -> 'a -> int
 (** Sum of the named fields; raises [Not_found] on an undeclared name. *)

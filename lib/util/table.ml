@@ -50,3 +50,20 @@ let render ?aligns rows =
 let print ?aligns rows = print_string (render ?aligns rows)
 let fpct f = Printf.sprintf "%.2f%%" f
 let f2 f = Printf.sprintf "%.2f" f
+
+let shortest_float f =
+  let better s best =
+    String.length s < String.length best
+    || String.length s = String.length best
+       && String.contains best 'e'
+       && not (String.contains s 'e')
+  in
+  (* %.17g always reads back as [f], so it is the fallback *)
+  let rec go p best =
+    if p > 17 then best
+    else
+      let s = Printf.sprintf "%.*g" p f in
+      go (p + 1)
+        (if float_of_string s = f && better s best then s else best)
+  in
+  go 1 (Printf.sprintf "%.17g" f)

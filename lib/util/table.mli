@@ -18,3 +18,9 @@ val fpct : float -> string
 
 val f2 : float -> string
 (** Two-decimal float. *)
+
+val shortest_float : float -> string
+(** The shortest [%g] render (at any precision up to 17) that
+    [float_of_string] reads back as the same float; on a tie in length the
+    one without an exponent: ["999999999"], ["20000"], ["1e+06"],
+    ["0.05"]. *)

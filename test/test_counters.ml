@@ -8,28 +8,19 @@ module Harness = Giantsan_bugs.Harness
 module Runner = Giantsan_workload.Runner
 module Backend = Giantsan_policy.Backend
 module Difftest = Giantsan_bugs.Difftest
+module Metric = Giantsan_telemetry.Metric
 
+(* Every field the spec declares gets a value, so a field added to the
+   record and the spec is drawn here with no edit to this file. *)
 let gen_counters =
+  let names = Metric.names Counters.spec in
   QCheck.Gen.(
     map
       (fun l ->
         let c = Counters.create () in
-        let v i = List.nth l i in
-        c.Counters.mallocs <- v 0;
-        c.Counters.frees <- v 1;
-        c.Counters.poison_segments <- v 2;
-        c.Counters.instr_checks <- v 3;
-        c.Counters.region_checks <- v 4;
-        c.Counters.fast_checks <- v 5;
-        c.Counters.slow_checks <- v 6;
-        c.Counters.cache_hits <- v 7;
-        c.Counters.cache_updates <- v 8;
-        c.Counters.underflow_checks <- v 9;
-        c.Counters.bounds_checks <- v 10;
-        c.Counters.auth_checks <- v 11;
-        c.Counters.errors <- v 12;
+        List.iter2 (fun name v -> Metric.set Counters.spec name c v) names l;
         c)
-      (list_repeat 13 (int_bound 10_000)))
+      (list_repeat (List.length names) (int_bound 10_000)))
 
 let arb_counters = QCheck.make gen_counters
 
@@ -87,11 +78,34 @@ let test_total_checks_definition =
 let test_spec_matches_assoc =
   Helpers.q "the metric spec and to_assoc agree field by field" arb_counters
     (fun c ->
-      let module Metric = Giantsan_telemetry.Metric in
       Counters.to_assoc c
       = List.map
           (fun name -> (name, Metric.get Counters.spec name c))
           (Metric.names Counters.spec))
+
+(* [reset] and [add] are written out field by field (they run on every
+   fuzz-mode restore); this holds them equal to the spec-derived
+   operations, so a field left out of either, or added to the record and
+   the spec but not to them, fails here ([gen_counters] draws every
+   field the spec declares). *)
+let test_direct_ops_match_spec =
+  Helpers.q "direct reset/add = Metric.reset/add over the spec"
+    QCheck.(pair arb_counters arb_counters)
+    (fun (a, b) ->
+      let copy c =
+        let d = Counters.create () in
+        Metric.add Counters.spec d c;
+        d
+      in
+      let direct = copy a and derived = copy a in
+      Counters.add direct b;
+      Metric.add Counters.spec derived b;
+      let added = snapshot direct = snapshot derived in
+      Counters.reset direct;
+      Metric.reset Counters.spec derived;
+      added
+      && snapshot direct = snapshot derived
+      && List.for_all (fun (_, v) -> v = 0) (snapshot direct))
 
 let violations =
   [
@@ -142,4 +156,5 @@ let suite =
       test_total_checks_definition;
       test_spec_matches_assoc;
       test_fast_slow_partition;
+      test_direct_ops_match_spec;
     ] )

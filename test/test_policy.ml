@@ -343,7 +343,7 @@ let test_registry_consistent () =
 
 (* [Policy.parse] never raises; what it accepts has a finite budget of at
    least 1.0 and a weight for every class, and its render parses back to
-   the same render. *)
+   the same value, budget included to the last bit. *)
 let prop_policy_parse_total =
   let valid (spec : Policy.spec) =
     Float.is_finite spec.Policy.budget && spec.budget >= 1.0
@@ -353,7 +353,8 @@ let prop_policy_parse_total =
     (Helpers.clause_soup
        [ "budget"; "prefer"; "fallback"; " budget "; "speed" ]
        [
-         "1"; "1.5"; "2.5"; "0.5"; "1.0000001"; "-1"; "inf"; "nan"; "1e400";
+         "1"; "1.5"; "2.5"; "0.5"; "1.0000001"; "1234567.5"; "1.1"; "-1";
+         "inf"; "nan"; "1e400";
          "oob:3;uaf:2"; "oob:1;oob:2"; "double-free:0"; "uaf-realloc:x";
          "uaf:1;"; "oob"; "native"; "giantsan"; "asan"; "pac"; "lfp"; "x"; "";
        ])
@@ -365,7 +366,7 @@ let prop_policy_parse_total =
         valid spec
         &&
         match Policy.parse (Policy.to_string spec) with
-        | Ok spec' -> valid spec' && Policy.to_string spec' = Policy.to_string spec
+        | Ok spec' -> valid spec' && spec' = spec
         | Error e ->
           QCheck.Test.fail_reportf "render %S: %s" (Policy.to_string spec) e))
 

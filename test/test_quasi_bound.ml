@@ -359,6 +359,67 @@ let test_inline_hit_matches_full_path =
       done;
       !ok)
 
+(* The uncached twin: GiantSan's [access] settles an untraced anchored
+   access with the region check written into the closure itself, while a
+   traced call walks the full path with its telemetry around it. On the
+   same heap the two must agree on the verdict, every counter delta and
+   the shadow loads charged, for both offset signs, no anchor (base 0),
+   addresses at and past both arena edges, widths 0-16 and both underflow
+   modes. *)
+let test_access_matches_traced_twin =
+  Helpers.q "uncached access = its traced twin"
+    QCheck.(pair small_nat bool)
+    (fun (seed, check_underflow) ->
+      let module Rng = Giantsan_util.Rng in
+      let rng = Rng.create seed in
+      let config = Helpers.small_config in
+      let arena = config.Memsim.Heap.arena_size in
+      let san = Giantsan_core.Gs_runtime.create ~check_underflow config in
+      let objs =
+        Array.init (Rng.int_in rng 2 6) (fun _ ->
+            san.San.malloc (Rng.int_in rng 0 200))
+      in
+      (* a freed object or two, so use-after-free verdicts come up *)
+      Array.iter
+        (fun (o : Memsim.Memobj.t) ->
+          if Rng.int rng 4 = 0 then ignore (san.San.free o.base))
+        objs;
+      let edges =
+        [| 0; 1; 7; 8; arena - 16; arena - 8; arena - 1; arena; arena + 8 |]
+      in
+      let ok = ref true in
+      for _ = 1 to 32 do
+        let base =
+          match Rng.int rng 4 with
+          | 0 -> 0
+          | 1 -> Rng.pick rng edges
+          | _ ->
+            let o = Rng.pick rng objs in
+            o.Memsim.Memobj.base + (8 * Rng.int rng 4)
+        in
+        let addr =
+          if Rng.int rng 4 = 0 then Rng.pick rng edges
+          else base + Rng.int_in rng (-96) 240
+        in
+        let width = Rng.int_in rng 0 16 in
+        let counters () = Counters.to_assoc san.San.counters in
+        let before = counters () and loads0 = san.San.shadow_loads () in
+        let v_plain = san.San.access ~base ~addr ~width in
+        let after_plain = counters () and loads1 = san.San.shadow_loads () in
+        let v_traced, _events =
+          Giantsan_telemetry.Trace.with_capture (fun () ->
+              san.San.access ~base ~addr ~width)
+        in
+        let after_traced = counters () and loads2 = san.San.shadow_loads () in
+        let delta a b = List.map2 (fun (k, x) (_, y) -> (k, y - x)) a b in
+        if
+          v_plain <> v_traced
+          || delta before after_plain <> delta after_plain after_traced
+          || loads1 - loads0 <> loads2 - loads1
+        then ok := false
+      done;
+      !ok)
+
 let suite =
   ( "quasi_bound",
     [
@@ -386,4 +447,5 @@ let suite =
         test_flush_clean_loop_is_silent;
       Helpers.qt "random access converges" `Quick test_random_access_converges;
       test_inline_hit_matches_full_path;
+      test_access_matches_traced_twin;
     ] )
