@@ -2,8 +2,9 @@
 # CI gate: build, the optimised-build flags, tests, API docs (and the
 # Table 2 / Figure 10 numbers EXPERIMENTS.md quotes from
 # results/paper_experiments.txt), the .mli vals
-# with no outside use (vs bin/unused_vals.allow), the polymorphic-compare
-# and call-free-counters scan of the hot-path objects (bin/poly_scan.sh),
+# with no outside use (vs bin/unused_vals.allow), the polymorphic-compare,
+# call-free-counters and hash-free-executor scan of the hot-path objects
+# (bin/poly_scan.sh),
 # the examples (each must exit 0), regression-corpus replay (rebuild vs persistent
 # mode, byte-compared), a fixed-seed fuzz smoke including a byte-identical
 # determinism check of two runs, the pinned paper tables, the
@@ -129,7 +130,7 @@ echo "== unused vals (vs bin/unused_vals.allow) =="
 bin/unused_vals.sh > /dev/null
 echo "every unused .mli val is on bin/unused_vals.allow"
 
-echo "== no polymorphic compare in the hot-path objects, no call in the counter arithmetic =="
+echo "== no polymorphic compare in the hot-path objects, no call in the counter arithmetic, no Hashtbl in the scenario executor =="
 # This build has no flambda, so a comparison left generic is a C call
 # (caml_equal, caml_compare, ...) and Stdlib's min/max are generic
 # functions making that call. bin/poly_scan.sh reads the native objects of
@@ -137,9 +138,11 @@ echo "== no polymorphic compare in the hot-path objects, no call in the counter 
 # any such call, a direct call of Stdlib's min/max/compare, or min/max
 # taken as a value; library code uses Int.min/Int.max and typed equalities.
 # It also fails if Counters.reset or Counters.add, which run on every
-# fuzz-mode restore, make any call or reference another symbol.
+# fuzz-mode restore, make any call or reference another symbol, and if
+# lib/bugs' Scenario object, whose step executor runs every fuzz exec,
+# makes a polymorphic compare or refers to Stdlib's Hashtbl.
 bin/poly_scan.sh
-echo "no polymorphic compare or min/max in the hot-path objects; Counters.reset/add call-free"
+echo "no polymorphic compare or min/max in the hot-path objects; Counters.reset/add call-free; Scenario hash-free"
 
 echo "== tests =="
 dune runtest

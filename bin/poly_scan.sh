@@ -21,6 +21,12 @@
 #     an unconditional jump or a return.
 # Library code uses Int.min/Int.max and typed equalities instead.
 #
+# Of lib/bugs only the Scenario object is scanned: its step executor runs
+# every fuzz exec. It gets the rules above plus one: any relocation to
+# Stdlib's Hashtbl (its functions or its module block) is a hit, since
+# generic hashing there costs a caml_hash call per slot lookup and the
+# slots live in an int table instead.
+#
 # It also fails if Counters.reset or Counters.add (lib/sanitizer) makes a
 # call: they run on every fuzz-mode restore and are written out field by
 # field, so any call, indirect jump or relocation there (a reference to
@@ -97,6 +103,15 @@ objdump -dr --no-show-raw-insn "$counters" | awk '
   on && /^ +[0-9a-f]+:\t(call|jmp +\*)/ { sub(/^ +[0-9a-f]+:\t/, ""); print fn, $0 }
   END { if (seen != 2) print "Counters.o:", seen + 0, "of reset/add found, expected 2" }' \
   | sed "s|^|${counters##*/} |" >> "$tmp/hits"
+scenario=_build/default/lib/bugs/.giantsan_bugs.objs/native/giantsan_bugs__Scenario.o
+[ -e "$scenario" ] || { echo "FAIL: no native object for lib/bugs Scenario; build first" >&2; exit 1; }
+objdump -dr --no-show-raw-insn "$scenario" > "$tmp/scenario.dis"
+{
+  stdlib_loads "$minmax" < "$tmp/scenario.dis"
+  awk '/^[0-9a-f]+ <.*>:$/ { fn = $2; next }
+    /R_X86_64_/ && $NF ~ /^camlStdlib__Hashtbl([.+-]|$)/ { print fn, $NF }' \
+    "$tmp/scenario.dis"
+} | sed "s|^|${scenario##*/} |" >> "$tmp/hits"
 if [ -s "$tmp/hits" ]; then
   cat "$tmp/hits"
   exit 1

@@ -74,39 +74,13 @@ exception Chaos_task of int
 let cell_config =
   { Heap.arena_size = 32 * 1024; redzone = 16; quarantine_budget = 16 * 1024 }
 
-(* One step of the Scenario DSL against a live sanitizer, mirroring
-   Scenario.run_reports but resumable: the chaos engine needs to stop
-   mid-scenario, corrupt the shadow, and keep going with a self-check
-   after every subsequent step. *)
-let exec_step (san : San.t) slots step =
-  let reports = ref [] in
-  let note = function None -> () | Some r -> reports := r :: !reports in
-  let base slot =
-    match Hashtbl.find_opt slots slot with
-    | Some b -> b
-    | None -> failwith "chaos: use of unallocated slot"
-  in
-  (match step with
-  | Scenario.Alloc { slot; size; kind } ->
-    let obj = san.San.malloc ~kind size in
-    Hashtbl.replace slots slot obj.Memsim.Memobj.base
-  | Scenario.Free_slot slot -> note (san.San.free (base slot))
-  | Scenario.Free_at { slot; delta } -> note (san.San.free (base slot + delta))
-  | Scenario.Access { slot; off; width } ->
-    let b = base slot in
-    note (san.San.access ~base:b ~addr:(b + off) ~width)
-  | Scenario.Access_loop { slot; from_; to_; step; width } ->
-    let b = base slot in
-    let cache = san.San.new_cache ~base:b in
-    Scenario.iter_loop ~from_ ~to_ ~step (fun off ->
-        note (san.San.cached_access cache ~off ~width));
-    note (san.San.flush_cache cache)
-  | Scenario.Region { slot; off; len } ->
-    let b = base slot in
-    if len > 0 then note (san.San.check_region ~lo:(b + off) ~hi:(b + off + len))
-  | Scenario.Access_null { off; width } ->
-    note (san.San.access ~base:0 ~addr:off ~width));
-  List.rev !reports
+(* Scenario steps run through Scenario.exec_step, the executor
+   Scenario.run_reports folds over. The planes hold the slot table
+   themselves because they stop mid-scenario, corrupt the shadow, and go
+   on with a self-check after every later step; they judge by the audit,
+   so the reports are dropped. *)
+let step san (sc : Scenario.t) slots s =
+  ignore (Scenario.exec_step san ~sc_id:sc.Scenario.sc_id slots [] s)
 
 let split_at k l =
   let rec go k acc = function
@@ -139,16 +113,16 @@ let run_shadow_cell (cell : Fault.cell) fault =
   let sc = Difftest.gen_clean ~seed:cell.Fault.scenario_seed in
   let san, shadow = Gs_runtime.create_exposed cell_config in
   let heap = san.San.heap in
-  let slots = Hashtbl.create 4 in
+  let slots = Scenario.slots () in
   let pre, post = split_at cell.Fault.inject_after sc.Scenario.sc_steps in
-  List.iter (fun s -> ignore (exec_step san slots s)) pre;
+  List.iter (step san sc slots) pre;
   (match first_mismatch heap shadow with
   | Some (_, m) ->
     failwith ("chaos: shadow inconsistent before injection: "
               ^ Selfcheck.mismatch_to_string m)
   | None -> ());
   let finish_clean () =
-    List.iter (fun s -> ignore (exec_step san slots s)) post
+    List.iter (step san sc slots) post
   in
   let audit_post fault_plan =
     (* execute the tail with the audit after every step; first flag wins *)
@@ -156,7 +130,7 @@ let run_shadow_cell (cell : Fault.cell) fault =
     Folding.with_fault fault_plan (fun () ->
         List.iter
           (fun s ->
-            ignore (exec_step san slots s);
+            step san sc slots s;
             if !flagged = None then flagged := first_mismatch heap shadow)
           post);
     !flagged
@@ -223,7 +197,7 @@ let run_shadow_cell (cell : Fault.cell) fault =
       (Tolerated, "no steps after injection to dirty the journal")
     else begin
       san.San.snapshot ();
-      List.iter (fun s -> ignore (exec_step san slots s)) post;
+      List.iter (step san sc slots) post;
       match Shadow_mem.chaos_drop_journal shadow ~pick with
       | None -> (Tolerated, "journal empty at the restore point")
       | Some (lo, len) -> (
@@ -260,9 +234,9 @@ let run_alloc_cell (cell : Fault.cell) fault =
     in
     let san, shadow = Gs_runtime.create_exposed cell_config in
     Heap.chaos_oom_after san.San.heap n;
-    let slots = Hashtbl.create 4 in
+    let slots = Scenario.slots () in
     match
-      List.iter (fun s -> ignore (exec_step san slots s)) sc.Scenario.sc_steps
+      List.iter (step san sc slots) sc.Scenario.sc_steps
     with
     | () ->
       Heap.chaos_oom_after san.San.heap (-1);

@@ -31,8 +31,6 @@ type outcome =
   | Tolerated  (** the fault landed but had nothing to break *)
   | Silent  (** contract violation: the fault went unnoticed *)
 
-val outcome_name : outcome -> string
-
 type stats = {
   mutable faults_injected : int;
   mutable faults_detected : int;
@@ -41,7 +39,6 @@ type stats = {
   mutable silent_corruptions : int;
 }
 
-val stats_spec : stats Giantsan_telemetry.Metric.spec
 val fresh_stats : unit -> stats
 
 type result_row = {

@@ -65,12 +65,6 @@ type mode = Rebuild | Persistent
 
 let mode_name = function Rebuild -> "rebuild" | Persistent -> "persistent"
 
-let mode_of_name s =
-  match String.lowercase_ascii (String.trim s) with
-  | "rebuild" -> Some Rebuild
-  | "persistent" -> Some Persistent
-  | _ -> None
-
 type ctx = { c_sans : (Runner.config * San.t) list }
 
 let make_ctx () =

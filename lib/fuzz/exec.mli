@@ -48,7 +48,6 @@ type mode =
           so verdicts, features and coverage are byte-identical too. *)
 
 val mode_name : mode -> string
-val mode_of_name : string -> mode option
 
 type ctx
 (** Persistent-mode execution context: the per-tool long-lived sanitizers

@@ -1,7 +1,8 @@
 (* The coverage-guided differential fuzzing subsystem: corpus format
    round-trips, mutation well-formedness, engine determinism, coverage
    growth over the pure-random baseline, the injected-misfold self-test
-   (find + shrink), and the regression-corpus replay. *)
+   (find + shrink), the regression-corpus replay, and the scenario step
+   executor against the one it replaced. *)
 
 module Scenario = Giantsan_bugs.Scenario
 module Difftest = Giantsan_bugs.Difftest
@@ -408,6 +409,205 @@ let test_corpus_total =
           [ None; Some (Lazy.force ctx) ];
         true)
 
+(* --- the step executor against the one it replaced --------------------- *)
+
+module Ref = Scenario_reference
+module Backend = Giantsan_policy.Backend
+module San = Giantsan_sanitizer.Sanitizer
+module Report = Giantsan_sanitizer.Report
+module Counters = Giantsan_sanitizer.Counters
+module Heap = Giantsan_memsim.Heap
+
+(* What one executor leaves behind on a fresh sanitizer: the reports in
+   order (or the exception it raised), then the sanitizer's state. *)
+type exec_run = {
+  outcome : (string list, string) result;
+  counters : (string * int) list;
+  loads : int;
+  stores : int;
+  live_bytes : int;
+  quarantine : int list;
+}
+
+let exec_heap =
+  { Heap.arena_size = 32 * 1024; redzone = 16; quarantine_budget = 16 * 1024 }
+
+let exec_with run id sc =
+  let san = Backend.create id exec_heap in
+  let outcome =
+    match run san sc with
+    | reports ->
+      Ok
+        (List.map
+           (fun (r : Report.t) ->
+             Printf.sprintf "%s@%d+%d by %s" (Report.kind_name r.kind) r.addr
+               r.size r.detected_by)
+           reports)
+    | exception Failure m -> Error ("Failure " ^ m)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  {
+    outcome;
+    counters = Counters.to_assoc san.San.counters;
+    loads = san.San.shadow_loads ();
+    stores = san.San.shadow_stores ();
+    live_bytes = Heap.live_bytes san.San.heap;
+    quarantine = Heap.quarantine_ids san.San.heap;
+  }
+
+(* The names of the parts where two runs differ. *)
+let exec_diff a b =
+  List.filter_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("outcome", a.outcome = b.outcome);
+      ("counters", a.counters = b.counters);
+      ("shadow loads", a.loads = b.loads);
+      ("shadow stores", a.stores = b.stores);
+      ("live bytes", a.live_bytes = b.live_bytes);
+      ("quarantine ids", a.quarantine = b.quarantine);
+    ]
+
+(* How many offsets the reference walk visits, or [None] past [cap]. *)
+let ref_trips ~cap ~from_ ~to_ ~step =
+  let n = ref 0 in
+  match
+    Ref.iter_loop ~from_ ~to_ ~step (fun _ ->
+        incr n;
+        if !n > cap then raise Exit)
+  with
+  | () -> Some !n
+  | exception Exit -> None
+
+(* Loop bounds at the int edges: near max_int and min_int, large steps of
+   either sign, empty and reversed ranges, and the object's own range. *)
+let edge_loop rng =
+  let r = Rng.int rng 64 in
+  let edge () =
+    Rng.pick rng
+      [| min_int; min_int + 1; min_int + r; -r; 0; r; 64 + r; max_int - r;
+         max_int - 1; max_int |]
+  in
+  let k = 1 + Rng.int rng 16 in
+  let step =
+    Rng.pick rng
+      [| k; -k; max_int; -max_int; min_int; min_int + 1; max_int / 2;
+         -(max_int / 2); 1 lsl 61; -(1 lsl 61); (max_int / 3) + k;
+         -(max_int / 3) - k |]
+  in
+  (edge (), edge (), step)
+
+(* Checks the closed-form count and bound against the reference walk on
+   one loop, then returns a loop short enough to execute: a walk past 512
+   offsets takes the largest step of its sign instead (at most 3). *)
+let checked_edge_loop rng =
+  let from_, to_, step = edge_loop rng in
+  let trips = Scenario.loop_trips ~from_ ~to_ ~step in
+  (match ref_trips ~cap:4096 ~from_ ~to_ ~step with
+  | Some n when n <> trips ->
+    QCheck.Test.fail_reportf "loop_trips %d %d %d = %d, walk visits %d" from_
+      to_ step trips n
+  | None when trips <= 4096 ->
+    QCheck.Test.fail_reportf "loop_trips %d %d %d = %d, walk visits more"
+      from_ to_ step trips
+  | _ -> ());
+  if
+    Scenario.loop_bounded ~from_ ~to_ ~step
+    <> Ref.loop_bounded ~from_ ~to_ ~step
+  then QCheck.Test.fail_reportf "loop_bounded %d %d %d differs" from_ to_ step;
+  let step =
+    match ref_trips ~cap:512 ~from_ ~to_ ~step with
+    | Some _ -> step
+    | None -> if step > 0 then max_int else min_int
+  in
+  Scenario.Access_loop
+    { slot = 0; from_; to_; step; width = Rng.pick rng [| 1; 4; 8 |] }
+
+let juliet =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun c ->
+            Giantsan_bugs.Juliet.buggy_cases c
+            @ Giantsan_bugs.Juliet.clean_cases c)
+          Giantsan_bugs.Juliet.cwe_ids))
+
+let cves =
+  Array.of_list
+    (List.map (fun c -> c.Giantsan_bugs.Cves.cve_scenario) Giantsan_bugs.Cves.all)
+
+(* One scenario of each kind for [seed]: Difftest clean and buggy (the
+   six violations in turn), a Juliet and a CVE case, a fuzz mutant, loops
+   at the int edges, and a scenario that names an unallocated slot. *)
+let executor_cases seed =
+  let rng = Rng.create (seed + 7) in
+  let clean = Difftest.gen_clean ~seed in
+  let buggy =
+    Difftest.gen_buggy ~seed (List.nth violations (seed mod List.length violations))
+  in
+  let juliet = Lazy.force juliet in
+  let mutant =
+    let pool = [| clean; buggy |] in
+    let sc = ref (Rng.pick rng pool) in
+    for _ = 0 to Rng.int rng 3 do
+      sc := Mutate.mutate rng ~pool !sc
+    done;
+    !sc
+  in
+  let edge =
+    {
+      Scenario.sc_id = "edge";
+      sc_cwe = 0;
+      sc_buggy = true;
+      sc_steps =
+        Scenario.Alloc { slot = 0; size = 64; kind = Giantsan_memsim.Memobj.Heap }
+        :: List.init (1 + Rng.int rng 3) (fun _ -> checked_edge_loop rng);
+    }
+  in
+  let unallocated =
+    let bad =
+      Rng.pick rng
+        Scenario.
+          [|
+            Free_slot 99;
+            Free_at { slot = 99; delta = 0 };
+            Access { slot = 99; off = 0; width = 1 };
+            Access_loop { slot = 99; from_ = 0; to_ = 8; step = 1; width = 1 };
+            Region { slot = 99; off = 0; len = 0 };
+            Region { slot = 99; off = 0; len = 8 };
+          |]
+    in
+    let steps = clean.Scenario.sc_steps in
+    let at = Rng.int rng (List.length steps + 1) in
+    {
+      clean with
+      sc_steps =
+        List.filteri (fun i _ -> i < at) steps
+        @ (bad :: List.filteri (fun i _ -> i >= at) steps);
+    }
+  in
+  [
+    clean; buggy; juliet.(seed mod Array.length juliet);
+    cves.(seed mod Array.length cves); mutant; edge; unallocated;
+  ]
+
+let test_executor_matches_reference =
+  Helpers.q "step executor = the reference executor on every backend"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      List.iter
+        (fun sc ->
+          List.iter
+            (fun id ->
+              let got = exec_with Scenario.run_reports id sc
+              and want = exec_with Ref.run_reports id sc in
+              if got <> want then
+                QCheck.Test.fail_reportf "%s on %s: %s differ" sc.Scenario.sc_id
+                  (Backend.name id) (String.concat ", " (exec_diff got want)))
+            Backend.all)
+        (executor_cases seed);
+      true)
+
 let suite =
   ( "fuzz",
     [
@@ -433,4 +633,5 @@ let suite =
       Helpers.qt "misfold regressions guard the bug class" `Quick
         test_misfold_regressions_guard_the_bug;
       test_corpus_total;
+      test_executor_matches_reference;
     ] )
