@@ -1,346 +1,56 @@
-(* Wall-clock benchmarks, one group per paper table/figure plus
-   microbenchmarks of the primitives. Where Table 2 uses the event-count
-   cost model (bin/main.exe table2), these benches time the actual OCaml
-   implementations, so relative ordering (not absolute ns) is the point. *)
+(* The deterministic bench document, BENCH_giantsan.json (schema in
+   EXPERIMENTS.md): the per-profile cost-model sweep, the Figure 11
+   traversal rows and the fuzz-mode rows the perf gate judges, plus the
+   service section. Every number is event counts through the cost model,
+   so the document reproduces byte for byte; bench/e2e is the wall-clock
+   harness.
 
-open Bechamel
-open Toolkit
+     bench/main.exe --telemetry [FILE] [--jobs N] *)
+
 module Memsim = Giantsan_memsim
 module San = Giantsan_sanitizer.Sanitizer
 module Counters = Giantsan_sanitizer.Counters
 module Telemetry = Giantsan_telemetry
 module Shadow_mem = Giantsan_shadow.Shadow_mem
-module SC = Giantsan_core.State_code
-module Folding = Giantsan_core.Folding
-module RC = Giantsan_core.Region_check
 module Runner = Giantsan_workload.Runner
-module Traversal = Giantsan_workload.Traversal
 module Specgen = Giantsan_workload.Specgen
 module Profiles = Giantsan_workload.Profiles
-module Instrument = Giantsan_analysis.Instrument
-module Interp = Giantsan_analysis.Interp
-module Juliet = Giantsan_bugs.Juliet
-module Magma = Giantsan_bugs.Magma
-module Harness = Giantsan_bugs.Harness
 module Backend = Giantsan_policy.Backend
 
 let config =
   { Memsim.Heap.arena_size = 1 lsl 20; redzone = 16; quarantine_budget = 64 * 1024 }
 
-(* ------------------------------------------------------------------ *)
-(* Table 1 flavour: region checks, O(1) vs linear                      *)
-(* ------------------------------------------------------------------ *)
-
-let bench_region_check name make_san =
-  Test.make ~name
-    (Staged.stage
-       (let san = make_san config in
-        let obj = san.San.malloc 4096 in
-        let base = obj.Memsim.Memobj.base in
-        fun () -> ignore (san.San.check_region ~lo:base ~hi:(base + 4096))))
-
-let bench_single_access name make_san =
-  Test.make ~name
-    (Staged.stage
-       (let san = make_san config in
-        let obj = san.San.malloc 4096 in
-        let base = obj.Memsim.Memobj.base in
-        fun () -> ignore (san.San.access ~base ~addr:(base + 128) ~width:8)))
-
-let table1_group =
-  (* the name suffix marks ASan's linear region scan *)
-  let tools = Backend.[ (Giantsan, ""); (Asan, "(linear)"); (Lfp, "") ] in
-  let each f =
-    List.map (fun (id, note) -> f (Backend.name id) note (Backend.create id))
-      tools
-  in
-  Test.make_grouped ~name:"table1"
-    (each (fun n note mk -> bench_region_check (n ^ "/region-4KiB" ^ note) mk)
-    @ each (fun n _ mk -> bench_single_access (n ^ "/access") mk))
-
-(* ------------------------------------------------------------------ *)
-(* Table 2 flavour: one representative profile per sanitizer           *)
-(* ------------------------------------------------------------------ *)
-
-let small_profile =
-  {
-    (Profiles.find "505.mcf_r") with
-    Specgen.p_phases = 4;
-    p_iters = 128;
-    p_obj_size = 300;
-  }
-
 let bench_heap =
   { Memsim.Heap.arena_size = 1 lsl 18; redzone = 16; quarantine_budget = 16 * 1024 }
 
-let bench_profile config_ =
-  Test.make
-    ~name:(Runner.config_name config_)
-    (Staged.stage (fun () ->
-         ignore (Runner.run_one ~heap:bench_heap small_profile config_)))
-
-let table2_group =
-  Test.make_grouped ~name:"table2"
-    (List.map bench_profile Runner.all_configs)
-
-(* ------------------------------------------------------------------ *)
-(* Figure 10 flavour: instrumentation planning cost                    *)
-(* ------------------------------------------------------------------ *)
-
-let fig10_group =
-  let prog = Specgen.generate small_profile in
-  Test.make_grouped ~name:"fig10"
-    (List.map
-       (fun mode ->
-         Test.make
-           ~name:("plan/" ^ Instrument.mode_name mode)
-           (Staged.stage (fun () -> ignore (Instrument.plan mode prog))))
-       [ Instrument.Asan; Instrument.Asanmm; Instrument.Giantsan ])
-
-(* ------------------------------------------------------------------ *)
-(* Table 3 flavour: Juliet subset per tool                             *)
-(* ------------------------------------------------------------------ *)
-
-let juliet_subset =
-  List.filteri (fun i _ -> i < 60) (Juliet.buggy_cases 122)
-
-let table3_group =
-  Test.make_grouped ~name:"table3"
-    (List.map
-       (fun tool ->
-         Test.make
-           ~name:("cwe122x60/" ^ Runner.config_name tool)
-           (Staged.stage (fun () ->
-                ignore (Harness.count_detected tool juliet_subset))))
-       Harness.all_tools)
-
-(* ------------------------------------------------------------------ *)
-(* Table 4 flavour: the CVE corpus per tool                            *)
-(* ------------------------------------------------------------------ *)
-
-let table4_group =
-  Test.make_grouped ~name:"table4"
-    (List.map
-       (fun tool ->
-         Test.make
-           ~name:("cves/" ^ Runner.config_name tool)
-           (Staged.stage (fun () ->
-                List.iter
-                  (fun (c : Giantsan_bugs.Cves.t) ->
-                    ignore (Harness.detected tool c.Giantsan_bugs.Cves.cve_scenario))
-                  Giantsan_bugs.Cves.all)))
-       Harness.all_tools)
-
-(* ------------------------------------------------------------------ *)
-(* Table 5 flavour: scaled php population, rz16 vs rz512               *)
-(* ------------------------------------------------------------------ *)
-
-let php_small =
-  let p = List.hd Magma.projects in
-  {
-    p with
-    Magma.mg_short = p.Magma.mg_short / 40;
-    mg_mid = p.Magma.mg_mid / 40;
-    mg_far = p.Magma.mg_far / 40;
-    mg_latent = p.Magma.mg_latent / 40;
-  }
-
-let table5_group =
-  let cases = Magma.cases php_small in
-  Test.make_grouped ~name:"table5"
-    (List.map
-       (fun (tool, redzone) ->
-         Test.make
-           ~name:
-             (Printf.sprintf "php/%s-rz%d"
-                (Backend.name (Runner.backend tool))
-                redzone)
-           (Staged.stage (fun () ->
-                ignore (Harness.count_detected ~redzone tool cases))))
-       Runner.[ (Asan, 16); (Asan, 512); (Giantsan, 16) ])
-
-(* ------------------------------------------------------------------ *)
-(* Figure 11: the traversal patterns, timed for real                   *)
-(* ------------------------------------------------------------------ *)
-
-let fig11_bench name make_san kernel =
-  Test.make ~name
-    (Staged.stage
-       (let san = make_san config in
-        let base = Traversal.prepare san ~size:16384 in
-        fun () -> ignore (kernel san ~base ~size:16384)))
-
-let fig11_group =
-  let forward san ~base ~size = Traversal.forward san ~base ~size in
-  let random san ~base ~size = Traversal.random san ~seed:11 ~base ~size in
-  let reverse san ~base ~size = Traversal.reverse san ~base ~size in
-  Test.make_grouped ~name:"fig11"
-    (List.concat_map
-       (fun id ->
-         let tname = Backend.name id and mk = Backend.create id in
-         [
-           fig11_bench (Printf.sprintf "forward-16KiB/%s" tname) mk forward;
-           fig11_bench (Printf.sprintf "random-16KiB/%s" tname) mk random;
-           fig11_bench (Printf.sprintf "reverse-16KiB/%s" tname) mk reverse;
-         ])
-       Backend.[ Native; Giantsan; Asan ])
-
-(* ------------------------------------------------------------------ *)
-(* Microbenchmarks of the primitives                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The per-segment poisoning loop the batched kernel replaced (one counted
-   store per segment, incremental floor-log2), kept only as the comparison
-   row of the microbenchmark. *)
-let poison_good_run_scalar m ~first_seg ~count =
-  let d = ref (Folding.degree_at ~good_segments:count) in
-  for j = 0 to count - 1 do
-    while count - j < 1 lsl !d do
-      decr d
-    done;
-    Shadow_mem.set m (first_seg + j) (SC.folded !d)
-  done
-
-let micro_group =
-  let m = Shadow_mem.create ~segments:65536 ~fill:SC.unallocated in
-  Folding.poison_good_run m ~first_seg:0 ~count:60000;
-  Test.make_grouped ~name:"micro"
-    [
-      Test.make ~name:"fold/poison-1000-segments"
-        (Staged.stage (fun () ->
-             Folding.poison_good_run m ~first_seg:0 ~count:1000));
-      Test.make ~name:"fold/poison-1000-segments-scalar"
-        (Staged.stage (fun () ->
-             poison_good_run_scalar m ~first_seg:0 ~count:1000));
-      Test.make ~name:"fold/ci-fast"
-        (Staged.stage (fun () -> ignore (RC.check m ~l:0 ~r:1024)));
-      Test.make ~name:"fold/ci-slow"
-        (Staged.stage (fun () -> ignore (RC.check m ~l:0 ~r:(8 * 48000))));
-      Test.make ~name:"fold/upper-bound-walk"
-        (Staged.stage (fun () -> ignore (Folding.upper_bound m ~addr:8)));
-      Test.make ~name:"alloc/malloc-free-64B"
-        (Staged.stage
-           (let san = Backend.create Backend.Giantsan config in
-            fun () ->
-              let obj = san.San.malloc 64 in
-              ignore (san.San.free obj.Memsim.Memobj.base)));
-      Test.make ~name:"alloc/asan-malloc-free-64B"
-        (Staged.stage
-           (let san = Backend.create Backend.Asan config in
-            fun () ->
-              let obj = san.San.malloc 64 in
-              ignore (san.San.free obj.Memsim.Memobj.base)));
-      Test.make ~name:"cache/hit"
-        (Staged.stage
-           (let san = Backend.create Backend.Giantsan config in
-            let obj = san.San.malloc 1024 in
-            let cache = san.San.new_cache ~base:obj.Memsim.Memobj.base in
-            ignore (san.San.cached_access cache ~off:1016 ~width:8);
-            fun () -> ignore (san.San.cached_access cache ~off:64 ~width:8)));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Encoding ablation: one region check under each encoding             *)
-(* ------------------------------------------------------------------ *)
-
-let ablation_group =
-  let module Linear = Giantsan_core.Linear_encoding in
-  let segments = 40000 in
-  let size = 262144 in
-  let m_asan =
-    Shadow_mem.create ~segments ~fill:Giantsan_asan.Asan_encoding.unallocated
-  in
-  Shadow_mem.fill_range m_asan ~lo:0 ~hi:(size / 8)
-    Giantsan_asan.Asan_encoding.good;
-  let m_lin = Shadow_mem.create ~segments ~fill:SC.unallocated in
-  Linear.poison_good_run m_lin ~first_seg:0 ~count:(size / 8);
-  let m_fold = Shadow_mem.create ~segments ~fill:SC.unallocated in
-  Folding.poison_good_run m_fold ~first_seg:0 ~count:(size / 8);
-  Test.make_grouped ~name:"ablation"
-    [
-      Test.make ~name:"region-256KiB/asan-encoding"
-        (Staged.stage (fun () ->
-             ignore (Giantsan_asan.Asan_runtime.region_is_safe m_asan ~lo:0 ~hi:size)));
-      Test.make ~name:"region-256KiB/run-length"
-        (Staged.stage (fun () -> ignore (Linear.check m_lin ~l:0 ~r:size)));
-      Test.make ~name:"region-256KiB/binary-folding"
-        (Staged.stage (fun () -> ignore (RC.check m_fold ~l:0 ~r:size)));
-    ]
-
-let groups =
-  [
-    table1_group; table2_group; fig10_group; table3_group; table4_group;
-    table5_group; fig11_group; ablation_group; micro_group;
-  ]
-
-let run_group test =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let results = Analyze.merge ols instances [ Analyze.all ols Instance.monotonic_clock raw ] in
-  let tbl = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (x :: _) -> x
-          | _ -> nan
-        in
-        (name, ns) :: acc)
-      tbl []
-  in
-  let rows = List.sort compare rows in
-  List.iter
-    (fun (name, ns) -> Printf.printf "  %-44s %12.1f ns/run\n" name ns)
-    rows;
-  rows
-
-(* ------------------------------------------------------------------ *)
-(* --telemetry [FILE]: BENCH_giantsan.json (schema in EXPERIMENTS.md)  *)
-(* ------------------------------------------------------------------ *)
-
-(* Bechamel has no CLI layer, so the flags are a plain argv scan. *)
-let telemetry_path =
+(* The flags are a plain argv scan: [flag name] is [Some] the word after
+   the first [name] ("" when it is last), [None] when [name] is absent. *)
+let flag name =
   let argv = Sys.argv in
   let n = Array.length argv in
   let rec scan i =
     if i >= n then None
-    else if argv.(i) = "--telemetry" then
-      if i + 1 < n && argv.(i + 1) <> "" && argv.(i + 1).[0] <> '-' then
-        Some argv.(i + 1)
-      else Some "BENCH_giantsan.json"
+    else if argv.(i) = name then Some (if i + 1 < n then argv.(i + 1) else "")
     else scan (i + 1)
   in
   scan 1
 
-(* --profiles-only skips the wall-clock bechamel groups and runs just the
-   deterministic profile sweep — what the CI perf gate compares against the
-   committed baseline (wall-clock numbers vary per machine and are not
-   gated, so CI need not pay for them). *)
-let profiles_only = Array.exists (( = ) "--profiles-only") Sys.argv
+(* --telemetry [FILE]: where the document goes (FILE when the next word is
+   not another flag). *)
+let telemetry_path =
+  match flag "--telemetry" with
+  | Some f when f <> "" && f.[0] <> '-' -> Some f
+  | Some _ -> Some "BENCH_giantsan.json"
+  | None -> None
 
 (* --jobs N: domain-pool width for the profile sweep (default: one per
    recommended core). The sweep is simulated time over deterministic event
    counts, so every [jobs] value produces the same JSON body — the gate
    passes unchanged on a parallel run; only wall-clock shrinks. *)
 let jobs =
-  let argv = Sys.argv in
-  let n = Array.length argv in
-  let rec scan i =
-    if i >= n then Giantsan_parallel.Pool.default_jobs ()
-    else if argv.(i) = "--jobs" && i + 1 < n then
-      match int_of_string_opt argv.(i + 1) with
-      | Some j when j > 0 -> j
-      | _ -> Giantsan_parallel.Pool.default_jobs ()
-    else scan (i + 1)
-  in
-  scan 1
+  match Option.bind (flag "--jobs") int_of_string_opt with
+  | Some j when j > 0 -> j
+  | _ -> Giantsan_parallel.Pool.default_jobs ()
 
 (* One exported profile row: the event counts a run left behind. *)
 let profile_row ~profile ~config ~sim_ns ~ops ~loads ~stores c =
@@ -381,47 +91,17 @@ let profile_stats () =
     (Array.to_list outcome.Giantsan_parallel.Sweep.o_results)
 
 (* Deterministic Figure 11 rows: the three traversal kernels per tool at
-   16 KiB, reported as cost-model profiles. Unlike the wall-clock [fig11]
-   bechamel group these are exact event counts, so the perf gate pins them
-   against the committed baseline, and the CI fig11 leg can assert the
-   reverse row's word-path ratio and the GiantSan-vs-ASan ordering. *)
+   16 KiB, reported as cost-model profiles. They are exact event counts,
+   so the perf gate pins them against the committed baseline and asserts
+   the reverse row's word-path ratio and the GiantSan-vs-ASan ordering. *)
 let fig11_stats () =
-  let module Cost_model = Giantsan_workload.Cost_model in
-  let size = 16384 in
-  let kernels =
-    [
-      ( "fig11.forward-16KiB",
-        fun san ~base -> Traversal.forward san ~base ~size );
-      ( "fig11.random-16KiB",
-        fun san ~base -> Traversal.random san ~seed:11 ~base ~size );
-      ( "fig11.reverse-16KiB",
-        fun san ~base -> Traversal.reverse san ~base ~size );
-    ]
-  in
   List.concat_map
-    (fun (pname, kernel) ->
+    (fun pattern ->
       List.map
         (fun id ->
-          let san = Backend.create id config in
-          let base = Traversal.prepare san ~size in
-          ignore (kernel san ~base);
-          let c = san.San.counters in
-          let sim_ns =
-            Cost_model.simulated_ns
-              {
-                Cost_model.ops = size / 8;
-                shadow_loads = san.San.shadow_loads ();
-                counters = c;
-                is_sanitized = id <> Backend.Native;
-                is_lfp = false;
-                stack_fraction = 0.0;
-              }
-          in
-          profile_row ~profile:pname ~config:(Backend.name id) ~sim_ns
-            ~ops:(size / 8) ~loads:(san.San.shadow_loads ())
-            ~stores:(san.San.shadow_stores ()) c)
+          Giantsan_report.Experiments.fig11_row id ~pattern ~size:16384)
         Backend.[ Native; Giantsan; Asan; Pac ])
-    kernels
+    [ `Forward; `Random; `Reverse ]
 
 (* Fuzz-mode throughput rows: per-exec reset cost under the two execution
    profiles, for every policy backend. One measured pass drives both
@@ -567,32 +247,14 @@ let service_stats () =
   plain @ policied
 
 let () =
-  print_endline "GiantSan reproduction benchmarks (Bechamel)";
-  print_endline "===========================================";
-  let group_rows =
-    if profiles_only then []
-    else
-      List.map
-        (fun g ->
-          let name = Test.name g in
-          Printf.printf "\n[%s]\n" name;
-          Telemetry.Span.with_span ("bench:" ^ name) (fun () ->
-              (name, run_group g)))
-        groups
-  in
   match telemetry_path with
-  | None -> ()
+  | None ->
+    prerr_endline "usage: bench/main.exe --telemetry [FILE] [--jobs N]";
+    exit 2
   | Some path ->
-    let profiles =
-      Telemetry.Span.with_span "bench:profile-sweep" profile_stats
-      @ Telemetry.Span.with_span "bench:fig11-sweep" fig11_stats
-      @ Telemetry.Span.with_span "bench:fuzzmode-sweep" fuzzmode_stats
-    in
-    let service = Telemetry.Span.with_span "bench:service" service_stats in
+    let profiles = profile_stats () @ fig11_stats () @ fuzzmode_stats () in
     let body =
-      Telemetry.Export.bench_json ~groups:group_rows ~profiles ~service
-        ~spans:(Telemetry.Span.completed ())
-        ()
+      Telemetry.Export.bench_json ~profiles ~service:(service_stats ()) ()
     in
     Telemetry.Export.write_file path body;
-    Printf.printf "\nbench telemetry written to %s\n" path
+    Printf.printf "bench telemetry written to %s\n" path

@@ -214,11 +214,12 @@ same_bytes "$tmpdir/trace1.ndjson" "$tmpdir/trace2.ndjson" \
 echo "byte-identical traces across two runs"
 
 echo "== paper tables (vs committed expectation) =="
-# Tables 1-5 and Figure 10 at --quick scale are byte-deterministic (Figure
-# 11 is wall clock and left out), so they diff against a checked-in
-# expectation, and must reproduce identically under --jobs 2.
+# Tables 1-5, Figure 10 and Figure 11 at --quick scale are
+# byte-deterministic (Figure 11 prints the cost model's ns/op), so they
+# diff against a checked-in expectation, and must reproduce identically
+# under --jobs 2.
 tables() {
-  for t in table1 table2 fig10 table3 table4 table5; do
+  for t in table1 table2 fig10 table3 table4 table5 fig11; do
     main "$t" --quick "$@" 2> /dev/null
   done
 }
@@ -397,22 +398,23 @@ echo "== bench gate (vs BENCH_giantsan.json baseline) =="
 # The deterministic profile, fig11 and fuzz-mode rows, judged by one rule
 # table (EXPERIMENTS.md): exact event counts, ns/op within ±25%, the fig11
 # reverse word path and GiantSan-vs-ASan order, and fuzz-mode equivalence
-# and speedup. Wall-clock bechamel groups vary per machine and are not
-# gated.
-dune exec bench/main.exe -- --profiles-only --telemetry "$tmpdir/bench.json" \
-  > /dev/null
+# and speedup. The document holds only these deterministic rows and the
+# service section; bench/e2e is the wall-clock harness.
+dune exec bench/main.exe -- --telemetry "$tmpdir/bench.json" > /dev/null
 main gate BENCH_giantsan.json "$tmpdir/bench.json"
 
 echo "== bench gate under sharding (--jobs 2) =="
 # sim_ns is derived from deterministic event counts, never wall-clock, so
 # the same baseline must hold bit-for-bit when the sweep runs sharded.
-dune exec bench/main.exe -- --profiles-only --jobs 2 \
-  --telemetry "$tmpdir/bench_j2.json" > /dev/null
+dune exec bench/main.exe -- --jobs 2 --telemetry "$tmpdir/bench_j2.json" \
+  > /dev/null
 main gate BENCH_giantsan.json "$tmpdir/bench_j2.json"
 
 echo "== bench gate exit codes =="
 # Unreadable or unparsable input is 2, a violation is 1: here a fig11
-# reverse row doctored to zero word-path checks.
+# reverse row doctored to zero word-path checks. The bench itself, run
+# without --telemetry, has nothing to do and is a usage error (2).
+assert_exit 2 dune exec bench/main.exe
 assert_exit 2 main gate BENCH_giantsan.json "$tmpdir/no-such-bench.json"
 printf '{"broken\n' > "$tmpdir/corrupt_bench.json"
 assert_exit 2 main gate BENCH_giantsan.json "$tmpdir/corrupt_bench.json"
@@ -420,6 +422,6 @@ sed 's/\("profile":"fig11.reverse-16KiB","config":"giantsan"[^}]*"word_checks":\
   "$tmpdir/bench.json" > "$tmpdir/doctored_bench.json"
 assert_exit 1 main gate "$tmpdir/doctored_bench.json" \
   "$tmpdir/doctored_bench.json"
-echo "gate exits 2 on missing/corrupt input, 1 on a violation"
+echo "gate exits 2 on missing/corrupt input, 1 on a violation; bare bench exits 2"
 
 echo "== ci green =="

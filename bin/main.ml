@@ -354,8 +354,8 @@ let gate_cmd =
      must settle at least half its region checks on the word path with \
      GiantSan no slower than ASan; every fuzz-mode backend must show \
      identical counts across modes with persistent never slower, and \
-     GiantSan's persistent speedup must reach 5x. Wall-clock bechamel \
-     groups are not gated. Exits 1 on a violation, 2 on unreadable or \
+     GiantSan's persistent speedup must reach 5x. Only the profiles \
+     section is read. Exits 1 on a violation, 2 on unreadable or \
      unparsable input or missing fig11/fuzzmode rows."
   in
   let file n docv doc =
@@ -945,8 +945,7 @@ let serve_cmd =
                 | None -> ()
                 | Some path ->
                   Giantsan_telemetry.Export.write_file path
-                    (Giantsan_telemetry.Export.bench_json ~groups:[]
-                       ~profiles:[]
+                    (Giantsan_telemetry.Export.bench_json ~profiles:[]
                        ~service:(Service.Loop.service_rows o)
                        ());
                   Printf.eprintf "service bench rows written to %s\n" path);

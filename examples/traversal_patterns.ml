@@ -1,6 +1,6 @@
 (* Traversal patterns (the §5.4 limitation study): forward, random and
    reverse scans under Native / GiantSan / ASan, reporting metadata loads
-   — the quantity wall-clock differences in Figure 11 derive from.
+   — the quantity Figure 11's cost differences derive from.
 
    Run with: dune exec examples/traversal_patterns.exe *)
 

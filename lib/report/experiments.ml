@@ -16,6 +16,8 @@ module Cves = Giantsan_bugs.Cves
 module Magma = Giantsan_bugs.Magma
 module Harness = Giantsan_bugs.Harness
 module Pool = Giantsan_parallel.Pool
+module Backend = Giantsan_policy.Backend
+module Export = Giantsan_telemetry.Export
 
 type outcome = { o_id : string; o_title : string; o_body : string }
 
@@ -416,88 +418,117 @@ let table5 ?(scale = 1) () =
 (* Figure 11                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let time_ms f =
-  let t0 = Sys.time () in
-  f ();
-  (Sys.time () -. t0) *. 1000.0
+let fig11_row id ~pattern ~size =
+  let module Cost_model = Giantsan_workload.Cost_model in
+  let name, kernel =
+    match pattern with
+    | `Forward -> ("forward", Traversal.forward)
+    | `Random -> ("random", Traversal.random ~seed:11)
+    | `Reverse -> ("reverse", Traversal.reverse)
+    | `Prescan -> ("prescan", Traversal.reverse_prescan)
+  in
+  (* the bench's 1 MiB heap, on which the gated rows were baselined *)
+  let san =
+    Backend.create id
+      {
+        Giantsan_memsim.Heap.arena_size = 1 lsl 20;
+        redzone = 16;
+        quarantine_budget = 64 * 1024;
+      }
+  in
+  let base = Traversal.prepare san ~size in
+  ignore (kernel san ~base ~size);
+  let c = san.San.counters and ops = size / 8 in
+  let loads = san.San.shadow_loads () in
+  {
+    Export.bp_profile = Printf.sprintf "fig11.%s-%dKiB" name (size / 1024);
+    bp_config = Backend.name id;
+    bp_sim_ns =
+      Cost_model.simulated_ns
+        {
+          Cost_model.ops;
+          shadow_loads = loads;
+          counters = c;
+          is_sanitized = id <> Backend.Native;
+          is_lfp = id = Backend.Lfp;
+          stack_fraction = 0.0;
+        };
+    bp_ops = ops;
+    bp_shadow_loads = loads;
+    bp_shadow_stores = san.San.shadow_stores ();
+    bp_region_checks = c.Counters.region_checks;
+    bp_fast_checks = c.Counters.fast_checks;
+    bp_slow_checks = c.Counters.slow_checks;
+    bp_word_checks = c.Counters.word_checks;
+  }
 
-let fig11 ?(sizes_kb = [ 1; 2; 4; 8; 16 ]) ?(reps = 300) () =
+let fig11 () =
+  let ns_per_op tool pattern kb =
+    let r = fig11_row (Runner.backend tool) ~pattern ~size:(kb * 1024) in
+    r.Export.bp_sim_ns /. float_of_int r.Export.bp_ops
+  in
+  (* one row per size, one column per (label, tool, pattern) *)
+  let table title columns =
+    let row kb =
+      string_of_int kb
+      :: List.map
+           (fun (_, tool, pattern) ->
+             Printf.sprintf "%.3f" (ns_per_op tool pattern kb))
+           columns
+    in
+    heading title
+    ^ Table.render
+        (("KB" :: List.map (fun (label, _, _) -> label ^ " ns/op") columns)
+        :: List.map row [ 1; 2; 4; 8; 16 ])
+  in
   let tools = Runner.[ Native; Giantsan; Asan ] in
+  (* each pattern with the paper's GiantSan/ASan time ratio (§5.4) *)
   let patterns =
-    [
-      ("Forward", fun san ~base ~size -> ignore (Traversal.forward san ~base ~size));
-      ("Random",
-       fun san ~base ~size -> ignore (Traversal.random san ~seed:7 ~base ~size));
-      ("Reverse", fun san ~base ~size -> ignore (Traversal.reverse san ~base ~size));
-    ]
+    [ ("Forward", `Forward, 0.93); ("Random", `Random, 0.68);
+      ("Reverse", `Reverse, 1.39) ]
   in
   let sections =
     List.map
-      (fun (pat_name, kernel) ->
-        let rows =
-          List.map
-            (fun kb ->
-              let size = kb * 1024 in
-              let cells =
-                List.map
-                  (fun tool ->
-                    let san = Runner.make_sanitizer tool in
-                    let base = Traversal.prepare san ~size in
-                    let ms =
-                      time_ms (fun () ->
-                          for _ = 1 to reps do
-                            kernel san ~base ~size
-                          done)
-                    in
-                    Printf.sprintf "%.2f" ms)
-                  tools
-              in
-              (string_of_int kb :: cells))
-            sizes_kb
-        in
-        heading (Printf.sprintf "Figure 11 (%s traversal)" pat_name)
-        ^ Table.render
-            (("KB" :: List.map (fun t -> Runner.config_name t ^ " ms") tools)
-            :: rows))
+      (fun (pat_name, pattern, _) ->
+        table
+          (Printf.sprintf "Figure 11 (%s traversal)" pat_name)
+          (List.map (fun t -> (Runner.config_name t, t, pattern)) tools))
       patterns
   in
-  (* the §5.4 mitigation, timed: one up-front region check, then a
-     metadata-free descending scan *)
-  let mitigation_rows =
-    List.map
-      (fun kb ->
-        let size = kb * 1024 in
-        let cells =
-          List.map
-            (fun kernel ->
-              let san = Runner.make_sanitizer Runner.Giantsan in
-              let base = Traversal.prepare san ~size in
-              Printf.sprintf "%.2f"
-                (time_ms (fun () ->
-                     for _ = 1 to reps do
-                       ignore (kernel san ~base ~size)
-                     done)))
-            [
-              (fun san ~base ~size -> Traversal.reverse san ~base ~size);
-              (fun san ~base ~size -> Traversal.reverse_prescan san ~base ~size);
-            ]
-        in
-        (string_of_int kb :: cells))
-      sizes_kb
-  in
+  (* the §5.4 mitigation: one up-front region check, then a metadata-free
+     descending scan *)
   let mitigation =
-    heading "Figure 11 addendum: the §5.4 prescan mitigation"
-    ^ Table.render
-        ([ "KB"; "GiantSan reverse ms"; "GiantSan prescan ms" ]
-        :: mitigation_rows)
+    table "Figure 11 addendum: the §5.4 prescan mitigation"
+      Runner.
+        [
+          ("GiantSan reverse", Giantsan, `Reverse);
+          ("GiantSan prescan", Giantsan, `Prescan);
+        ]
+  in
+  let ratios =
+    Table.render
+      ([ "GiantSan/ASan at 16 KiB"; "measured"; "paper" ]
+      :: List.map
+           (fun (pat_name, pattern, paper) ->
+             [
+               pat_name;
+               Printf.sprintf "%.2f"
+                 (ns_per_op Runner.Giantsan pattern 16
+                 /. ns_per_op Runner.Asan pattern 16);
+               Printf.sprintf "%.2f" paper;
+             ])
+           patterns)
   in
   let body =
     String.concat "\n" (sections @ [ mitigation ])
-    ^ Printf.sprintf
-        "\n(%d repetitions per point; wall clock of the OCaml kernels)\n\
-         Paper: GiantSan 1.07x faster than ASan forward, 1.48x faster \
-         random, 1.39x SLOWER reverse.\n"
-        reps
+    ^ "\n(simulated ns per 8-byte access: the cost model over each kernel's\n\
+       event counts, the buffer's allocation included, as in the gated\n\
+       fig11.* bench rows)\n\n"
+    ^ ratios
+    ^ "\nPaper: GiantSan 1.07x faster than ASan forward, 1.48x faster random,\n\
+       1.39x SLOWER reverse. The reverse row here measures the MRU\n\
+       window-history cache, an extension, not Figure 9's single\n\
+       quasi-bound; ROADMAP's Figure 9 item tracks the paper's row.\n"
   in
   { o_id = "fig11"; o_title = "Figure 11"; o_body = body }
 
@@ -728,12 +759,9 @@ let run ?(quick = false) ?(jobs = 1) id =
       | "table3" -> table3 ()
       | "table4" -> table4 ()
       | "table5" -> table5 ~scale:(if quick then 20 else 1) ()
-      | "fig11" ->
-        if quick then fig11 ~sizes_kb:[ 1; 4 ] ~reps:50 () else fig11 ()
+      | "fig11" -> fig11 ()
       | "ablation-encoding" -> ablation_encoding ()
       | "sweep-redzone" -> sweep_redzone ()
       | "sweep-quarantine" -> sweep_quarantine ()
       | "compat" -> compat ()
       | other -> invalid_arg ("Experiments.run: unknown experiment " ^ other))
-
-let run_all ?quick ?jobs () = List.map (fun id -> run ?quick ?jobs id) all_ids

@@ -1,7 +1,7 @@
 (** Experiment drivers: one per table/figure in the paper's evaluation.
 
     Every driver runs its whole experiment (deterministically) and returns
-    the rendered report as a string; [run_all] chains them. The CLI in
+    the rendered report as a string. The CLI in
     [bin/] exposes each one as a subcommand, and EXPERIMENTS.md records the
     paper-vs-measured comparison. *)
 
@@ -27,49 +27,37 @@ val fig10 : ?quick:bool -> ?jobs:int -> unit -> outcome
 val table3 : unit -> outcome
 (** Juliet-shaped detection study (§5.3). *)
 
-val table4 : unit -> outcome
-(** CVE scenario detection (§5.3). *)
-
 val table5 : ?scale:int -> unit -> outcome
 (** Magma-shaped redzone study (§5.3). [scale] divides the population
     sizes (default 1 = full size). *)
 
-val fig11 : ?sizes_kb:int list -> ?reps:int -> unit -> outcome
-(** Traversal-pattern timing study (§5.4): wall-clock milliseconds for
-    Native / GiantSan / ASan on forward, random and reverse scans. *)
+val fig11_row :
+  Giantsan_policy.Backend.id ->
+  pattern:[ `Forward | `Random | `Reverse | `Prescan ] ->
+  size:int ->
+  Giantsan_telemetry.Export.bench_profile
+(** One traversal kernel of the §5.4 study ({!Giantsan_workload.Traversal},
+    random probes seeded 11) over a fresh [size]-byte buffer on a 1 MiB
+    heap, as a cost-model profile named [fig11.<pattern>-<KiB>KiB]. Its
+    event counts include the buffer's allocation and [bp_ops] is
+    [size / 8]. The bench's gated [fig11.*-16KiB] rows are this at
+    [size = 16384]. *)
 
-(** {2 Extension experiments}
-
-    Not in the paper: ablations of design choices the paper asserts, so the
-    repository can measure them. *)
-
-val ablation_encoding : unit -> outcome
-(** Shadow-encoding design space: metadata loads per region check under
-    ASan's plain encoding, a capped run-length encoding, and binary
-    folding, across region sizes. *)
-
-val sweep_redzone : unit -> outcome
-(** Detection of long-jump overflows as the redzone grows: the trade-off
-    anchor-based checking dissolves (§4.4.1). *)
-
-val sweep_quarantine : unit -> outcome
-(** Use-after-free detection as allocation churn ages the freed block
-    through quarantines of different budgets (§5.4's bypass window). *)
-
-val compat : unit -> outcome
-(** The §2.1 compatibility argument, measured: a SoftBound-flavoured
-    pointer-based checker loses everything once a pointer is laundered
-    through an integer; location-based GiantSan is unaffected. *)
+val fig11 : unit -> outcome
+(** Traversal-pattern study (§5.4): {!fig11_row}'s simulated ns per access
+    for Native / GiantSan / ASan on forward, random and reverse scans from
+    1 to 16 KiB, the prescan mitigation, and the 16 KiB GiantSan/ASan
+    ratios next to the paper's. *)
 
 val all_ids : string list
 (** The paper's seven experiments. *)
 
 val extra_ids : string list
+(** The extension experiments, not in the paper: the shadow-encoding
+    ablation, the redzone and quarantine sweeps, and the §2.1
+    pointer-based vs location-based compatibility study. *)
 
 val run : ?quick:bool -> ?jobs:int -> string -> outcome
 (** Run one experiment by id (paper or extension). [jobs] parallelizes the
     experiments that shard cleanly (currently [table2] and [fig10]); the
     others ignore it. Raises [Invalid_argument] on unknown ids. *)
-
-val run_all : ?quick:bool -> ?jobs:int -> unit -> outcome list
-(** The paper's experiments, in order. *)

@@ -66,17 +66,11 @@ type service_row = {
     ROADMAP's service mode is measured by. *)
 
 val bench_json :
-  groups:(string * (string * float) list) list ->
-  profiles:bench_profile list ->
-  ?service:service_row list ->
-  ?spans:Span.t list ->
-  unit ->
-  string
-(** The BENCH_giantsan.json document: wall-clock ns/run per bechamel test
-    (grouped), per-profile simulated cost with ns/op, shadow loads and
-    fast-path ratio, the optional [service] sustained-traffic rows
-    (latency percentiles + ops/sec), and optional spans. Schema documented
-    in EXPERIMENTS.md. *)
+  profiles:bench_profile list -> ?service:service_row list -> unit -> string
+(** The BENCH_giantsan.json document: per-profile simulated cost with
+    ns/op, shadow loads and fast-path ratio, and the optional [service]
+    sustained-traffic rows (latency percentiles + ops/sec). Every number
+    is deterministic. Schema documented in EXPERIMENTS.md. *)
 
 val parse_bench_service : string -> (service_row list, string) result
 (** Parse the [service] section back out of a BENCH_giantsan.json document
@@ -88,7 +82,8 @@ val parse_bench_service : string -> (service_row list, string) result
     The profile sweep is deterministic — seeded scenario generation feeding
     the event-count cost model — so its event counts must reproduce exactly
     and [ns_per_op] may move only within a tolerance (cost-model drift).
-    The wall-clock bechamel groups vary per machine and are not gated. *)
+    Only the [profiles] section is read; other sections, such as the
+    [groups] and [spans] of older documents, are ignored. *)
 
 val gate_count_fields : string list
 (** The per-profile fields the gate requires to match exactly:

@@ -26,22 +26,45 @@ let test_table5_scaled () =
   let o = Experiments.table5 ~scale:100 () in
   Alcotest.(check bool) "php row" true (contains o.Experiments.o_body "php")
 
-let test_fig11_tiny () =
-  let o = Experiments.fig11 ~sizes_kb:[ 1 ] ~reps:5 () in
-  Alcotest.(check bool) "three patterns" true
-    (contains o.Experiments.o_body "Reverse")
+(* Figure 11 prints the gated bench rows' ns/op: the 16 KiB reverse
+   row's GiantSan and ASan cells are fig11_row's sim_ns / ops. *)
+let test_fig11_cells_are_gated_rows () =
+  let rec row16 in_reverse = function
+    | [] -> Alcotest.fail "no 16 KiB reverse row"
+    | l :: rest ->
+      if in_reverse && String.starts_with ~prefix:"16 " l then l
+      else row16 (in_reverse || l = "Figure 11 (Reverse traversal)") rest
+  in
+  let row =
+    row16 false
+      (String.split_on_char '\n' (Experiments.fig11 ()).Experiments.o_body)
+  in
+  let cell id =
+    let r = Experiments.fig11_row id ~pattern:`Reverse ~size:16384 in
+    Giantsan_telemetry.Export.(
+      Printf.sprintf "%.3f" (r.bp_sim_ns /. float_of_int r.bp_ops))
+  in
+  let module B = Giantsan_policy.Backend in
+  Alcotest.(check (list string)) "16 KiB GiantSan and ASan cells"
+    [ cell B.Giantsan; cell B.Asan ]
+    (match List.filter (( <> ) "") (String.split_on_char ' ' row) with
+    | [ "16"; _native; giantsan; asan ] -> [ giantsan; asan ]
+    | _ -> [ row ])
 
 let test_run_dispatch () =
   Alcotest.(check int) "seven experiments" 7 (List.length Experiments.all_ids);
   List.iter
     (fun id ->
       match id with
-      | "table2" | "fig10" | "table3" | "table5" | "fig11" ->
+      | "table2" | "fig10" | "table3" | "table5" ->
         (* covered by the dedicated quick tests above / too heavy here *)
         ()
       | id ->
         let o = Experiments.run ~quick:true id in
-        Alcotest.(check string) "id round-trips" id o.Experiments.o_id)
+        Alcotest.(check string) "id round-trips" id o.Experiments.o_id;
+        if id = "fig11" then
+          Alcotest.(check string) "fig11 is the same at --quick"
+            (Experiments.run id).Experiments.o_body o.Experiments.o_body)
     Experiments.all_ids;
   Alcotest.check_raises "unknown id"
     (Invalid_argument "Experiments.run: unknown experiment nope") (fun () ->
@@ -64,7 +87,7 @@ let suite =
       Helpers.qt "table2 driver (quick)" `Slow test_table2_quick;
       Helpers.qt "fig10 driver (quick)" `Slow test_fig10_quick;
       Helpers.qt "table5 driver (scaled)" `Quick test_table5_scaled;
-      Helpers.qt "fig11 driver (tiny)" `Quick test_fig11_tiny;
+      Helpers.qt "fig11 driver (tiny)" `Quick test_fig11_cells_are_gated_rows;
       Helpers.qt "dispatch" `Quick test_run_dispatch;
       Helpers.qt "fuzz tool: anomaly-free" `Quick test_fuzz_tool_is_anomaly_free;
       Helpers.qt "validate tool: corpora OK" `Slow test_validate_tool_all_ok;

@@ -346,7 +346,7 @@ let mk_profile ?(sim_ns = 5000.0) ?(ops = 100) ?(stores = 40) name config =
     bp_word_checks = 20;
   }
 
-let mk_doc profiles = Export.bench_json ~groups:[] ~profiles ()
+let mk_doc profiles = Export.bench_json ~profiles ()
 
 let gate_ok = function
   | Ok n -> n
@@ -540,6 +540,36 @@ let test_gate_missing_rows_are_errors () =
   | Export.Unusable e ->
     Alcotest.(check bool) "corrupt" true (Helpers.contains e "current")
   | _ -> Alcotest.fail "corrupt JSON was not an error"
+
+(* Bench documents once carried wall-clock [groups] before the rows and
+   [spans] after them. The committed baseline has neither, and the gate,
+   which reads only [profiles], passes it against a copy in that older
+   shape, either way round (against itself: the rule-table test above). *)
+let test_gate_ignores_retired_sections () =
+  let b = committed_bench in
+  let schema = {|{"schema":"giantsan-bench/v1",|} in
+  Alcotest.(check bool) "no groups/spans" false
+    (Helpers.contains b {|"groups"|} || Helpers.contains b {|"spans"|});
+  (* the rows and the service section, without the closing "}\n" *)
+  let rows =
+    let n = String.length schema in
+    String.sub b n (String.length b - n - 2)
+  in
+  let old_shape =
+    schema
+    ^ {|"groups":[{"name":"table2","results":[{"name":"table2/ASan",|}
+    ^ {|"ns_per_run":500480.4}]}],|} ^ rows
+    ^ {|,"spans":[{"name":"bench:profile-sweep","wall_ns":2129680156,|}
+    ^ {|"minor_words":88592060.0,"major_words":381549536.0}]}|}
+  in
+  List.iter
+    (fun (baseline, current) ->
+      match Export.gate ~baseline ~current with
+      | Export.Pass _ -> ()
+      | Export.Violations vs ->
+        Alcotest.fail (String.concat "; " (List.map snd vs))
+      | Export.Unusable e -> Alcotest.fail e)
+    [ (old_shape, b); (b, old_shape) ]
 
 (* ------------------------------------------------------------------ *)
 (* Quantile readouts vs the sorted-array oracle                        *)
@@ -962,7 +992,7 @@ let prop_bench_parsers_total =
       | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
       | Ok rows, _ ->
         Export.parse_bench_service
-          (Export.bench_json ~groups:[] ~profiles:[] ~service:rows ())
+          (Export.bench_json ~profiles:[] ~service:rows ())
         = Ok rows
       | Error _, _ -> true)
 
@@ -1139,6 +1169,8 @@ let suite =
         test_gate_rules_fail_alone;
       Helpers.qt "gate: missing fig11/fuzzmode rows are an error" `Quick
         test_gate_missing_rows_are_errors;
+      Helpers.qt "gate: retired groups/spans sections are ignored" `Quick
+        test_gate_ignores_retired_sections;
       prop_json_parse_total;
       Helpers.qt "json: out-of-range numbers and deep nesting are errors" `Quick
         test_json_named_errors;
