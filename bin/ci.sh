@@ -130,7 +130,7 @@ echo "== unused vals (vs bin/unused_vals.allow) =="
 bin/unused_vals.sh > /dev/null
 echo "every unused .mli val is on bin/unused_vals.allow"
 
-echo "== no polymorphic compare in the hot-path objects, no call in the counter arithmetic, no Hashtbl in the scenario executor =="
+echo "== no polymorphic compare in the hot-path objects, no call in the counter arithmetic, no Hashtbl in the scenario executor or the PAC signature table =="
 # This build has no flambda, so a comparison left generic is a C call
 # (caml_equal, caml_compare, ...) and Stdlib's min/max are generic
 # functions making that call. bin/poly_scan.sh reads the native objects of
@@ -140,9 +140,11 @@ echo "== no polymorphic compare in the hot-path objects, no call in the counter 
 # It also fails if Counters.reset or Counters.add, which run on every
 # fuzz-mode restore, make any call or reference another symbol, and if
 # lib/bugs' Scenario object, whose step executor runs every fuzz exec,
-# makes a polymorphic compare or refers to Stdlib's Hashtbl.
+# makes a polymorphic compare or refers to Stdlib's Hashtbl, and if
+# lib/pac's Pac object, whose signature table every PAC authentication
+# looks up, refers to Stdlib's Hashtbl.
 bin/poly_scan.sh
-echo "no polymorphic compare or min/max in the hot-path objects; Counters.reset/add call-free; Scenario hash-free"
+echo "no polymorphic compare or min/max in the hot-path objects; Counters.reset/add call-free; Scenario and Pac hash-free"
 
 echo "== tests =="
 dune runtest

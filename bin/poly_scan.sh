@@ -22,10 +22,11 @@
 # Library code uses Int.min/Int.max and typed equalities instead.
 #
 # Of lib/bugs only the Scenario object is scanned: its step executor runs
-# every fuzz exec. It gets the rules above plus one: any relocation to
-# Stdlib's Hashtbl (its functions or its module block) is a hit, since
-# generic hashing there costs a caml_hash call per slot lookup and the
-# slots live in an int table instead.
+# every fuzz exec. It gets the rules above plus one, which lib/pac's Pac
+# object gets too: any relocation to Stdlib's Hashtbl (its functions or
+# its module block) is a hit, since generic hashing costs a caml_hash call
+# per lookup. Scenario's slots and PAC's signature table (looked up on
+# every authentication) live in int tables instead.
 #
 # It also fails if Counters.reset or Counters.add (lib/sanitizer) makes a
 # call: they run on every fuzz-mode restore and are written out field by
@@ -105,13 +106,14 @@ objdump -dr --no-show-raw-insn "$counters" | awk '
   | sed "s|^|${counters##*/} |" >> "$tmp/hits"
 scenario=_build/default/lib/bugs/.giantsan_bugs.objs/native/giantsan_bugs__Scenario.o
 [ -e "$scenario" ] || { echo "FAIL: no native object for lib/bugs Scenario; build first" >&2; exit 1; }
-objdump -dr --no-show-raw-insn "$scenario" > "$tmp/scenario.dis"
-{
-  stdlib_loads "$minmax" < "$tmp/scenario.dis"
-  awk '/^[0-9a-f]+ <.*>:$/ { fn = $2; next }
+objdump -dr --no-show-raw-insn "$scenario" | stdlib_loads "$minmax" \
+  | sed "s|^|${scenario##*/} |" >> "$tmp/hits"
+for o in "$scenario" _build/default/lib/pac/.giantsan_pac.objs/native/giantsan_pac__Pac.o; do
+  [ -e "$o" ] || { echo "FAIL: no native object $o; build first" >&2; exit 1; }
+  objdump -dr --no-show-raw-insn "$o" | awk '/^[0-9a-f]+ <.*>:$/ { fn = $2; next }
     /R_X86_64_/ && $NF ~ /^camlStdlib__Hashtbl([.+-]|$)/ { print fn, $NF }' \
-    "$tmp/scenario.dis"
-} | sed "s|^|${scenario##*/} |" >> "$tmp/hits"
+    | sed "s|^|${o##*/} |"
+done >> "$tmp/hits"
 if [ -s "$tmp/hits" ]; then
   cat "$tmp/hits"
   exit 1

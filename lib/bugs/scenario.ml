@@ -111,7 +111,15 @@ let note acc = function None -> acc | Some r -> r :: acc
 let exec_step (san : San.t) ~sc_id slots acc step =
   match step with
   | Alloc { slot; size; kind } ->
-    let obj = san.San.malloc ~kind size in
+    (* a literal constructor per arm makes [?kind]'s [Some] a static
+       constant: passing [~kind] through would box it on every malloc *)
+    let malloc = san.San.malloc in
+    let obj =
+      match kind with
+      | Memsim.Memobj.Heap -> malloc ~kind:Memsim.Memobj.Heap size
+      | Stack -> malloc ~kind:Stack size
+      | Global -> malloc ~kind:Global size
+    in
     slot_set slots slot obj.Memsim.Memobj.base;
     acc
   | Free_slot slot -> note acc (san.San.free (slot_base slots ~sc_id slot))

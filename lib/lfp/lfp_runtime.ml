@@ -5,9 +5,6 @@ module Report = Giantsan_sanitizer.Report
 module Trace = Giantsan_telemetry.Trace
 module Histogram = Giantsan_telemetry.Histogram
 
-let believed_end (obj : Memsim.Memobj.t) =
-  obj.base + Size_class.round_up obj.size
-
 let create config =
   let heap = Memsim.Heap.create config in
   let counters = Counters.create () in
@@ -40,7 +37,9 @@ let create config =
         else if obj.Memsim.Memobj.status <> Memsim.Memobj.Live then
           report ~anchor:obj.Memsim.Memobj.base ~addr:lo ~size:(hi - lo)
         else begin
-          let b_lo = obj.Memsim.Memobj.base and b_hi = believed_end obj in
+          (* the believed end is the class size, not the requested one *)
+          let b_lo = obj.Memsim.Memobj.base in
+          let b_hi = b_lo + Size_class.round_up obj.Memsim.Memobj.size in
           if lo < b_lo || hi > b_hi then
             report ~anchor:obj.Memsim.Memobj.base
               ~addr:(if lo < b_lo then lo else b_hi)

@@ -10,6 +10,3 @@
     LFP row of Table 3 still catches use-after-free and invalid frees. *)
 
 val create : Giantsan_memsim.Heap.config -> Giantsan_sanitizer.Sanitizer.t
-
-val believed_end : Giantsan_memsim.Memobj.t -> int
-(** [base + round_up size]: where LFP thinks the object ends. *)

@@ -4,12 +4,12 @@
    48..63 of a 48-bit VA; an OCaml int has 63 bits, one short, so the
    simulation narrows the address space to 47 bits rather than the tag to
    15 — the tag width is what the architectural false-negative rate
-   (2^-16) depends on. The salt table is the analogue
-   of PACSan's per-allocation modifier storage; signing on alloc and
-   stripping on free is what makes a stale pointer fail authentication
-   even after its memory has been recycled for a new allocation — the
-   temporal-safety property redzone schemes lose once the quarantine
-   rotates.
+   (2^-16) depends on. The signature table (base -> salt and PAC, an
+   open-addressed int table below) is the analogue of PACSan's
+   per-allocation modifier storage; signing on alloc and stripping on
+   free is what makes a stale pointer fail authentication even after its
+   memory has been recycled for a new allocation — the temporal-safety
+   property redzone schemes lose once the quarantine rotates.
 
    The hash is a splitmix64 finalizer over the key, base and salt. Real PA
    uses QARMA; all the simulation needs is a deterministic keyed mix whose
@@ -21,12 +21,23 @@ let pac_bits = 16
 let pac_mask = (1 lsl pac_bits) - 1
 let addr_mask = (1 lsl pac_shift) - 1
 
-type entry = { salt : int; pac : int }
+(* The signature table: base -> (salt, pac), open-addressed in three
+   parallel int arrays. Capacity is a power of two; a base's probe chain
+   starts at a multiplicative (Fibonacci) hash of [base lsr 3] (heap
+   bases are 8-aligned) and runs by linear probing. Deletion shifts the
+   rest of the chain back, so there are no tombstones and a lookup stops at
+   the first empty slot. A lookup is a few int loads and compares: no
+   [caml_hash] call and no polymorphic compare on the authentication
+   path. *)
+let empty = -1
+let initial_bits = 6
 
-(* Fuzz-mode restore point: the table entries are immutable records, so
-   the list of bindings detaches the snapshot completely. *)
+(* Fuzz-mode restore point: copies of the three arrays, so the snapshot is
+   detached from the live table. *)
 type snapshot = {
-  s_sigs : (int * entry) list;
+  s_keys : int array;
+  s_salts : int array;
+  s_pacs : int array;
   s_next_salt : int;
   s_signs : int;
   s_auths : int;
@@ -34,12 +45,16 @@ type snapshot = {
 
 type t = {
   key : int;
-  sigs : (int, entry) Hashtbl.t;  (* base -> live signature *)
+  mutable keys : int array;  (* base, or [empty] *)
+  mutable salts : int array;
+  mutable pacs : int array;
+  mutable shift : int;  (* 63 - log2 capacity: a hash's top bits pick the slot *)
+  mutable n_live : int;
   mutable next_salt : int;
   mutable signs : int;  (* metadata stores: sign on alloc, strip on free *)
   mutable auths : int;  (* metadata loads: salt fetch + recompute *)
-  (* the snapshot [sigs] was last captured at or rewound to, and whether
-     [sigs] changed since: restoring it to an untouched table is free *)
+  (* the snapshot the table was last captured at or rewound to, and whether
+     the table changed since: restoring it to an untouched table is free *)
   mutable armed : snapshot option;
   mutable touched : bool;
 }
@@ -49,7 +64,11 @@ let default_key = 0x5bd1e995
 let create ?(key = default_key) () =
   {
     key;
-    sigs = Hashtbl.create 64;
+    keys = Array.make (1 lsl initial_bits) empty;
+    salts = Array.make (1 lsl initial_bits) 0;
+    pacs = Array.make (1 lsl initial_bits) 0;
+    shift = 63 - initial_bits;
+    n_live = 0;
     next_salt = 1;
     signs = 0;
     auths = 0;
@@ -78,19 +97,97 @@ let tag_of ptr = (ptr lsr pac_shift) land pac_mask
 let strip ptr = ptr land addr_mask
 let with_tag ptr tag = (ptr land addr_mask) lor ((tag land pac_mask) lsl pac_shift)
 
+(* The golden-ratio multiplier of Fibonacci hashing, narrowed to an odd
+   constant below 2^62 so it is an OCaml int literal. *)
+let golden = 0x278DDE6E5FD29F05
+
+let[@inline] home_slot t base = ((base lsr 3) * golden) lsr t.shift
+
+(* The slot holding [base], or -1. The [empty] test comes first, so a
+   negative base is never found. *)
+let rec probe (keys : int array) mask base i =
+  let k = Array.unsafe_get keys i in
+  if k = empty then -1
+  else if k = base then i
+  else probe keys mask base ((i + 1) land mask)
+
+let[@inline] find t base =
+  let keys = t.keys in
+  probe keys (Array.length keys - 1) base (home_slot t base)
+
+let rec free_slot (keys : int array) mask i =
+  if Array.unsafe_get keys i = empty then i
+  else free_slot keys mask ((i + 1) land mask)
+
+(* [base] must be absent and the table must have room. *)
+let insert t base salt pac =
+  let keys = t.keys in
+  let i = free_slot keys (Array.length keys - 1) (home_slot t base) in
+  keys.(i) <- base;
+  t.salts.(i) <- salt;
+  t.pacs.(i) <- pac;
+  t.n_live <- t.n_live + 1
+
+let reinsert t (keys : int array) (salts : int array) (pacs : int array) =
+  for i = 0 to Array.length keys - 1 do
+    let b = Array.unsafe_get keys i in
+    if b <> empty then
+      insert t b (Array.unsafe_get salts i) (Array.unsafe_get pacs i)
+  done
+
+(* Doubling keeps the load at most one half. *)
+let grow t =
+  let keys = t.keys and salts = t.salts and pacs = t.pacs in
+  let cap = 2 * Array.length keys in
+  t.keys <- Array.make cap empty;
+  t.salts <- Array.make cap 0;
+  t.pacs <- Array.make cap 0;
+  t.shift <- t.shift - 1;
+  t.n_live <- 0;
+  reinsert t keys salts pacs
+
+(* Backward-shift deletion: walk the chain after the [hole] and move back
+   every entry whose home does not lie cyclically in (hole, j], until an
+   empty slot ends the chain. *)
+let rec shift_back t (keys : int array) mask hole j =
+  let j = (j + 1) land mask in
+  let k = Array.unsafe_get keys j in
+  if k = empty then Array.unsafe_set keys hole empty
+  else if (j - home_slot t k) land mask >= (j - hole) land mask then begin
+    Array.unsafe_set keys hole k;
+    Array.unsafe_set t.salts hole (Array.unsafe_get t.salts j);
+    Array.unsafe_set t.pacs hole (Array.unsafe_get t.pacs j);
+    shift_back t keys mask j j
+  end
+  else shift_back t keys mask hole j
+
+let remove_at t i =
+  let keys = t.keys in
+  shift_back t keys (Array.length keys - 1) i i;
+  t.n_live <- t.n_live - 1;
+  t.touched <- true
+
 let sign t ~base =
+  if base < 0 then invalid_arg "Pac.sign: negative base";
   let salt = t.next_salt in
-  t.next_salt <- t.next_salt + 1;
+  t.next_salt <- salt + 1;
   let pac = compute t ~base ~salt in
-  Hashtbl.replace t.sigs base { salt; pac };
+  let i = find t base in
+  if i >= 0 then begin
+    t.salts.(i) <- salt;
+    t.pacs.(i) <- pac
+  end
+  else begin
+    if 2 * (t.n_live + 1) > Array.length t.keys then grow t;
+    insert t base salt pac
+  end;
   t.touched <- true;
   t.signs <- t.signs + 1;
   with_tag base pac
 
 let retag t ptr ~base =
-  match Hashtbl.find_opt t.sigs base with
-  | None -> None
-  | Some e -> Some (with_tag ptr e.pac)
+  let i = find t base in
+  if i < 0 then None else Some (with_tag ptr t.pacs.(i))
 
 type failure = Stale | Forged of { expected : int; got : int }
 
@@ -101,44 +198,57 @@ let failure_to_string = function
 
 let authenticate t ptr ~base =
   t.auths <- t.auths + 1;
-  match Hashtbl.find_opt t.sigs base with
-  | None -> Error Stale
-  | Some e ->
+  let i = find t base in
+  if i < 0 then Error Stale
+  else begin
     (* recompute rather than trust the stored pac: table corruption (the
        tag-forge chaos plane) must be as visible as a bad pointer tag *)
-    let expected = compute t ~base ~salt:e.salt in
+    let pac = t.pacs.(i) in
+    let expected = compute t ~base ~salt:t.salts.(i) in
     let got = tag_of ptr in
-    if got = expected && e.pac = expected then Ok (strip ptr)
-    else Error (Forged { expected; got = (if got <> expected then got else e.pac) })
+    if got = expected && pac = expected then Ok (strip ptr)
+    else Error (Forged { expected; got = (if got <> expected then got else pac) })
+  end
 
 let check t ~base =
   t.auths <- t.auths + 1;
-  match Hashtbl.find t.sigs base with
-  | exception Not_found -> Some Stale
-  | e ->
-    let expected = compute t ~base ~salt:e.salt in
-    if e.pac = expected then None
-    else Some (Forged { expected; got = e.pac })
+  let i = find t base in
+  if i < 0 then Some Stale
+  else begin
+    let pac = Array.unsafe_get t.pacs i in
+    let expected = compute t ~base ~salt:(Array.unsafe_get t.salts i) in
+    if pac = expected then None else Some (Forged { expected; got = pac })
+  end
 
 let release t ~base =
-  if Hashtbl.mem t.sigs base then begin
-    Hashtbl.remove t.sigs base;
-    t.touched <- true;
+  let i = find t base in
+  if i < 0 then false
+  else begin
+    remove_at t i;
     t.signs <- t.signs + 1;
     true
   end
-  else false
 
-let has t ~base = Hashtbl.mem t.sigs base
-let salt_of t ~base = Option.map (fun e -> e.salt) (Hashtbl.find_opt t.sigs base)
-let pac_of t ~base = Option.map (fun e -> e.pac) (Hashtbl.find_opt t.sigs base)
-let live t = Hashtbl.length t.sigs
+let has t ~base = find t base >= 0
+
+let salt_of t ~base =
+  let i = find t base in
+  if i < 0 then None else Some t.salts.(i)
+
+let pac_of t ~base =
+  let i = find t base in
+  if i < 0 then None else Some t.pacs.(i)
+
+let live t = t.n_live
 let signs t = t.signs
 let auths t = t.auths
 
 (* Deterministic view of the table for chaos targeting and audits: bases
-   in ascending order (hash-table fold order is not stable). *)
-let bases t = List.sort compare (Hashtbl.fold (fun b _ l -> b :: l) t.sigs [])
+   in ascending order (slot order depends on the capacity). *)
+let bases t =
+  let l = ref [] in
+  Array.iter (fun b -> if b <> empty then l := b :: !l) t.keys;
+  List.sort Int.compare !l
 
 let forge t ~pick ~mask =
   (* or-in bit 0 so the forged tag always differs from the stored one —
@@ -148,8 +258,8 @@ let forge t ~pick ~mask =
   | [] -> None
   | bs ->
     let base = List.nth bs (abs pick mod List.length bs) in
-    let e = Hashtbl.find t.sigs base in
-    Hashtbl.replace t.sigs base { e with pac = e.pac lxor mask };
+    let i = find t base in
+    t.pacs.(i) <- t.pacs.(i) lxor mask;
     t.touched <- true;
     Some base
 
@@ -158,20 +268,23 @@ let drop t ~pick =
   | [] -> None
   | bs ->
     let base = List.nth bs (abs pick mod List.length bs) in
-    Hashtbl.remove t.sigs base;
-    t.touched <- true;
+    remove_at t (find t base);
     Some base
 
-(* Fuzz-mode restore. Re-adding the bindings needs no closure, and an
-   untouched table is not rebuilt at all, so a clean restore allocates
-   nothing. Rolling back [next_salt] is what makes a restored run re-issue
-   the very same salts — and thus the same tags — as a fresh context
-   would, keeping persistent-mode verdicts byte-identical to rebuild
-   mode. *)
+(* Fuzz-mode restore. A snapshot copies the three arrays; a restore clears
+   the current arrays (the table never shrinks, so they hold at least the
+   snapshot's entries at load one half) and re-inserts the snapshot's
+   entries, so it allocates nothing, and an untouched table is not
+   rewritten at all. Rolling back [next_salt] is what makes a restored run
+   re-issue the very same salts — and thus the same tags — as a fresh
+   context would, keeping persistent-mode verdicts byte-identical to
+   rebuild mode. *)
 let snapshot t =
   let s =
     {
-      s_sigs = Hashtbl.fold (fun b e l -> (b, e) :: l) t.sigs [];
+      s_keys = Array.copy t.keys;
+      s_salts = Array.copy t.salts;
+      s_pacs = Array.copy t.pacs;
       s_next_salt = t.next_salt;
       s_signs = t.signs;
       s_auths = t.auths;
@@ -181,15 +294,10 @@ let snapshot t =
   t.touched <- false;
   s
 
-let rec add_sigs sigs = function
-  | [] -> ()
-  | (b, e) :: rest ->
-    Hashtbl.add sigs b e;
-    add_sigs sigs rest
-
 let refill t s =
-  Hashtbl.reset t.sigs;
-  add_sigs t.sigs s.s_sigs
+  Array.fill t.keys 0 (Array.length t.keys) empty;
+  t.n_live <- 0;
+  reinsert t s.s_keys s.s_salts s.s_pacs
 
 let restore t s =
   (match t.armed with
@@ -205,11 +313,12 @@ let restore t s =
 let audit t =
   List.find_map
     (fun base ->
-      let e = Hashtbl.find t.sigs base in
-      let expected = compute t ~base ~salt:e.salt in
-      if e.pac <> expected then
+      let i = find t base in
+      let pac = t.pacs.(i) in
+      let expected = compute t ~base ~salt:t.salts.(i) in
+      if pac <> expected then
         Some
           (Printf.sprintf "pac mismatch at base %d: stored %#06x, expect %#06x"
-             base e.pac expected)
+             base pac expected)
       else None)
     (bases t)

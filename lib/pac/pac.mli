@@ -55,7 +55,8 @@ val with_tag : int -> int -> int
 
 val sign : t -> base:int -> int
 (** Sign a fresh allocation: draw a fresh salt, record the signature, and
-    return the tagged base pointer. Counts one metadata store. *)
+    return the tagged base pointer. Counts one metadata store. Raises
+    [Invalid_argument] on a negative base (bases are addresses). *)
 
 val retag : t -> int -> base:int -> int option
 (** Derive an interior pointer: apply [base]'s live tag to [ptr] (pointer
@@ -99,6 +100,12 @@ val signs : t -> int
 val auths : t -> int
 (** Metadata loads so far (authenticate/check). *)
 
+val home_slot : t -> int -> int
+(** The slot of the current signature table where [base]'s linear-probe
+    chain starts: a multiplicative hash of [base lsr 3], in
+    [0, capacity) (64 slots until the table first grows). Exposed for the
+    table tests, which build colliding and wrapping chains from it. *)
+
 val bases : t -> int list
 (** Live bases in ascending order — the deterministic iteration order the
     chaos hooks and {!audit} use. *)
@@ -126,9 +133,10 @@ val restore : t -> snapshot -> unit
 (** Rewind to any snapshot taken from this context. Rolling the salt
     counter back makes a restored run re-issue the same salts — hence the
     same tags — a fresh context would, so persistent-mode verdicts stay
-    byte-identical to rebuild mode. The table is rebuilt only if it changed
-    since the snapshot it was last captured at or rewound to, so a clean
-    restore allocates nothing. *)
+    byte-identical to rebuild mode. The table is rewritten only if it
+    changed since the snapshot it was last captured at or rewound to, and
+    then in place (cleared, and the snapshot's entries re-inserted), so no
+    restore allocates. *)
 
 val audit : t -> string option
 (** Recompute every stored PAC from its salt; [Some detail] on the first

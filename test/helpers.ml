@@ -54,6 +54,20 @@ let minor_words_of f =
 
 let counter_cost () = minor_words_of ignore
 
+(* Each power of two p = 2^k, k <= [max_bits], with its quarter steps
+   p + j*p/4 (j = 0..4), each -1, exact and +1: the points where a closed
+   form for a power-of-two rounding is most likely to slip. *)
+let pow2_edges ~max_bits =
+  List.concat_map
+    (fun k ->
+      let p = 1 lsl k in
+      List.concat_map
+        (fun j ->
+          let s = p + (j * (p / 4)) in
+          [ s - 1; s; s + 1 ])
+        [ 0; 1; 2; 3; 4 ])
+    (List.init (max_bits + 1) Fun.id)
+
 (* Quick alcotest shorthands *)
 let qt = Alcotest.test_case
 let q name arb prop =

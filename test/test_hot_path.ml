@@ -252,8 +252,9 @@ let test_traced_event_order =
    stream (64 slots, sizes up to 2 KiB), with a snapshot armed and
    restored every [churn_restore] ops, so every poisoning store lands in
    an armed shadow journal. The heap does the same work on every backend,
-   so any minor word GiantSan or ASan spends beyond Native's is spent by
-   its plane hooks: the poison kernels and the journal. *)
+   so any minor word a backend spends beyond Native's is spent by its
+   plane hooks: GiantSan's and ASan's poison kernels and journal, PAC's
+   sign, strip and table restore (LFP has no plane). *)
 let churn_ops = 4096
 let churn_slots = 64
 let churn_restore = 256
@@ -300,7 +301,7 @@ let test_churn_words_match_native =
             Alcotest.failf "%s: %.0f words over %d ops, Native %.0f (%+.3f per op)"
               (Backend.name id) words churn_ops native
               ((words -. native) /. float_of_int churn_ops))
-        [ Backend.Giantsan; Asan ])
+        [ Backend.Giantsan; Asan; Lfp; Pac ])
 
 (* The interpreter: once a (program, plan) pair has run, a run resolves
    nothing, so its minor words are what executing the ops allocates —

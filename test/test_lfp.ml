@@ -13,6 +13,31 @@ let test_size_classes () =
   Alcotest.(check int) "1024 exact" 1024 (Size_class.round_up 1024);
   Alcotest.(check int) "1025 -> 1280" 1280 (Size_class.round_up 1025)
 
+(* The doubling loop [round_up] replaced, kept as its reference twin. *)
+let round_up_loop size =
+  if size <= 16 then 16
+  else begin
+    let p = ref 16 in
+    while !p * 2 < size do
+      p := !p * 2
+    done;
+    let q = !p / 4 in
+    let steps = (size - !p + q - 1) / q in
+    !p + (steps * q)
+  end
+
+let test_round_up_matches_loop () =
+  let check size =
+    if Size_class.round_up size <> round_up_loop size then
+      Alcotest.failf "round_up %d = %d, loop says %d" size
+        (Size_class.round_up size) (round_up_loop size)
+  in
+  for size = 0 to 1 lsl 16 do
+    check size
+  done;
+  List.iter (fun size -> if size >= 0 then check size)
+    (Helpers.pow2_edges ~max_bits:40)
+
 let test_class_props =
   Helpers.q "round_up is a sound class"
     QCheck.(int_range 0 100000)
@@ -117,6 +142,8 @@ let suite =
   ( "lfp",
     [
       Helpers.qt "size classes" `Quick test_size_classes;
+      Helpers.qt "round_up = the doubling loop" `Quick
+        test_round_up_matches_loop;
       test_class_props;
       test_class_slack_bounded;
       Helpers.qt "in-bounds pass" `Quick test_inbounds;

@@ -262,6 +262,229 @@ let test_drop_is_stale_not_forged () =
   | None -> Alcotest.fail "dropped signature still authenticated"
   | Some (Pac.Forged _) -> Alcotest.fail "drop misclassified as forge"
 
+(* ------------------------------------------------------------------ *)
+(* The signature table against an association-list model              *)
+(* ------------------------------------------------------------------ *)
+
+(* The first [n] 8-aligned bases whose probe chain starts at slot [home]
+   of a fresh (64-slot) table. *)
+let bases_at_home ~home n =
+  let t = Pac.create () in
+  let rec go b acc n =
+    if n = 0 then List.rev acc
+    else if Pac.home_slot t b = home then go (b + 8) (b :: acc) (n - 1)
+    else go (b + 8) acc n
+  in
+  go 65536 [] n
+
+(* Bases the sequences draw from: eight that share [base lsr 3] (so one
+   home slot and one probe chain at any capacity), chains at slots 62, 63
+   and 0 of the first table (one that wraps around its end), and enough
+   spread bases that the live count passes the 32 a 64-slot table holds. *)
+let table_pool =
+  Array.of_list
+    (List.init 8 (fun i -> 4096 + i)
+    @ bases_at_home ~home:63 6
+    @ bases_at_home ~home:62 4
+    @ bases_at_home ~home:0 4
+    @ List.init 40 (fun i -> 8192 + (24 * i)))
+
+let never_signed = [ 0; 8; 4104; 1 lsl 40 ]
+
+type model = {
+  m_sigs : (int * (int * int)) list;  (* base -> (salt, stored pac) *)
+  m_next_salt : int;
+  m_signs : int;
+  m_auths : int;
+}
+
+let model0 = { m_sigs = []; m_next_salt = 1; m_signs = 0; m_auths = 0 }
+let model_bases m = List.sort Int.compare (List.map fst m.m_sigs)
+
+(* Every query of [t] against [m], for every pool base and a few never
+   signed: the failure names the first disagreement. The queries'
+   metadata loads (two per absent base, three per live one) advance the
+   returned model's [m_auths]. *)
+let agree t m =
+  let fail fmt = Alcotest.failf fmt in
+  if Pac.live t <> List.length m.m_sigs then
+    fail "live %d, model %d" (Pac.live t) (List.length m.m_sigs);
+  if Pac.bases t <> model_bases m then fail "bases differ from the model";
+  if Pac.signs t <> m.m_signs then fail "signs %d, model %d" (Pac.signs t) m.m_signs;
+  if Pac.auths t <> m.m_auths then fail "auths %d, model %d" (Pac.auths t) m.m_auths;
+  let loads = ref 0 in
+  List.iter
+    (fun base ->
+      let entry = List.assoc_opt base m.m_sigs in
+      if Pac.has t ~base <> (entry <> None) then fail "has %d" base;
+      if Pac.salt_of t ~base <> Option.map fst entry then fail "salt_of %d" base;
+      if Pac.pac_of t ~base <> Option.map snd entry then fail "pac_of %d" base;
+      match entry with
+      | None ->
+        loads := !loads + 2;
+        if Pac.check t ~base <> Some Pac.Stale then fail "check %d: not stale" base;
+        if Pac.authenticate t (Pac.with_tag base 0) ~base <> Error Pac.Stale then
+          fail "authenticate %d: not stale" base;
+        if Pac.retag t base ~base <> None then fail "retag %d" base
+      | Some (salt, pac) ->
+        loads := !loads + 3;
+        let expected = Pac.compute t ~base ~salt in
+        let forged got = Pac.Forged { expected; got } in
+        let want_check = if pac = expected then None else Some (forged pac) in
+        if Pac.check t ~base <> want_check then fail "check %d" base;
+        let good = Pac.with_tag (base + 8) expected in
+        let want_good = if pac = expected then Ok (base + 8) else Error (forged pac) in
+        if Pac.authenticate t good ~base <> want_good then
+          fail "authenticate %d, right tag" base;
+        let bad = expected lxor 1 in
+        if Pac.authenticate t (Pac.with_tag base bad) ~base <> Error (forged bad) then
+          fail "authenticate %d, wrong tag" base)
+    (never_signed @ Array.to_list table_pool);
+  let want_audit =
+    List.find_map
+      (fun base ->
+        let salt, pac = List.assoc base m.m_sigs in
+        let expected = Pac.compute t ~base ~salt in
+        if pac <> expected then
+          Some
+            (Printf.sprintf "pac mismatch at base %d: stored %#06x, expect %#06x"
+               base pac expected)
+        else None)
+      (model_bases m)
+  in
+  if Pac.audit t <> want_audit then fail "audit differs from the model";
+  { m with m_auths = m.m_auths + !loads }
+
+let nth_base m pick =
+  let bs = model_bases m in
+  List.nth bs (abs pick mod List.length bs)
+
+(* One seeded step on both; [snaps] is every (snapshot, model) taken. *)
+let table_step rng t m snaps =
+  let base () = Rng.pick rng table_pool in
+  match Rng.int rng 12 with
+  | 0 | 1 | 2 | 3 | 4 ->
+    let base = base () in
+    let salt = m.m_next_salt in
+    let pac = Pac.compute t ~base ~salt in
+    if Pac.sign t ~base <> Pac.with_tag base pac then
+      Alcotest.failf "sign %d: wrong tagged pointer" base;
+    ( {
+        m with
+        m_sigs = (base, (salt, pac)) :: List.remove_assoc base m.m_sigs;
+        m_next_salt = salt + 1;
+        m_signs = m.m_signs + 1;
+      },
+      snaps )
+  | 5 | 6 | 7 ->
+    let base = if Rng.int rng 8 = 0 then List.hd never_signed else base () in
+    let was = List.mem_assoc base m.m_sigs in
+    if Pac.release t ~base <> was then Alcotest.failf "release %d" base;
+    if was then
+      ( {
+          m with
+          m_sigs = List.remove_assoc base m.m_sigs;
+          m_signs = m.m_signs + 1;
+        },
+        snaps )
+    else (m, snaps)
+  | 8 ->
+    let pick = Rng.int rng 1000 and mask = Rng.int rng 0x10000 in
+    let victim = Pac.forge t ~pick ~mask in
+    if m.m_sigs = [] then begin
+      if victim <> None then Alcotest.fail "forge on an empty table";
+      (m, snaps)
+    end
+    else begin
+      let base = nth_base m pick in
+      if victim <> Some base then Alcotest.failf "forge hit the wrong base";
+      let salt, pac = List.assoc base m.m_sigs in
+      let pac = pac lxor ((mask land 0xffff) lor 1) in
+      ( { m with m_sigs = (base, (salt, pac)) :: List.remove_assoc base m.m_sigs },
+        snaps )
+    end
+  | 9 ->
+    let pick = Rng.int rng 1000 in
+    let victim = Pac.drop t ~pick in
+    if m.m_sigs = [] then begin
+      if victim <> None then Alcotest.fail "drop on an empty table";
+      (m, snaps)
+    end
+    else begin
+      let base = nth_base m pick in
+      if victim <> Some base then Alcotest.failf "drop hit the wrong base";
+      ({ m with m_sigs = List.remove_assoc base m.m_sigs }, snaps)
+    end
+  | 10 -> (m, (Pac.snapshot t, m) :: snaps)
+  | _ -> (
+    match snaps with
+    | [] -> (m, snaps)
+    | _ ->
+      let s, sm = List.nth snaps (Rng.int rng (List.length snaps)) in
+      Pac.restore t s;
+      (sm, snaps))
+
+let test_table_matches_model =
+  Helpers.q "signature table = association-list model (seeded sequences)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let t = Pac.create () in
+      let m = ref (agree t model0) and snaps = ref [] in
+      for _ = 1 to 150 do
+        let m', snaps' = table_step rng t !m !snaps in
+        m := agree t m';
+        snaps := snaps'
+      done;
+      true)
+
+(* The cases the seeded sequences are built to reach, each made certain:
+   a deletion in the middle of a chain that wraps past the last slot, one
+   base-lsr-3 chain, and growth past the first 64 slots with a restore to
+   a snapshot of the small table. *)
+let test_table_chains () =
+  let t = Pac.create () in
+  let m = ref model0 in
+  let sign base =
+    let salt = !m.m_next_salt in
+    ignore (Pac.sign t ~base);
+    m :=
+      {
+        !m with
+        m_sigs = (base, (salt, Pac.compute t ~base ~salt)) :: !m.m_sigs;
+        m_next_salt = salt + 1;
+        m_signs = !m.m_signs + 1;
+      }
+  in
+  let release base =
+    Alcotest.(check bool) "release finds it" true (Pac.release t ~base);
+    m :=
+      { !m with m_sigs = List.remove_assoc base !m.m_sigs; m_signs = !m.m_signs + 1 }
+  in
+  (* slots 62 .. 63, 0 .. 2: three bases from slot 63 and one from slot 0
+     fill the chain that wraps; freeing slot 63 shifts the entries at 0
+     and 1 back across the end, and the one at 2 back to its home *)
+  let at62 = bases_at_home ~home:62 1
+  and at63 = bases_at_home ~home:63 3
+  and at0 = bases_at_home ~home:0 1 in
+  List.iter sign (at62 @ at63 @ at0);
+  m := agree t !m;
+  release (List.hd at63);
+  m := agree t !m;
+  release (List.hd at62);
+  m := agree t !m;
+  let s = Pac.snapshot t and at_snapshot = !m in
+  List.iter sign (List.init 8 (fun i -> 4096 + i));
+  m := agree t !m;
+  release 4099;
+  m := agree t !m;
+  List.iter sign (List.init 40 (fun i -> 8192 + (24 * i)));
+  Alcotest.(check bool) "the table grew past 64 slots" true
+    (List.exists (fun b -> Pac.home_slot t b >= 64) (Pac.bases t));
+  m := agree t !m;
+  Pac.restore t s;
+  ignore (agree t at_snapshot)
+
 let suite =
   ( "pac",
     [
@@ -290,4 +513,7 @@ let suite =
         test_forged_report_is_wild_access;
       Helpers.qt "stolen strip: stale, invisible to audit alone" `Quick
         test_drop_is_stale_not_forged;
+      test_table_matches_model;
+      Helpers.qt "signature table: wrapping chain, one home, growth, restore"
+        `Quick test_table_chains;
     ] )

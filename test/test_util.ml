@@ -9,6 +9,28 @@ let test_log2_floor () =
   Alcotest.(check int) "log2 1024" 10 (Bitops.log2_floor 1024);
   Alcotest.(check int) "log2 max" 61 (Bitops.log2_floor (1 lsl 61))
 
+(* The shift loop [log2_floor] replaced, kept as its reference twin. *)
+let log2_floor_loop n =
+  let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
+  loop n 0
+
+let test_log2_floor_matches_loop () =
+  let check n =
+    if Bitops.log2_floor n <> log2_floor_loop n then
+      Alcotest.failf "log2_floor %d = %d, loop says %d" n (Bitops.log2_floor n)
+        (log2_floor_loop n)
+  in
+  for n = 1 to 1 lsl 16 do
+    check n
+  done;
+  List.iter (fun n -> if n >= 1 then check n) (Helpers.pow2_edges ~max_bits:40);
+  (* and every bit position an int has *)
+  for k = 0 to 61 do
+    check (1 lsl k);
+    check ((1 lsl k) - 1 + (1 lsl k))
+  done;
+  check max_int
+
 let test_log2_ceil () =
   Alcotest.(check int) "ceil 1" 0 (Bitops.log2_ceil 1);
   Alcotest.(check int) "ceil 2" 1 (Bitops.log2_ceil 2);
@@ -154,6 +176,8 @@ let suite =
   ( "util",
     [
       Helpers.qt "bitops: log2_floor" `Quick test_log2_floor;
+      Helpers.qt "bitops: log2_floor = the shift loop" `Quick
+        test_log2_floor_matches_loop;
       Helpers.qt "bitops: log2_ceil" `Quick test_log2_ceil;
       Helpers.qt "bitops: align" `Quick test_align;
       Helpers.qt "bitops: cdiv" `Quick test_cdiv;
