@@ -34,6 +34,13 @@
 # another function or a global: Metric's closure walk over the spec, a tail
 # call, a stack-growth check) is a hit, and so is either function missing
 # from the object.
+#
+# And it fails if Shadow_mem.skip_zero (lib/shadow), ASan's word-wide
+# region scan, has a relocation to anything but caml_call_gc (the loop's
+# GC poll) or an indirect call or jump: it reads the shadow with unchecked
+# 64-bit loads, so a bounds check (caml_ml_array_bound_error), a call of
+# Bytes.get_int64_le or any other function is a hit, and so is the kernel
+# missing from the object.
 set -eu
 
 cd "${1:-$(dirname "$0")/..}"
@@ -104,6 +111,18 @@ objdump -dr --no-show-raw-insn "$counters" | awk '
   on && /^ +[0-9a-f]+:\t(call|jmp +\*)/ { sub(/^ +[0-9a-f]+:\t/, ""); print fn, $0 }
   END { if (seen != 2) print "Counters.o:", seen + 0, "of reset/add found, expected 2" }' \
   | sed "s|^|${counters##*/} |" >> "$tmp/hits"
+shadow=_build/default/lib/shadow/.giantsan_shadow.objs/native/giantsan_shadow__Shadow_mem.o
+objdump -dr --no-show-raw-insn "$shadow" | awk '
+  /^[0-9a-f]+ <.*>:$/ {
+    fn = $2
+    on = fn ~ /^<camlGiantsan_shadow__Shadow_mem\.skip_zero_[0-9]+>:$/
+    if (on) seen++
+    next
+  }
+  on && /R_X86_64_/ && $NF !~ /^caml_call_gc([-+]|$)/ { print fn, "relocation to " $NF; next }
+  on && /^ +[0-9a-f]+:\t(call|jmp) +\*/ { sub(/^ +[0-9a-f]+:\t/, ""); print fn, $0 }
+  END { if (seen != 1) print "Shadow_mem.o:", seen + 0, "skip_zero found, expected 1" }' \
+  | sed "s|^|${shadow##*/} |" >> "$tmp/hits"
 scenario=_build/default/lib/bugs/.giantsan_bugs.objs/native/giantsan_bugs__Scenario.o
 [ -e "$scenario" ] || { echo "FAIL: no native object for lib/bugs Scenario; build first" >&2; exit 1; }
 objdump -dr --no-show-raw-insn "$scenario" | stdlib_loads "$minmax" \

@@ -13,23 +13,36 @@ let check_access m ~addr ~width =
   let v = E.decode_signed (Shadow_mem.load m (addr / 8)) in
   not (v <> 0 && (addr land 7) + width > v)
 
+(* The first bad byte of [lo, hi) in segment [s] of code [v], or [hi] if
+   the part of [lo, hi) inside it is addressable (a bad byte is always
+   below [hi]). *)
+let segment_bad ~lo ~hi s v =
+  let ok_upto = E.addressable_in_segment v in
+  let seg_base = s * 8 in
+  if Int.min hi (seg_base + 8) - seg_base > ok_upto then
+    Int.max lo (seg_base + ok_upto)
+  else hi
+
+(* The first and last segments may be partial and are checked one at a
+   time. The ones between go through [skip_zero] word-wide, and a nonzero
+   code there makes the segment bad from the end of its addressable
+   prefix, since they are whole when [hi > 0]. When [hi <= 0] they lie
+   below the arena and read as the fill, as does the first segment, which
+   is then whole: a nonzero fill stops the scan before them. Loads are one
+   per segment up to the bad one, as a per-segment walk charges. *)
 let region_is_safe m ~lo ~hi =
   if hi <= lo then None
   else begin
     let first_seg = lo / 8 and last_seg = (hi - 1) / 8 in
-    let bad = ref None in
-    let seg = ref first_seg in
-    while !bad = None && !seg <= last_seg do
-      let v = Shadow_mem.load m !seg in
-      let ok_upto = E.addressable_in_segment v in
-      let seg_base = !seg * 8 in
-      let want_from = Int.max lo seg_base
-      and want_to = Int.min hi (seg_base + 8) in
-      if want_to - seg_base > ok_upto then
-        bad := Some (Int.max want_from (seg_base + ok_upto));
-      incr seg
-    done;
-    !bad
+    let bad = segment_bad ~lo ~hi first_seg (Shadow_mem.load m first_seg) in
+    let bad =
+      if bad < hi || last_seg = first_seg then bad
+      else
+        let s = Shadow_mem.skip_zero m ~lo:(first_seg + 1) ~hi:last_seg in
+        if s < last_seg then (8 * s) + E.addressable_in_segment (Shadow_mem.peek m s)
+        else segment_bad ~lo ~hi last_seg (Shadow_mem.load m last_seg)
+    in
+    if bad < hi then Some bad else None
   end
 
 let create_exposed ?(name = "ASan") config =

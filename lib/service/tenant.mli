@@ -79,15 +79,12 @@ val windows_closed : t -> int
 
 val tick_arrivals : t -> mean:int -> unit
 (** One tick of the arrival process: draw this tick's burst size
-    ([mean ± 2]) from the tenant's private arrival stream and {!arrive} it.
-    Called serially by {!Loop} so the arrival stream stays off the worker
-    domains entirely. *)
-
-val arrive : t -> n:int -> unit
-(** Generate [n] requests from the tenant's stream and enqueue them;
-    requests past [queue_cap] (or arriving at a quarantined tenant) are
-    shed. Generation always consumes the stream, so shedding never shifts
-    later requests — the stream stays a pure function of the seed. *)
+    ([mean ± 2]) from the tenant's private arrival stream, generate that
+    many requests from its request stream and enqueue them; requests past
+    [queue_cap] (or arriving at a quarantined tenant) are shed. Generation
+    always consumes the stream, so shedding never shifts later requests —
+    the stream stays a pure function of the seed. Called serially by
+    {!Loop} so the arrival stream stays off the worker domains entirely. *)
 
 val run_quantum : t -> max_ops:int -> unit
 (** Serve up to [max_ops] pending requests: execute each against the

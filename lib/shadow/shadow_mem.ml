@@ -57,6 +57,42 @@ let peek t p =
   if p < 0 || p >= Bytes.length t.bytes then t.fill
   else Char.code (Bytes.get t.bytes p)
 
+(* Unchecked: [skip_zero] reads only inside a range it has bounds-checked. *)
+external get_int64_unsafe : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* ASan's [mem_is_zero] over the shadow: the linear guardian's scan. The
+   cost model still sees one [load] per segment, from [lo] up to and
+   including the one returned, charged in one increment at the end. A
+   range inside the arena is bounds-checked once, then read 8 segments per
+   unchecked 64-bit read and finished byte by byte; one that straddles an
+   arena end goes segment by segment, the outside reading as [fill] for
+   free. *)
+let skip_zero t ~lo ~hi =
+  let b = t.bytes in
+  let p = ref lo in
+  if lo >= 0 && hi <= Bytes.length b then begin
+    while !p + 8 <= hi && get_int64_unsafe b !p = 0L do
+      p := !p + 8
+    done;
+    while !p < hi && Bytes.unsafe_get b !p = '\000' do
+      incr p
+    done;
+    t.loads <- t.loads + (!p - lo) + if !p < hi then 1 else 0
+  end
+  else
+    while
+      !p < hi
+      &&
+      if !p >= 0 && !p < Bytes.length b then begin
+        t.loads <- t.loads + 1;
+        Bytes.unsafe_get b !p = '\000'
+      end
+      else t.fill = 0
+    do
+      incr p
+    done;
+  !p
+
 (* Word-wide metadata fetch: segments [p, p+8) land in the word register,
    byte [k] of it being segment [p + k]. One counted load per word — the
    folding encoding exists precisely so a single 64-bit load can vouch for

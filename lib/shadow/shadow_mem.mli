@@ -3,8 +3,9 @@
     This is the `ShadowUnitType m[N]` array of §2.2. Both ASan's and
     GiantSan's encodings live in this substrate; they differ only in how
     they interpret the byte. Reads issued on the check path go through
-    [load] so the experiments can count metadata loadings — the quantity the
-    protection-density argument is about. *)
+    [load], or a kernel that charges as [load] would ({!load_word},
+    {!skip_zero}), so the experiments can count metadata loadings — the
+    quantity the protection-density argument is about. *)
 
 type t
 
@@ -26,6 +27,17 @@ val load : t -> int -> int
 
 val peek : t -> int -> int
 (** Like [load] but uncounted — for tests and pretty-printing only. *)
+
+val skip_zero : t -> lo:int -> hi:int -> int
+(** [skip_zero m ~lo ~hi] is the first segment in [lo, hi) whose code is
+    not 0, or [hi] if there is none ([lo] when [hi < lo]): ASan's
+    [mem_is_zero] over the shadow, the linear guardian's inner scan. It
+    charges exactly what a {!load} loop over [lo] up to and including the
+    returned segment would: one load per in-arena segment, none for the
+    out-of-range ones, which read as the fill value. A range inside the
+    arena is bounds-checked once, then read 8 segments per unchecked
+    64-bit read and finished one byte at a time; a range that straddles
+    an arena end is walked segment by segment. Allocates nothing. *)
 
 val load_word : t -> int -> unit
 (** [load_word m p] fetches segments [p, p+8) into [m]'s word register in

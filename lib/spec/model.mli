@@ -80,7 +80,6 @@ val flush_quarantine : t -> t
 (** Evict everything — the model side of a pressure flush. *)
 
 val peek_byte : t -> int -> int
-val write_byte : t -> int -> int -> t
 
 val memset : t -> dst:int -> n:int -> int -> t
 (** Clamp semantics of [Interceptors.clamped_fill]: negative destination is
@@ -109,12 +108,9 @@ val code_in_object :
     with [Giantsan_chaos.Selfcheck] so the model and the live audit can
     never disagree about what "correct" means. *)
 
-val shadow_code : t -> int -> int
-(** The reference shadow, one segment at a time ([State_code.unallocated]
-    over unowned memory). *)
-
 val shadow_array : t -> int array
-(** The whole reference shadow in one pass. *)
+(** The whole reference shadow, one code per segment
+    ([State_code.unallocated] over unowned memory). *)
 
 val classify :
   t -> addr:int -> base:int option -> Giantsan_sanitizer.Report.kind

@@ -186,19 +186,3 @@ let linear_poison_good_run t ~first_seg ~count =
   for j = 0 to count - 1 do
     set t (first_seg + j) (min Linear_encoding.max_run (count - j))
   done
-
-let linear_poison_alloc t (obj : Memobj.t) =
-  let rz = State_code.redzone_code obj.Memobj.kind in
-  let base_seg = obj.Memobj.base / 8 in
-  let full = obj.Memobj.size / 8 in
-  let rem = obj.Memobj.size mod 8 in
-  fill_range t ~lo:(obj.Memobj.block_base / 8) ~hi:base_seg rz;
-  linear_poison_good_run t ~first_seg:base_seg ~count:full;
-  let after =
-    if rem > 0 then begin
-      set t (base_seg + full) (State_code.partial rem);
-      base_seg + full + 1
-    end
-    else base_seg + full
-  in
-  fill_range t ~lo:after ~hi:(Memobj.block_end obj / 8) rz

@@ -44,10 +44,6 @@ val poison_alloc :
 val poison_free : t -> Giantsan_memsim.Memobj.t -> unit
 val poison_evict : t -> Giantsan_memsim.Memobj.t -> unit
 
-val addressable_byte : t -> int -> bool
-(** A byte is addressable iff it sits inside its own segment's addressable
-    prefix — no trust in fold claims about successor segments. *)
-
 val region_check : t -> l:int -> r:int -> [ `Safe | `Bad of int ]
 (** Reference for [Region_check.check]: byte-wise scan of [l, r), blaming
     the {e first} non-addressable byte. *)
@@ -84,5 +80,3 @@ val lower_bound_sound : t -> addr:int -> int -> bool
 val linear_poison_good_run : t -> first_seg:int -> count:int -> unit
 (** Reference for [Linear_encoding.poison_good_run]:
     [min max_run (count - j)] per position. *)
-
-val linear_poison_alloc : t -> Giantsan_memsim.Memobj.t -> unit

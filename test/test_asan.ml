@@ -174,6 +174,114 @@ let test_parity =
            (list_of_size (Gen.int_range 1 15) (triple small_nat small_nat small_nat)))
        parity)
 
+(* Reference twin of [Asan_runtime.region_is_safe]: one bounds-checked
+   [load] per segment of [lo, hi), stopping at the first bad one. The
+   word-wide scan must agree with it on the verdict, the bad address and
+   the loads charged. *)
+module Shadow_mem = Giantsan_shadow.Shadow_mem
+module E = Giantsan_asan.Asan_encoding
+
+let region_is_safe_reference m ~lo ~hi =
+  if hi <= lo then None
+  else begin
+    let first_seg = lo / 8 and last_seg = (hi - 1) / 8 in
+    let bad = ref None in
+    let seg = ref first_seg in
+    while !bad = None && !seg <= last_seg do
+      let v = Shadow_mem.load m !seg in
+      let ok_upto = E.addressable_in_segment v in
+      let seg_base = !seg * 8 in
+      let want_from = Int.max lo seg_base
+      and want_to = Int.min hi (seg_base + 8) in
+      if want_to - seg_base > ok_upto then
+        bad := Some (Int.max want_from (seg_base + ok_upto));
+      incr seg
+    done;
+    !bad
+  end
+
+let poison_codes =
+  [ E.heap_redzone; E.freed; E.stack_redzone; E.global_redzone; E.unallocated ]
+
+(* A shadow of [segments] codes: zero runs broken by partial codes 1-7 and
+   every poison code, at a density from none to every other segment. The
+   fill is ASan's own, zero, or a partial code (a partial fill makes the
+   bytes just below address 0 addressable up to that prefix). Ranges cover
+   the arena's interior, both ends, negative [lo], empty and one-segment
+   ranges, and lengths within 9 bytes of a multiple of 64. *)
+let arb_guardian =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 96 >>= fun segments ->
+    oneof [ return E.unallocated; return 0; int_range 1 7 ] >>= fun fill ->
+    int_range 0 6 >>= fun density ->
+    let code =
+      frequency
+        [
+          (12, return 0);
+          (density, int_range 1 7);
+          (density, oneofl poison_codes);
+        ]
+    in
+    array_size (return segments) code >>= fun codes ->
+    let bytes = 8 * segments in
+    let range =
+      frequency
+        [
+          ( 3,
+            int_range (-40) (bytes + 40) >>= fun lo ->
+            map (fun len -> (lo, lo + len)) (int_range 0 (bytes + 40)) );
+          ( 2,
+            map2
+              (fun lo pad -> (lo, bytes + pad))
+              (int_range (-40) (-1)) (int_range 1 40) );
+          ( 2,
+            int_range (-30) (-1) >>= fun lo ->
+            map (fun len -> (lo, lo + len)) (int_range 0 80) );
+          ( 1,
+            int_range (-16) (bytes + 16) >>= fun lo ->
+            map (fun d -> (lo, lo - d)) (int_range 0 3) );
+          ( 2,
+            int_range (-2) (segments + 1) >>= fun s ->
+            int_range 0 7 >>= fun a ->
+            map (fun b -> ((8 * s) + a, (8 * s) + a + b)) (int_range 1 (8 - a)) );
+          ( 3,
+            int_range 1 (Int.max 1 (bytes / 64)) >>= fun k ->
+            int_range (-9) 9 >>= fun d ->
+            map
+              (fun lo -> (lo, lo + Int.max 0 ((64 * k) + d)))
+              (int_range (-8) bytes) );
+        ]
+    in
+    map (fun (lo, hi) -> (fill, codes, lo, hi)) range
+  in
+  QCheck.make
+    ~print:(fun (fill, codes, lo, hi) ->
+      Printf.sprintf "fill %d, codes [%s], [%d, %d)" fill
+        (String.concat "; " (Array.to_list (Array.map string_of_int codes)))
+        lo hi)
+    gen
+
+let test_guardian_equals_reference =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck.Test.make ~count:2000
+       ~name:"word-wide guardian = per-segment reference (verdict, address, loads)"
+       arb_guardian (fun (fill, codes, lo, hi) ->
+      let make () =
+        let segments = Array.length codes in
+        let m = Shadow_mem.create ~segments ~fill in
+        Array.iteri (Shadow_mem.set m) codes;
+        m
+      in
+      let m = make () and r = make () in
+      let got = Giantsan_asan.Asan_runtime.region_is_safe m ~lo ~hi in
+      let want = region_is_safe_reference r ~lo ~hi in
+      let show = function None -> "None" | Some a -> string_of_int a in
+      if got <> want || Shadow_mem.loads m <> Shadow_mem.loads r then
+        QCheck.Test.fail_reportf "%s with %d loads, reference %s with %d"
+          (show got) (Shadow_mem.loads m) (show want) (Shadow_mem.loads r);
+      true)
+
 let suite =
   ( "asan",
     [
@@ -191,4 +299,5 @@ let suite =
       Helpers.qt "one shadow load per access" `Quick test_every_access_costs_a_load;
       test_asan_oracle;
       test_parity;
+      test_guardian_equals_reference;
     ] )

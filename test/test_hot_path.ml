@@ -397,6 +397,38 @@ let test_compiled_footprint =
       if ratio > compiled_footprint_bound then
         Alcotest.failf "compiled %d words, AST %d words: %.3f x" compiled ast ratio)
 
+(* ASan's linear guardian, reached through [check_region] and through
+   [access] wider than 8 bytes: zero minor words at every region size from
+   one segment to 16 KiB, across the word-wide scan's tail lengths. *)
+let guardian_sizes = [ 8; 9; 15; 16; 17; 63; 64; 65; 72; 100; 511; 4096; 16384 ]
+
+let test_asan_guardian_words =
+  Helpers.qt "asan guardian, 8 B to 16 KiB: 0 words/call" `Quick (fun () ->
+      Trace.disable ();
+      let san = Backend.create Backend.Asan Helpers.mid_config in
+      let b = (san.San.malloc (16384 + 64)).Memsim.Memobj.base in
+      List.iter
+        (fun size ->
+          List.iter
+            (fun (what, call) ->
+              let words =
+                Helpers.minor_words_of (fun () ->
+                    for i = 0 to 999 do
+                      call (b + (8 * (i land 7)))
+                    done)
+              in
+              if words > Helpers.counter_cost () then
+                Alcotest.failf "%s of %d B: %.0f words over 1000 calls" what
+                  size words)
+            [
+              ( "check_region",
+                fun lo -> clean "check_region" (san.San.check_region ~lo ~hi:(lo + size))
+              );
+              ( "access",
+                fun addr -> clean "access" (san.San.access ~base:b ~addr ~width:size) );
+            ])
+        guardian_sizes)
+
 let backends = [ Backend.Native; Giantsan; Asan; Lfp; Pac ]
 
 let suite =
@@ -411,4 +443,5 @@ let suite =
         backends
     @ [ test_churn_words_match_native ]
     @ List.map test_interp_words_per_op [ Runner.Native; Runner.Giantsan ]
-    @ [ test_interp_resolution_shared; test_compiled_footprint ] )
+    @ [ test_interp_resolution_shared; test_compiled_footprint ]
+    @ [ test_asan_guardian_words ] )

@@ -304,6 +304,77 @@ let test_journal_equals_reference =
   Helpers.q "dirty journal = reference list journal" arb_journal_ops
     run_journal_ops
 
+(* [skip_zero] against a [load] loop: same segment returned, same loads
+   charged. Shadows are mostly zero with a few nonzero codes,
+   so the word reads see long zero runs; ranges lie inside the arena,
+   straddle an end, or lie wholly outside it, under a zero fill and a
+   nonzero one. *)
+let skip_zero_reference m ~lo ~hi =
+  let p = ref lo in
+  while !p < hi && Shadow_mem.load m !p = 0 do
+    incr p
+  done;
+  !p
+
+let arb_skip_zero =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 200 >>= fun segments ->
+    oneof [ return 0; int_range 1 255 ] >>= fun fill ->
+    list_size (int_range 0 5)
+      (pair (int_bound (segments - 1)) (int_range 1 255))
+    >>= fun codes ->
+    let inside =
+      int_range 0 segments >>= fun lo ->
+      map (fun hi -> (lo, hi)) (int_range lo segments)
+    and straddle =
+      int_range (-70) segments >>= fun lo ->
+      map
+        (fun hi -> (lo, hi))
+        (if lo < 0 then int_range 0 (segments + 70)
+         else int_range (segments + 1) (segments + 70))
+    and outside =
+      oneof
+        [
+          (int_range (-140) 0 >>= fun lo ->
+           map (fun hi -> (lo, hi)) (int_range lo 0));
+          map2
+            (fun lo len -> (lo, lo + len))
+            (int_range segments (segments + 70))
+            (int_range 0 70);
+        ]
+    in
+    map
+      (fun (lo, hi) -> (segments, fill, codes, lo, hi))
+      (oneof [ inside; straddle; outside ])
+  in
+  QCheck.make
+    ~print:(fun (segments, fill, codes, lo, hi) ->
+      Printf.sprintf "segments %d, fill %d, codes [%s], [%d, %d)" segments fill
+        (String.concat "; "
+           (List.map (fun (p, v) -> Printf.sprintf "%d:%d" p v) codes))
+        lo hi)
+    gen
+
+let test_skip_zero_equals_load_loop =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck.Test.make ~count:1000
+       ~name:"skip_zero = load loop (segment returned, loads charged)"
+       arb_skip_zero (fun (segments, fill, codes, lo, hi) ->
+      let make () =
+        let m = Shadow_mem.create ~segments ~fill in
+        Shadow_mem.fill_range m ~lo:0 ~hi:segments 0;
+        List.iter (fun (p, v) -> Shadow_mem.set m p v) codes;
+        m
+      in
+      let m = make () and r = make () in
+      let got = Shadow_mem.skip_zero m ~lo ~hi in
+      let want = skip_zero_reference r ~lo ~hi in
+      if got <> want || Shadow_mem.loads m <> Shadow_mem.loads r then
+        QCheck.Test.fail_reportf "returned %d with %d loads, reference %d with %d"
+          got (Shadow_mem.loads m) want (Shadow_mem.loads r);
+      true)
+
 let suite =
   ( "shadow",
     [
@@ -315,4 +386,5 @@ let suite =
       test_batched_kernels_zero_length_and_arena_end;
       test_restore_older_snapshot;
       test_journal_equals_reference;
+      test_skip_zero_equals_load_loop;
     ] )
