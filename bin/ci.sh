@@ -131,7 +131,7 @@ echo "== unused vals (vs bin/unused_vals.allow) =="
 bin/unused_vals.sh > /dev/null
 echo "every unused .mli val is on bin/unused_vals.allow"
 
-echo "== no polymorphic compare in the hot-path objects, no call in the counter arithmetic, no Hashtbl in the scenario executor or the PAC signature table, no checked read in ASan's word scan =="
+echo "== no polymorphic compare in the hot-path objects, no call in the counter arithmetic, no Hashtbl in the scenario executor, the PAC signature table or the heap's free cache, no checked read in ASan's word scan =="
 # This build has no flambda, so a comparison left generic is a C call
 # (caml_equal, caml_compare, ...) and Stdlib's min/max are generic
 # functions making that call. bin/poly_scan.sh reads the native objects of
@@ -143,10 +143,12 @@ echo "== no polymorphic compare in the hot-path objects, no call in the counter 
 # lib/bugs' Scenario object, whose step executor runs every fuzz exec,
 # makes a polymorphic compare or refers to Stdlib's Hashtbl, and if
 # lib/pac's Pac object, whose signature table every PAC authentication
-# looks up, refers to Stdlib's Hashtbl, and if Shadow_mem.skip_zero, ASan's
-# word-wide region scan, refers to anything but its GC poll.
+# looks up, or lib/memsim's Heap object, whose free cache every malloc and
+# every block leaving quarantine looks up, refers to Stdlib's Hashtbl, and
+# if Shadow_mem.skip_zero, ASan's word-wide region scan, refers to anything
+# but its GC poll.
 bin/poly_scan.sh
-echo "no polymorphic compare or min/max in the hot-path objects; Counters.reset/add call-free; Scenario and Pac hash-free; skip_zero unchecked"
+echo "no polymorphic compare or min/max in the hot-path objects; Counters.reset/add call-free; Scenario, Pac and Heap hash-free; skip_zero unchecked"
 
 echo "== tests =="
 dune runtest

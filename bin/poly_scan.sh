@@ -23,10 +23,12 @@
 #
 # Of lib/bugs only the Scenario object is scanned: its step executor runs
 # every fuzz exec. It gets the rules above plus one, which lib/pac's Pac
-# object gets too: any relocation to Stdlib's Hashtbl (its functions or
-# its module block) is a hit, since generic hashing costs a caml_hash call
-# per lookup. Scenario's slots and PAC's signature table (looked up on
-# every authentication) live in int tables instead.
+# object and lib/memsim's Heap object get too: any relocation to Stdlib's
+# Hashtbl (its functions or its module block) is a hit, since generic
+# hashing costs a caml_hash call per lookup. Scenario's slots, PAC's
+# signature table (looked up on every authentication) and the heap's free
+# cache (looked up on every malloc and every block leaving quarantine)
+# live in int tables instead.
 #
 # It also fails if Counters.reset or Counters.add (lib/sanitizer) makes a
 # call: they run on every fuzz-mode restore and are written out field by
@@ -127,7 +129,8 @@ scenario=_build/default/lib/bugs/.giantsan_bugs.objs/native/giantsan_bugs__Scena
 [ -e "$scenario" ] || { echo "FAIL: no native object for lib/bugs Scenario; build first" >&2; exit 1; }
 objdump -dr --no-show-raw-insn "$scenario" | stdlib_loads "$minmax" \
   | sed "s|^|${scenario##*/} |" >> "$tmp/hits"
-for o in "$scenario" _build/default/lib/pac/.giantsan_pac.objs/native/giantsan_pac__Pac.o; do
+for o in "$scenario" _build/default/lib/pac/.giantsan_pac.objs/native/giantsan_pac__Pac.o \
+  _build/default/lib/memsim/.giantsan_memsim.objs/native/giantsan_memsim__Heap.o; do
   [ -e "$o" ] || { echo "FAIL: no native object $o; build first" >&2; exit 1; }
   objdump -dr --no-show-raw-insn "$o" | awk '/^[0-9a-f]+ <.*>:$/ { fn = $2; next }
     /R_X86_64_/ && $NF ~ /^camlStdlib__Hashtbl([.+-]|$)/ { print fn, $NF }' \

@@ -7,10 +7,12 @@ module E = Asan_encoding
 module Trace = Giantsan_telemetry.Trace
 module Histogram = Giantsan_telemetry.Histogram
 
-(* Example 1 (§2.2): one shadow load, one compare. *)
+(* Example 1 (§2.2): one shadow load, one compare. Segment indices are
+   floored ([asr 3]), so a byte below address 0 reads its own segment's
+   code (the fill), not segment 0's. *)
 let check_access m ~addr ~width =
   assert (width >= 1 && width <= 8);
-  let v = E.decode_signed (Shadow_mem.load m (addr / 8)) in
+  let v = E.decode_signed (Shadow_mem.load m (addr asr 3)) in
   not (v <> 0 && (addr land 7) + width > v)
 
 (* The first bad byte of [lo, hi) in segment [s] of code [v], or [hi] if
@@ -33,7 +35,7 @@ let segment_bad ~lo ~hi s v =
 let region_is_safe m ~lo ~hi =
   if hi <= lo then None
   else begin
-    let first_seg = lo / 8 and last_seg = (hi - 1) / 8 in
+    let first_seg = lo asr 3 and last_seg = (hi - 1) asr 3 in
     let bad = segment_bad ~lo ~hi first_seg (Shadow_mem.load m first_seg) in
     let bad =
       if bad < hi || last_seg = first_seg then bad

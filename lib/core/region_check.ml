@@ -21,7 +21,9 @@ let count (c : Giantsan_sanitizer.Counters.t) outcome =
 
    Kept as a selectable scalar path (and as the word kernel's ground truth
    in the equivalence qchecks): the word path below must agree with it
-   byte-for-byte on ANY shadow contents, canonical or corrupted. *)
+   byte-for-byte on ANY shadow contents, canonical or corrupted.
+   Segment indices are floored ([asr 3]): a region reaching below address
+   0 reads the segments it covers there, never segment 0 in their place. *)
 let check_scalar m ~l ~r =
   assert (l land 7 = 0);
   if r <= l then Safe_fast
@@ -34,19 +36,21 @@ let check_scalar m ~l ~r =
       if r - l >= 8 then begin
         (* prefix: the folded segment at l must cover at least half *)
         if 2 * u < r - l then bad := Some (l + u)
-        else if Shadow_mem.load m ((r - u) / 8) <> v then
+        else if Shadow_mem.load m ((r - u) asr 3) <> v then
           (* suffix: a second folded segment of the same degree must cover
              the tail. The blamed address is the end of the suffix segment,
              clamped into the checked region: for small [u] the segment's
              last byte can sit at or past [r], and an error report outside
              [l, r) would point the user at bytes the access never touched. *)
-          bad := Some (Int.min (r - 1) (((r - u) / 8 * 8) + 7))
+          bad := Some (Int.min (r - 1) ((((r - u) asr 3) * 8) + 7))
       end;
       (if !bad = None then
          (* the final, possibly partial segment *)
-         let last = Shadow_mem.load m ((r - 1) / 8) in
+         let last = Shadow_mem.load m ((r - 1) asr 3) in
          if last > 72 - (r land 7) then
-           bad := Some (((r - 1) / 8 * 8) + State_code.addressable_in_segment last));
+           bad :=
+             Some
+               ((((r - 1) asr 3) * 8) + State_code.addressable_in_segment last));
       match !bad with None -> Safe_slow | Some addr -> Bad addr
     end
   end
@@ -81,13 +85,14 @@ let check_word m ~l ~r =
         (* the suffix lane index is in [0, 7]: this branch needs [v] folded
            (else u = 0 fails the prefix test), so u >= 8 and
            l < r - u <= r - 8 *)
-      else if Shadow_mem.word_lane m ((r - u) / 8 - l_seg) <> v then
-        bad := Some (Int.min (r - 1) (((r - u) / 8 * 8) + 7))
+      else if Shadow_mem.word_lane m (((r - u) asr 3) - l_seg) <> v then
+        bad := Some (Int.min (r - 1) ((((r - u) asr 3) * 8) + 7))
     end;
     (if !bad = None then
-       let last = Shadow_mem.word_lane m ((r - 1) / 8 - l_seg) in
+       let last = Shadow_mem.word_lane m (((r - 1) asr 3) - l_seg) in
        if last > 72 - (r land 7) then
-         bad := Some (((r - 1) / 8 * 8) + State_code.addressable_in_segment last));
+         bad :=
+           Some ((((r - 1) asr 3) * 8) + State_code.addressable_in_segment last));
     match !bad with None -> Safe_word | Some addr -> Bad addr
   end
 

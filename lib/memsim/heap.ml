@@ -13,7 +13,12 @@ type t = {
   oracle : Oracle.t;
   config : config;
   quarantine : Quarantine.t;
-  free_cache : (int, int list ref) Hashtbl.t;  (* block_len -> block bases *)
+  (* The free cache (see "The free cache" below): slot [i] holds a block
+     length in [cache_lens.(i)], or [no_len], and that length's recycled
+     block bases in [cache_bases.(i)], newest first. *)
+  mutable cache_lens : int array;
+  mutable cache_bases : int list array;
+  mutable cache_used : int;  (* slots holding a length *)
   mutable brk : int;
   mutable next_id : int;
   mutable live_bytes : int;
@@ -25,6 +30,9 @@ type t = {
   mutable oom_countdown : int;
 }
 
+let no_len = -1
+let cache_capacity = 64
+
 let create config =
   assert (config.redzone >= 1);
   let arena = Arena.create ~size:config.arena_size in
@@ -33,7 +41,9 @@ let create config =
     oracle = Oracle.create ~arena_size:(Arena.size arena);
     config;
     quarantine = Quarantine.create ~budget:config.quarantine_budget;
-    free_cache = Hashtbl.create 64;
+    cache_lens = Array.make cache_capacity no_len;
+    cache_bases = Array.make cache_capacity [];
+    cache_used = 0;
     (* Address 0 is NULL; leave a small unallocated guard at the bottom so
        near-null dereferences land on unallocated bytes. *)
     brk = 64;
@@ -61,17 +71,66 @@ let layout config size =
   let block_len = left + size + right in
   (left, block_len)
 
-let take_cached t block_len =
-  match Hashtbl.find_opt t.free_cache block_len with
-  | Some ({ contents = base :: rest } as cell) ->
-    cell := rest;
-    Some base
-  | _ -> None
+(* {1 The free cache}
+
+   Recycled blocks by length, in an open-addressed int table: no hashing,
+   no generic compare and no option on a hit. Capacity is a power of two,
+   starting at [cache_capacity] and doubled before the table is half full;
+   a length's probe starts at [block_len lsr 3] (lengths are multiples of
+   8) and runs linearly. Nothing is ever deleted: a length whose stack
+   empties keeps its slot for the next block of that length. *)
+
+(* The slot holding [len], or the empty slot where it would go. *)
+let rec probe (lens : int array) mask len i =
+  let k = Array.unsafe_get lens i in
+  if k = len || k = no_len then i else probe lens mask len ((i + 1) land mask)
+
+let find_slot t len =
+  let lens = t.cache_lens in
+  let mask = Array.length lens - 1 in
+  probe lens mask len ((len lsr 3) land mask)
+
+let grow_cache t =
+  let lens = t.cache_lens and bases = t.cache_bases in
+  let cap = 2 * Array.length lens in
+  t.cache_lens <- Array.make cap no_len;
+  t.cache_bases <- Array.make cap [];
+  for i = 0 to Array.length lens - 1 do
+    let len = lens.(i) in
+    if len <> no_len then begin
+      let j = find_slot t len in
+      t.cache_lens.(j) <- len;
+      t.cache_bases.(j) <- bases.(i)
+    end
+  done
+
+(* The slot holding [len], claimed for it if [len] is new. *)
+let rec slot_for t len =
+  let i = find_slot t len in
+  if t.cache_lens.(i) = len then i
+  else if 2 * (t.cache_used + 1) > Array.length t.cache_lens then begin
+    grow_cache t;
+    slot_for t len
+  end
+  else begin
+    t.cache_lens.(i) <- len;
+    t.cache_used <- t.cache_used + 1;
+    i
+  end
 
 let put_cached t block_len base =
-  match Hashtbl.find_opt t.free_cache block_len with
-  | Some cell -> cell := base :: !cell
-  | None -> Hashtbl.add t.free_cache block_len (ref [ base ])
+  let i = slot_for t block_len in
+  t.cache_bases.(i) <- base :: t.cache_bases.(i)
+
+(* The newest recycled block of exactly [block_len] bytes, or -1. An empty
+   slot's stack is empty too, so a miss needs no key test. *)
+let take_cached t block_len =
+  let i = find_slot t block_len in
+  match t.cache_bases.(i) with
+  | base :: rest ->
+    t.cache_bases.(i) <- rest;
+    base
+  | [] -> -1
 
 (* First-fit fallback once the bump pointer is exhausted: take the smallest
    recycled block that fits, splitting off the remainder. Returns the block
@@ -79,27 +138,28 @@ let put_cached t block_len base =
    remainder is too small to manage on its own). Keeps long-running
    fragmented workloads alive, like a real allocator. *)
 let take_fit t block_len =
-  let best = ref None in
-  Hashtbl.iter
-    (fun len cell ->
-      if len >= block_len && !cell <> [] then
-        match !best with
-        | Some (blen, _) when blen <= len -> ()
-        | _ -> best := Some (len, cell))
-    t.free_cache;
-  match !best with
-  | None -> None
-  | Some (len, cell) -> (
-    match !cell with
+  let lens = t.cache_lens and bases = t.cache_bases in
+  let best = ref (-1) in
+  for i = 0 to Array.length lens - 1 do
+    let len = lens.(i) in
+    (* empty slots hold [no_len], below every request *)
+    if len >= block_len && (!best < 0 || len < lens.(!best)) then
+      match bases.(i) with [] -> () | _ :: _ -> best := i
+  done;
+  if !best < 0 then None
+  else
+    let i = !best in
+    match bases.(i) with
     | [] -> None
     | base :: rest ->
-      cell := rest;
+      let len = lens.(i) in
+      bases.(i) <- rest;
       let remainder = len - block_len in
       if remainder >= 32 then begin
         put_cached t remainder (base + block_len);
         Some (base, block_len)
       end
-      else Some (base, len))
+      else Some (base, len)
 
 let recycle t (obj : Memobj.t) =
   obj.status <- Recycled;
@@ -128,12 +188,12 @@ let pressure_alloc t block_len =
       t.evict_hook obj)
     held;
   t.pressure_flushes <- t.pressure_flushes + 1;
-  match take_cached t block_len with
-  | Some base -> (base, block_len)
-  | None -> (
+  let base = take_cached t block_len in
+  if base >= 0 then (base, block_len)
+  else
     match take_fit t block_len with
     | Some (base, len) -> (base, len)
-    | None -> raise Out_of_memory)
+    | None -> raise Out_of_memory
 
 let malloc t ?(kind = Memobj.Heap) size =
   if size < 0 then invalid_arg "Heap.malloc: negative size";
@@ -148,19 +208,18 @@ let malloc t ?(kind = Memobj.Heap) size =
   if size > Arena.size t.arena then raise Out_of_memory;
   let left, block_len = layout t.config size in
   let block_base, block_len =
-    match take_cached t block_len with
-    | Some base -> (base, block_len)
-    | None ->
-      if t.brk + block_len <= Arena.size t.arena then begin
-        let base = t.brk in
-        t.brk <- base + block_len;
-        (base, block_len)
-      end
-      else (
-        (* bump space gone: first-fit over recycled blocks *)
-        match take_fit t block_len with
-        | Some (base, len) -> (base, len)
-        | None -> pressure_alloc t block_len)
+    let base = take_cached t block_len in
+    if base >= 0 then (base, block_len)
+    else if t.brk + block_len <= Arena.size t.arena then begin
+      let base = t.brk in
+      t.brk <- base + block_len;
+      (base, block_len)
+    end
+    else
+      (* bump space gone: first-fit over recycled blocks *)
+      match take_fit t block_len with
+      | Some (base, len) -> (base, len)
+      | None -> pressure_alloc t block_len
   in
   let base = block_base + left in
   let obj =
@@ -186,20 +245,21 @@ let find_object t addr =
 (* {1 Snapshot / restore (the fuzz-mode profile)}
 
    Everything the allocator can mutate is captured: arena bytes, the
-   oracle's owner map, quarantine FIFO, the free cache (deep-copied — its
-   cells are mutable refs), the scalar cursors, and — the subtle part —
-   the [status] field of every reachable [Memobj.t]. Objects are shared by
-   reference between the owner map, the quarantine queue and caller-held
-   pointers, so restoring the maps alone would leave an object recycled
-   after the snapshot still claiming [Recycled]; the snapshot therefore
-   records (object, status) pairs for everything reachable and [restore]
-   writes the statuses back (they also decide the oracle's byte states,
-   which it derives from owner and status). Objects allocated after the
-   snapshot become unreachable on restore and their status no longer
-   matters.
-   [Oracle.fold_owners] visits each owned block once; the dedupe by id
-   exists only because a quarantined object still owns its block and so
-   is reachable from both the owner map and the queue. *)
+   oracle's owner map, quarantine FIFO, the free cache's (length, bases)
+   pairs (the stacks are immutable lists, so they are shared), the scalar
+   cursors, and — the subtle part — the [status] field of every reachable
+   [Memobj.t]. Objects are shared by reference between the owner map, the
+   quarantine queue and caller-held pointers, so restoring the maps alone
+   would leave an object recycled after the snapshot still claiming
+   [Recycled]; the snapshot therefore records (object, status) pairs for
+   everything reachable and [restore] writes the statuses back (they also
+   decide the oracle's byte states, which it derives from owner and
+   status). Objects allocated after the snapshot become unreachable on
+   restore and their status no longer matters.
+   [Oracle.fold_owners] visits each owned block once. A quarantined object
+   still owns its block until [recycle] releases it, so it is reachable
+   from both the owner map and the queue: a queued object is skipped
+   exactly when it is, physically, the owner at its [block_base]. *)
 
 type snapshot = {
   s_arena : Arena.snapshot;
@@ -214,24 +274,32 @@ type snapshot = {
   s_statuses : (Memobj.t * Memobj.status) list;
 }
 
+let note acc (o : Memobj.t) = (o, o.Memobj.status) :: acc
+
+let note_unowned t acc (o : Memobj.t) =
+  match Oracle.owner t.oracle o.Memobj.block_base with
+  | Some owner when owner == o -> acc
+  | Some _ | None -> note acc o
+
+let cache_entries t =
+  let acc = ref [] in
+  for i = 0 to Array.length t.cache_lens - 1 do
+    let len = t.cache_lens.(i) in
+    if len <> no_len then acc := (len, t.cache_bases.(i)) :: !acc
+  done;
+  !acc
+
 let snapshot t =
-  let seen = Hashtbl.create 64 in
-  let note acc (o : Memobj.t) =
-    if Hashtbl.mem seen o.Memobj.id then acc
-    else begin
-      Hashtbl.add seen o.Memobj.id ();
-      (o, o.Memobj.status) :: acc
-    end
-  in
   let q = Quarantine.snapshot t.quarantine in
   let statuses = Oracle.fold_owners t.oracle note [] in
-  let statuses = List.fold_left note statuses (Quarantine.queued q) in
+  let statuses =
+    List.fold_left (note_unowned t) statuses (Quarantine.queued q)
+  in
   {
     s_arena = Arena.snapshot t.arena;
     s_oracle = Oracle.snapshot t.oracle;
     s_quarantine = q;
-    s_free_cache =
-      Hashtbl.fold (fun len cell acc -> (len, !cell) :: acc) t.free_cache [];
+    s_free_cache = cache_entries t;
     s_brk = t.brk;
     s_next_id = t.next_id;
     s_live_bytes = t.live_bytes;
@@ -240,14 +308,14 @@ let snapshot t =
     s_statuses = statuses;
   }
 
-(* Restore allocates nothing beyond the free-cache cells it must rebuild
-   (none for a pristine snapshot): the loops below are plain recursion, not
-   closures over [t]. *)
-let rec refill_free_cache cache = function
+(* Restore allocates nothing: the free cache's table never shrinks, so the
+   lengths of a snapshot of this heap fit without growing it, and the
+   loops below are plain recursion, not closures over [t]. *)
+let rec refill_cache t = function
   | [] -> ()
   | (len, bases) :: rest ->
-    Hashtbl.add cache len (ref bases);
-    refill_free_cache cache rest
+    t.cache_bases.(slot_for t len) <- bases;
+    refill_cache t rest
 
 let rec write_statuses = function
   | [] -> ()
@@ -259,8 +327,14 @@ let restore t s =
   Arena.restore t.arena s.s_arena;
   Oracle.restore t.oracle s.s_oracle;
   Quarantine.restore t.quarantine s.s_quarantine;
-  Hashtbl.reset t.free_cache;
-  refill_free_cache t.free_cache s.s_free_cache;
+  (* an empty table restored to an empty cache (every fuzz exec that never
+     recycles a block) is left alone *)
+  if t.cache_used > 0 || s.s_free_cache <> [] then begin
+    Array.fill t.cache_lens 0 (Array.length t.cache_lens) no_len;
+    Array.fill t.cache_bases 0 (Array.length t.cache_bases) [];
+    t.cache_used <- 0;
+    refill_cache t s.s_free_cache
+  end;
   t.brk <- s.s_brk;
   t.next_id <- s.s_next_id;
   t.live_bytes <- s.s_live_bytes;

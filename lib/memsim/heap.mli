@@ -2,6 +2,15 @@
     freed-memory quarantine, mirroring the ASan allocator that GiantSan
     reuses unchanged (§4.5).
 
+    Blocks leaving quarantine go to a free cache keyed by block length:
+    an open-addressed int table (power-of-two capacity from 64, doubled
+    before it is half full, linear probing from [block_len lsr 3]) whose
+    slots hold each length's stack of block bases, newest first. [malloc]
+    takes the newest block of its exact length first (no option, no
+    hashing), then bump space, then the smallest cached length that fits,
+    splitting off a remainder of at least 32 bytes back into the cache. A
+    length whose stack empties keeps its slot.
+
     The heap maintains ground truth (the oracle's owner map and each
     object's [status], from which {!Oracle.state} derives byte states)
     but never touches shadow memory: each sanitizer runtime wraps [malloc] /

@@ -184,7 +184,7 @@ module E = Giantsan_asan.Asan_encoding
 let region_is_safe_reference m ~lo ~hi =
   if hi <= lo then None
   else begin
-    let first_seg = lo / 8 and last_seg = (hi - 1) / 8 in
+    let first_seg = lo asr 3 and last_seg = (hi - 1) asr 3 in
     let bad = ref None in
     let seg = ref first_seg in
     while !bad = None && !seg <= last_seg do
@@ -282,6 +282,31 @@ let test_guardian_equals_reference =
           (show got) (Shadow_mem.loads m) (show want) (Shadow_mem.loads r);
       true)
 
+(* Below address 0 the shadow reads as its fill, segment by segment: a
+   byte at -k lives in segment (-k) asr 3, not in segment 0, which a
+   truncating [/ 8] picked instead. Over a good segment 0, [-5, 3) was
+   judged safe and so was a 1-byte access at -1; over an unallocated one,
+   [-5, 3) blamed 0 and [-12, 3) blamed -8. The first bad byte is [lo]. *)
+let test_negative_addresses () =
+  let module A = Giantsan_asan.Asan_runtime in
+  let shadow ~seg0 =
+    let m = Shadow_mem.create ~segments:4 ~fill:E.unallocated in
+    Shadow_mem.set m 0 seg0;
+    m
+  in
+  let region what m lo hi want =
+    Alcotest.(check (option int)) what want (A.region_is_safe m ~lo ~hi)
+  in
+  let good = shadow ~seg0:0 and unallocated = shadow ~seg0:E.unallocated in
+  region "good seg 0: [-5, 3)" good (-5) 3 (Some (-5));
+  region "good seg 0: [0, 8)" good 0 8 None;
+  Alcotest.(check bool) "good seg 0: access -1, width 1" false
+    (A.check_access good ~addr:(-1) ~width:1);
+  Alcotest.(check bool) "good seg 0: access 0, width 8" true
+    (A.check_access good ~addr:0 ~width:8);
+  region "unallocated seg 0: [-5, 3)" unallocated (-5) 3 (Some (-5));
+  region "unallocated seg 0: [-12, 3)" unallocated (-12) 3 (Some (-12))
+
 let suite =
   ( "asan",
     [
@@ -300,4 +325,6 @@ let suite =
       test_asan_oracle;
       test_parity;
       test_guardian_equals_reference;
+      Helpers.qt "negative addresses: floor segment indices" `Quick
+        test_negative_addresses;
     ] )

@@ -429,6 +429,47 @@ let test_asan_guardian_words =
             ])
         guardian_sizes)
 
+(* The allocator's own minor words, with no sanitizer around it: one
+   malloc served from the free cache, plus one free whose quarantine push
+   (a zero budget keeps one block) evicts the previous block back into the
+   cache. They are the object, the owner slot's option, the quarantine
+   cell, the eviction list and the free outcome, and the cache's cons of
+   the evicted base: no option per cache hit, no hashing. *)
+let heap_cycle_words = 35
+
+let test_heap_cycle_words =
+  Helpers.qt
+    (Printf.sprintf "heap: cache-hit malloc + evicting free = %d words"
+       heap_cycle_words)
+    `Quick (fun () ->
+      let h =
+        Memsim.Heap.create
+          { Memsim.Heap.default_config with Memsim.Heap.quarantine_budget = 0 }
+      in
+      (* the number of blocks the free evicted *)
+      let cycle () =
+        match Memsim.Heap.free h (Memsim.Heap.malloc h 64).Memsim.Memobj.base with
+        | Ok { Memsim.Heap.evicted = []; _ } -> 0
+        | Ok { Memsim.Heap.evicted = [ _ ]; _ } -> 1
+        | Ok _ | Error _ -> Alcotest.fail "free: not one eviction at most"
+      in
+      (* from the second cycle on, one block waits in quarantine and one
+         in the cache *)
+      ignore (cycle ());
+      ignore (cycle ());
+      let evictions = ref 0 in
+      let words =
+        Helpers.minor_words_of (fun () ->
+            for _ = 1 to calls do
+              evictions := !evictions + cycle ()
+            done)
+        -. Helpers.counter_cost ()
+      in
+      Alcotest.(check int) "one eviction per cycle" calls !evictions;
+      Alcotest.(check (float 0.))
+        "words per cycle" (float_of_int heap_cycle_words)
+        (words /. float_of_int calls))
+
 let backends = [ Backend.Native; Giantsan; Asan; Lfp; Pac ]
 
 let suite =
@@ -444,4 +485,4 @@ let suite =
     @ [ test_churn_words_match_native ]
     @ List.map test_interp_words_per_op [ Runner.Native; Runner.Giantsan ]
     @ [ test_interp_resolution_shared; test_compiled_footprint ]
-    @ [ test_asan_guardian_words ] )
+    @ [ test_asan_guardian_words; test_heap_cycle_words ] )

@@ -623,6 +623,168 @@ let states_derived ?(count = 100) name config =
     (QCheck.Test.make ~name:("derived states: " ^ name) ~count arb_state_ops
        (run_state_ops config))
 
+(* {1 The free cache against its Hashtbl twin}
+
+   test/heap_reference.ml is the allocator as it was while its free cache
+   was a [Hashtbl]. Both run one op stream in lockstep, on arenas small
+   enough that the bump pointer runs out, so first fit, its remainder
+   split and pressure flushes all happen; every object either hands out
+   must match the other's in place and status after every step, as must
+   every free's result and the quarantine. *)
+
+let twin_config (c : Heap.config) =
+  {
+    Heap_reference.arena_size = c.arena_size;
+    redzone = c.redzone;
+    quarantine_budget = c.quarantine_budget;
+  }
+
+let ids = List.map (fun (o : Memobj.t) -> o.id)
+let show_ids objs = String.concat ";" (List.map string_of_int (ids objs))
+
+let free_result = function
+  | Ok { Heap.freed; evicted } ->
+    Printf.sprintf "ok #%d, evicted [%s]" freed.id (show_ids evicted)
+  | Error Heap.Free_null -> "null"
+  | Error Invalid_free -> "invalid"
+  | Error Free_not_at_start -> "not at start"
+  | Error Double_free -> "double"
+
+let twin_free_result = function
+  | Ok { Heap_reference.freed; evicted } ->
+    Printf.sprintf "ok #%d, evicted [%s]" freed.id (show_ids evicted)
+  | Error Heap_reference.Free_null -> "null"
+  | Error Invalid_free -> "invalid"
+  | Error Free_not_at_start -> "not at start"
+  | Error Double_free -> "double"
+
+(* The snapshot's status list under both dedupes of the objects reachable
+   from the owner map and from the quarantine [queue] (oldest first): the
+   twin's, by id through a [Hashtbl], and [Heap.snapshot]'s, which skips a
+   queued object exactly when it is the owner at its [block_base]. *)
+let statuses_by_id h queue =
+  let seen = Hashtbl.create 64 in
+  let note acc (o : Memobj.t) =
+    if Hashtbl.mem seen o.id then acc
+    else begin
+      Hashtbl.add seen o.id ();
+      (o, o.status) :: acc
+    end
+  in
+  List.fold_left note (Oracle.fold_owners (Heap.oracle h) note []) queue
+
+let statuses_by_owner h queue =
+  let note acc (o : Memobj.t) = (o, o.status) :: acc in
+  List.fold_left
+    (fun acc (o : Memobj.t) ->
+      match Oracle.owner (Heap.oracle h) o.block_base with
+      | Some w when w == o -> acc
+      | Some _ | None -> note acc o)
+    (Oracle.fold_owners (Heap.oracle h) note [])
+    queue
+
+let run_twin_ops config ops =
+  let h = Heap.create config in
+  let r = Heap_reference.create (twin_config config) in
+  (* [objs]: every object handed out, as (heap's, twin's), newest first.
+     [queue]: the heap's quarantine as objects, oldest first, kept from
+     free results and the evict hook. *)
+  let objs = ref [] and queue = ref [] and snaps = ref [] in
+  let leave evicted =
+    queue := List.filter (fun q -> not (List.memq q evicted)) !queue
+  in
+  Heap.set_evict_hook h (fun o -> leave [ o ]);
+  let free ptr =
+    let got = Heap.free h ptr and want = Heap_reference.free r ptr in
+    (match got with
+     | Ok { Heap.freed; evicted } ->
+       queue := !queue @ [ freed ];
+       leave evicted
+     | Error _ -> ());
+    let got = free_result got and want = twin_free_result want in
+    if got <> want then
+      QCheck.Test.fail_reportf "free %d: got %s, twin %s" ptr got want
+  in
+  let step = function
+    | Alloc (kind, size) -> (
+      let got =
+        try Some (Heap.malloc h ~kind size) with Out_of_memory -> None
+      in
+      let want =
+        try Some (Heap_reference.malloc r ~kind size)
+        with Out_of_memory -> None
+      in
+      match (got, want) with
+      | Some a, Some b -> objs := (a, b) :: !objs
+      | None, None -> ()
+      | Some _, None | None, Some _ ->
+        QCheck.Test.fail_reportf "malloc %d: only one heap ran out of memory"
+          size)
+    | Free_live i -> (
+      let live =
+        List.filter (fun ((o : Memobj.t), _) -> o.status = Memobj.Live) !objs
+      in
+      match nth_opt_mod live i with Some (o, _) -> free o.base | None -> ())
+    | Free_any i -> (
+      match nth_opt_mod !objs i with Some (o, _) -> free o.base | None -> ())
+    | Free_interior (i, k) -> (
+      match nth_opt_mod !objs i with
+      | Some (o, _) -> free (o.block_base + (k mod o.block_len))
+      | None -> ())
+    | Snap ->
+      let by_id = statuses_by_id h !queue in
+      let by_owner = statuses_by_owner h !queue in
+      let same (a, s) (b, t) = a == b && s = t in
+      if not (List.equal same by_id by_owner) then
+        QCheck.Test.fail_reportf "snapshot statuses: by id [%s], by owner [%s]"
+          (show_ids (List.map fst by_id))
+          (show_ids (List.map fst by_owner));
+      snaps := (Heap.snapshot h, Heap_reference.snapshot r, !queue) :: !snaps
+    | Restore i -> (
+      match nth_opt_mod !snaps i with
+      | Some (s, s', q) ->
+        Heap.restore h s;
+        Heap_reference.restore r s';
+        queue := q
+      | None -> ())
+  in
+  let check () =
+    List.iter
+      (fun ((a : Memobj.t), (b : Memobj.t)) ->
+        if
+          a.base <> b.base || a.block_len <> b.block_len
+          || a.status <> b.status
+        then
+          QCheck.Test.fail_reportf "object %a, block %d; twin %a, block %d"
+            Memobj.pp a a.block_len Memobj.pp b b.block_len)
+      !objs;
+    let pair what got want =
+      if got <> want then
+        QCheck.Test.fail_reportf "%s: %d, twin %d" what got want
+    in
+    pair "pressure_flushes" (Heap.pressure_flushes h)
+      (Heap_reference.pressure_flushes r);
+    pair "live_bytes" (Heap.live_bytes h) (Heap_reference.live_bytes r);
+    let q = Heap.quarantine_ids h in
+    if q <> Heap_reference.quarantine_ids r || q <> ids !queue then
+      QCheck.Test.fail_reportf "quarantine [%s], twin [%s], model [%s]"
+        (String.concat ";" (List.map string_of_int q))
+        (String.concat ";"
+           (List.map string_of_int (Heap_reference.quarantine_ids r)))
+        (show_ids !queue)
+  in
+  List.iter
+    (fun op ->
+      step op;
+      check ())
+    ops;
+  true
+
+let free_cache_twin ?(count = 300) name config =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:("free cache = Hashtbl twin: " ^ name) ~count
+       arb_state_ops (run_twin_ops config))
+
 let suite =
   ( "memsim",
     [
@@ -670,4 +832,10 @@ let suite =
         { Heap.arena_size = 2048; redzone = 16; quarantine_budget = 512 };
       states_derived "redzone 512"
         { Heap.arena_size = 1 lsl 14; redzone = 512; quarantine_budget = 4096 };
+      free_cache_twin "redzone 16, splits and flushes"
+        { Heap.arena_size = 2048; redzone = 16; quarantine_budget = 512 };
+      free_cache_twin "redzone 1, zero budget"
+        { Heap.arena_size = 4096; redzone = 1; quarantine_budget = 0 };
+      free_cache_twin "redzone 16, 16 KiB"
+        { Heap.arena_size = 1 lsl 14; redzone = 16; quarantine_budget = 2048 };
     ] )

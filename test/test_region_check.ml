@@ -244,6 +244,25 @@ let test_bad_addr_suffix_branch_unit () =
           Alcotest.fail "overflowing region reported safe")
     [ 65; 66; 70; 72; 100 ]
 
+(* Below address 0 the shadow reads as its fill, segment by segment: the
+   last segment of [-8, -3) is -1, which a truncating [/ 8] took to be
+   segment 0 and so judged the region safe over a good segment 0. Both
+   kernels blame -8, the region's first byte. *)
+let test_negative_addresses () =
+  let m = Shadow_mem.create ~segments:4 ~fill:SC.unallocated in
+  Shadow_mem.set m 0 SC.good;
+  let show = function
+    | RC.Bad a -> Printf.sprintf "Bad %d" a
+    | o -> if safe o then "safe" else "?"
+  in
+  let case what got =
+    Alcotest.(check string) what "Bad -8" (show got)
+  in
+  case "check_unaligned [-8, -3)" (RC.check_unaligned m ~l:(-8) ~r:(-3));
+  case "check_scalar [-8, -3)" (RC.check_scalar m ~l:(-8) ~r:(-3));
+  Alcotest.(check string) "check_unaligned [0, 8)" "safe"
+    (show (RC.check_unaligned m ~l:0 ~r:8))
+
 let suite =
   ( "region_check",
     [
@@ -261,4 +280,6 @@ let suite =
       test_bad_addr_within_region;
       Helpers.qt "suffix-branch Bad addr stays below r" `Quick
         test_bad_addr_suffix_branch_unit;
+      Helpers.qt "negative addresses: floor segment indices" `Quick
+        test_negative_addresses;
     ] )
