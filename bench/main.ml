@@ -112,8 +112,8 @@ let fig11_stats () =
      rebuild     charges a full construction per exec (allocate + initialise
                  the arena, fill the whole shadow plane / signature table);
      persistent  charges one construction up front, then per exec a bulk
-                 arena blit plus the journal-guided shadow repair
-                 ([Shadow_mem.journal_segments]), the PAC table rewind
+                 arena blit plus the dirty-window shadow repair
+                 ([Shadow_mem.dirty_segments]), the PAC table rewind
                  (signs delta) and the object-map rewind (allocator events).
 
    Everything is event counts through the calibrated weight table — no
@@ -162,7 +162,7 @@ let fuzzmode_stats () =
       let ops = ref 0
       and shadow_loads = ref 0
       and shadow_stores = ref 0
-      and journal_total = ref 0
+      and window_total = ref 0
       and signs_total = ref 0 in
       List.iter
         (fun sc ->
@@ -174,7 +174,7 @@ let fuzzmode_stats () =
             !shadow_stores + (san.San.shadow_stores () - stores0);
           (match plane with
           | Backend.Shadow m ->
-            journal_total := !journal_total + Shadow_mem.journal_segments m
+            window_total := !window_total + Shadow_mem.dirty_segments m
           | Backend.Sigs p ->
             signs_total := !signs_total + (Pac.signs p - signs0)
           | Backend.Plain -> ());
@@ -203,7 +203,7 @@ let fuzzmode_stats () =
       in
       let restore_ns =
         (float_of_int (n * arena_bytes) *. w_blit)
-        +. (float_of_int !journal_total *. w_blit)
+        +. (float_of_int !window_total *. w_blit)
         +. (float_of_int (!signs_total + map_events) *. w.Cost_model.w_free)
       in
       let row profile sim_ns =

@@ -3,8 +3,8 @@
 # Table 2 / Figure 10 numbers EXPERIMENTS.md quotes from
 # results/paper_experiments.txt), the .mli vals
 # with no outside use (vs bin/unused_vals.allow), the polymorphic-compare,
-# call-free-counters, hash-free-executor and unchecked-word-scan scan of the
-# hot-path objects
+# call-free-counters, hash-free-executor, unchecked-word-scan and
+# inlined-dirty-window scan of the hot-path objects
 # (bin/poly_scan.sh),
 # the examples (each must exit 0), regression-corpus replay (rebuild vs persistent
 # mode, byte-compared), a fixed-seed fuzz smoke including a byte-identical

@@ -43,6 +43,12 @@
 # 64-bit loads, so a bounds check (caml_ml_array_bound_error), a call of
 # Bytes.get_int64_le or any other function is a hit, and so is the kernel
 # missing from the object.
+#
+# Likewise the shadow's four store kernels (Shadow_mem.set, poke,
+# fill_range and blit_pattern) must not relocate to lib/memsim's Dirty:
+# each widens the fuzz-mode dirty window on every poisoning store, which
+# is two compares once inlined, so a call of Dirty.widen (or any other
+# Dirty symbol) there is a hit, and so is a kernel missing from the object.
 set -eu
 
 cd "${1:-$(dirname "$0")/..}"
@@ -124,6 +130,16 @@ objdump -dr --no-show-raw-insn "$shadow" | awk '
   on && /R_X86_64_/ && $NF !~ /^caml_call_gc([-+]|$)/ { print fn, "relocation to " $NF; next }
   on && /^ +[0-9a-f]+:\t(call|jmp) +\*/ { sub(/^ +[0-9a-f]+:\t/, ""); print fn, $0 }
   END { if (seen != 1) print "Shadow_mem.o:", seen + 0, "skip_zero found, expected 1" }' \
+  | sed "s|^|${shadow##*/} |" >> "$tmp/hits"
+objdump -dr --no-show-raw-insn "$shadow" | awk '
+  /^[0-9a-f]+ <.*>:$/ {
+    fn = $2
+    on = fn ~ /^<camlGiantsan_shadow__Shadow_mem\.(set|poke|fill_range|blit_pattern)_[0-9]+>:$/
+    if (on) seen++
+    next
+  }
+  on && /R_X86_64_/ && $NF ~ /^camlGiantsan_memsim__Dirty([.+-]|$)/ { print fn, "relocation to " $NF }
+  END { if (seen != 4) print "Shadow_mem.o:", seen + 0, "of set/poke/fill_range/blit_pattern found, expected 4" }' \
   | sed "s|^|${shadow##*/} |" >> "$tmp/hits"
 scenario=_build/default/lib/bugs/.giantsan_bugs.objs/native/giantsan_bugs__Scenario.o
 [ -e "$scenario" ] || { echo "FAIL: no native object for lib/bugs Scenario; build first" >&2; exit 1; }

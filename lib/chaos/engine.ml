@@ -185,34 +185,32 @@ let run_shadow_cell (cell : Fault.cell) fault =
     | None ->
       if exercised then (Silent, "misfolded poisoning unflagged")
       else (Tolerated, "no foldable allocation after injection"))
-  | Fault.Journal_drop { pick } -> (
+  | Fault.Window_trim { pick } -> (
     (* the fuzz-mode restore path: snapshot at the injection point, run
-       the scenario tail (every store journals its dirty range), steal one
-       journal entry, restore. The heap and oracle rewind fully but the
-       stolen range keeps its post-snapshot shadow bytes, so the
-       shadow-vs-oracle selfcheck must flag the under-repair — unless the
-       stolen range happened to hold the same bytes as the snapshot, in
-       which case a clean audit is the correct verdict, not a miss. *)
+       the scenario tail (every store widens the dirty window), trim one
+       segment off the window, restore. The heap and oracle rewind fully
+       but the trimmed segment keeps its post-snapshot shadow byte, so the
+       shadow-vs-oracle selfcheck must flag the under-repair — unless that
+       byte happened to equal the snapshot's, in which case a clean audit
+       is the correct verdict, not a miss. *)
     if post = [] then
-      (Tolerated, "no steps after injection to dirty the journal")
+      (Tolerated, "no steps after injection to dirty the window")
     else begin
       san.San.snapshot ();
       List.iter (step san sc slots) post;
-      match Shadow_mem.chaos_drop_journal shadow ~pick with
-      | None -> (Tolerated, "journal empty at the restore point")
-      | Some (lo, len) -> (
+      match Shadow_mem.chaos_trim_window shadow ~pick with
+      | None -> (Tolerated, "window empty at the restore point")
+      | Some seg -> (
         san.San.restore ();
         match first_mismatch heap shadow with
         | Some (n, m) ->
           (Detected,
-           Printf.sprintf
-             "restore under-repaired segs [%d, +%d): %d mismatch(es); %s" lo
-             len n
+           Printf.sprintf "restore under-repaired seg %d: %d mismatch(es); %s"
+             seg n
              (Selfcheck.mismatch_to_string m))
         | None ->
           (Tolerated,
-           Printf.sprintf
-             "stolen range [%d, +%d) matched the snapshot bytes" lo len))
+           Printf.sprintf "trimmed seg %d matched the snapshot byte" seg))
     end)
 
 (* ---------- plane 2: allocator pressure ---------- *)

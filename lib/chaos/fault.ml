@@ -8,9 +8,9 @@ type shadow_fault =
   | Stale_free of { pick : int }  (* a live segment marked freed *)
   | Overclaim_code of { pick : int }  (* a non-addressable segment marked good *)
   | Misfold of { degree : int }  (* arm Folding.Overstate_last for the run *)
-  | Journal_drop of { pick : int }
-    (* fuzz-mode plane: steal a dirty-journal entry between snapshot and
-       restore, so the restore under-repairs the shadow *)
+  | Window_trim of { pick : int }
+    (* fuzz-mode plane: trim a segment off the dirty window between
+       snapshot and restore, so the restore under-repairs the shadow *)
 
 (* Plane 2: allocator pressure. *)
 type alloc_fault =
@@ -56,7 +56,7 @@ let spec_name = function
   | F_shadow (Stale_free _) -> "stale-free-code"
   | F_shadow (Overclaim_code _) -> "overclaim-code"
   | F_shadow (Misfold { degree }) -> Printf.sprintf "misfold d=%d" degree
-  | F_shadow (Journal_drop { pick }) -> Printf.sprintf "journal-drop p=%d" pick
+  | F_shadow (Window_trim { pick }) -> Printf.sprintf "window-trim p=%d" pick
   | F_alloc (Oom_at n) -> Printf.sprintf "oom@malloc %d" n
   | F_alloc (Tiny_arena n) -> Printf.sprintf "arena=%dB" n
   | F_alloc (Quarantine_thrash { budget; churn }) ->
@@ -90,7 +90,7 @@ let matrix ~seed =
   push Shadow (F_shadow (Stale_free { pick = Rng.int rng 64 }));
   push Shadow (F_shadow (Overclaim_code { pick = Rng.int rng 64 }));
   push Shadow (F_shadow (Misfold { degree = 1 + Rng.int rng 3 }));
-  push Shadow (F_shadow (Journal_drop { pick = Rng.int rng 64 }));
+  push Shadow (F_shadow (Window_trim { pick = Rng.int rng 64 }));
   (* allocator pressure *)
   push Alloc (F_alloc (Oom_at (1 + Rng.int rng 6)));
   push Alloc (F_alloc (Tiny_arena (2048 + (8 * Rng.int rng 64))));

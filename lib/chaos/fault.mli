@@ -18,10 +18,11 @@ type shadow_fault =
   | Misfold of { degree : int }
       (** arm {!Giantsan_core.Folding.Overstate_last} so subsequent
           poisoning overstates the last segment's degree *)
-  | Journal_drop of { pick : int }
+  | Window_trim of { pick : int }
       (** the fuzz-mode restore plane: snapshot at the injection point,
-          run the scenario tail, then steal the [pick]-th dirty-journal
-          entry ({!Giantsan_shadow.Shadow_mem.chaos_drop_journal}) before
+          run the scenario tail, then trim one segment off the dirty
+          window, chosen by [pick]'s parity
+          ({!Giantsan_shadow.Shadow_mem.chaos_trim_window}), before
           restoring — the under-repaired shadow must be flagged by the
           shadow-vs-oracle selfcheck *)
 

@@ -23,7 +23,11 @@ let access m (c : Counters.t) (cache : San.cache) ~off ~width =
       Ok_cached
     end
     else begin
-      let outcome = Region_check.check m ~l:base ~r:(base + off + width) in
+      (* the anchor need not be aligned: floor it to its segment, as an
+         uncached access does *)
+      let outcome =
+        Region_check.check_unaligned m ~l:base ~r:(base + off + width)
+      in
       Region_check.count c outcome;
       match outcome with
       | Region_check.Bad a -> Bad a
@@ -79,7 +83,9 @@ let access m (c : Counters.t) (cache : San.cache) ~off ~width =
           if low = `Hit then Ok_cached else Ok_checked
         end
         else begin
-          let o2 = Region_check.check m ~l:base ~r:(base + off + width) in
+          let o2 =
+            Region_check.check_unaligned m ~l:base ~r:(base + off + width)
+          in
           Region_check.count c o2;
           match o2 with
           | Region_check.Bad a -> Bad a

@@ -106,6 +106,15 @@ let check m ~l ~r =
    turn [l, l) into a real check of the bytes below [l] — bytes the
    operation never touches — and report a zero-length memset/region check
    that happens to start over a redzone. Found by the refinement harness
-   (model: an empty window is addressable). *)
+   (model: an empty window is addressable).
+
+   A blame below [l] lies in [l]'s own segment, whose non-addressable
+   bytes form a suffix, so [l] is bad too and is the first bad byte of
+   [l, r): clamping up makes the report name a byte the operation touches,
+   as ASan's does. *)
 let check_unaligned m ~l ~r =
-  if r <= l then Safe_fast else check m ~l:(l land lnot 7) ~r
+  if r <= l then Safe_fast
+  else
+    match check m ~l:(l land lnot 7) ~r with
+    | Bad a when a < l -> Bad l
+    | outcome -> outcome

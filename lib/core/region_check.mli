@@ -33,7 +33,10 @@ val check : Giantsan_shadow.Shadow_mem.t -> l:int -> r:int -> outcome
 val check_unaligned : Giantsan_shadow.Shadow_mem.t -> l:int -> r:int -> outcome
 (** [check] after aligning [l] down to a segment boundary. Sound for any
     region that starts inside an object (8-aligned object bases mean the
-    aligned-down bytes belong to the same object). *)
+    aligned-down bytes belong to the same object). A blamed address is
+    clamped up to [l], so it always lies in [[l, r)]: a segment's
+    non-addressable bytes form a suffix, so a bad byte below [l] in its
+    segment means [l] itself is bad. *)
 
 val check_scalar : Giantsan_shadow.Shadow_mem.t -> l:int -> r:int -> outcome
 (** The one-byte-at-a-time transcription of Algorithm 1, kept as a

@@ -57,7 +57,7 @@ let feature_counters (c : Counters.t) =
    pair, paying full construction — arena, shadow plane, tables — for every
    exec. [Persistent] is the ReZZan-style fuzz profile: one long-lived
    sanitizer per tool, snapshotted pristine once, restored after every exec
-   (incremental shadow re-poisoning via the dirty-segment journal, PAC salt
+   (incremental shadow re-poisoning via the dirty-segment window, PAC salt
    rollback). Restoring counters too makes the two modes event-count — and
    therefore feature- and verdict- — identical. *)
 

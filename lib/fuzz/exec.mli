@@ -44,7 +44,7 @@ type mode =
   | Persistent
       (** one long-lived sanitizer per tool, snapshot once, restore after
           every exec — incremental shadow re-poisoning via the dirty-segment
-          journal, PAC salt rollback. Event-count-identical to [Rebuild],
+          window, PAC salt rollback. Event-count-identical to [Rebuild],
           so verdicts, features and coverage are byte-identical too. *)
 
 val mode_name : mode -> string

@@ -2,13 +2,15 @@
     covering every byte mutated since the plane's last snapshot, plus the
     identity of that snapshot.
 
-    {!Arena} and {!Oracle} each keep one. Every mutator widens the window
-    (two integer compares, no allocation), [snapshot] arms a fresh one,
-    and [restore] blits back only the bytes inside it — so a per-exec
-    rewind costs O(bytes touched), not O(arena). A window is coarser than
-    a journal (it over-covers the gap between two distant writes), but a
-    fuzz exec touches a few adjacent blocks at the bottom of the heap, so
-    the gap is small and the window never allocates.
+    {!Arena}, {!Oracle} and the shadow plane ([Shadow_mem], with segments
+    for bytes) each keep one: every byte plane a fuzz-mode restore rewinds
+    goes through it. Every mutator widens the window (two integer
+    compares, no allocation), [snapshot] arms a fresh one, and [restore]
+    blits back only the bytes inside it — so a per-exec rewind costs
+    O(bytes touched), not O(arena).
+    A window over-covers the gap between two distant writes, but a fuzz
+    exec touches a few adjacent blocks at the bottom of the heap, so the
+    gap is small and the window never allocates.
 
     Restoring a snapshot other than the armed one (an older snapshot, say)
     would under-repair: the window only covers the bytes changed since the

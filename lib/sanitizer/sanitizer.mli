@@ -94,12 +94,12 @@ type t = {
   snapshot : unit -> unit;
       (** Fuzz-mode profile: capture the full sanitizer state — heap (arena,
           oracle, quarantine, object statuses), metadata plane (shadow with
-          a dirty-segment journal armed, or the PAC signature table and salt
+          a dirty-segment window armed, or the PAC signature table and salt
           counter) and counters — into the tool's single restore slot,
           overwriting any previous snapshot. *)
   restore : unit -> unit;
       (** Rewind to the snapshot: the heap state is reinstated, shadow-based
-          tools re-poison only the segments dirtied since (the journal),
+          tools re-poison only the segments dirtied since (the window),
           PAC rolls back its salt counter and signature table, native only
           restores the heap. Counters are restored too, so a restored exec
           is event-count-identical to one on a freshly built sanitizer.

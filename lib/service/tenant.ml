@@ -399,10 +399,11 @@ let plant_shadow_fault t shadow fault =
   | Fault.Misfold { degree } ->
     t.misfold <- Some (Folding.Overstate_last degree);
     Printf.sprintf "misfold armed d=%d" degree
-  | Fault.Journal_drop { pick } -> (
-    match Shadow_mem.chaos_drop_journal shadow ~pick with
-    | Some (lo, len) -> Printf.sprintf "journal entry [%d, +%d) stolen" lo len
-    | None -> "journal drop absorbed (no snapshot armed)")
+  | Fault.Window_trim { pick } -> (
+    match Shadow_mem.chaos_trim_window shadow ~pick with
+    | Some seg ->
+      Printf.sprintf "window trim absorbed (seg %d trimmed, no restore)" seg
+    | None -> "window trim absorbed (window empty)")
 
 let plant_sig_fault sigs fault =
   let forge ~pick ~mask =
@@ -419,8 +420,8 @@ let plant_sig_fault sigs fault =
     | None -> "stolen strip absorbed (no live signatures)")
   | Fault.Misfold { degree } ->
     Printf.sprintf "misfold absorbed (no folded shadow) d=%d" degree
-  | Fault.Journal_drop { pick } ->
-    Printf.sprintf "journal drop absorbed (no dirty journal) p=%d" pick
+  | Fault.Window_trim { pick } ->
+    Printf.sprintf "window trim absorbed (no dirty window) p=%d" pick
 
 let plant_fault t fault =
   match t.plane with

@@ -1,3 +1,5 @@
+module Dirty = Giantsan_memsim.Dirty
+
 type snapshot = { s_bytes : Bytes.t; s_loads : int; s_stores : int }
 
 type t = {
@@ -5,20 +7,9 @@ type t = {
   fill : int;
   mutable loads : int;
   mutable stores : int;
-  (* Dirty-segment journal (fuzz-mode restore): while armed, every store
-     kernel appends the clamped range it touched, so [restore] can blit the
-     snapshot back over only the segments that changed since — the
-     incremental-repoisoning trick that makes per-exec reset O(dirty)
-     instead of O(arena). Entry [i < jn] is [(jlo.(i), jlen.(i))], oldest
-     first. The two arrays grow by doubling and are kept across restores,
-     so journaling a store allocates nothing; they stay empty until the
-     first [snapshot], since most shadows are never armed. The journal is
-     relative to the armed snapshot; restoring any other one repairs the
-     whole plane. *)
-  mutable jlo : int array;
-  mutable jlen : int array;
-  mutable jn : int;
-  mutable armed : snapshot option;
+  dirty : snapshot Dirty.t;
+      (* the segments stored since the armed snapshot: [restore] blits back
+         only this window, as [Arena] does for its bytes *)
   word : Bytes.t;
       (* the word register: the 8 segments the last [load_word] fetched *)
 }
@@ -30,10 +21,7 @@ let create ~segments ~fill =
     fill;
     loads = 0;
     stores = 0;
-    jlo = [||];
-    jlen = [||];
-    jn = 0;
-    armed = None;
+    dirty = Dirty.create ~size:segments;
     word = Bytes.make 8 (Char.chr fill);
   }
 
@@ -126,54 +114,23 @@ let peek_word t p =
 
 let word_byte w k = Int64.to_int (Int64.logand (Int64.shift_right_logical w (8 * k)) 0xFFL)
 
-(* Out of line: runs once per doubling. Also allocates the first arrays,
-   which [snapshot] asks for by growing an empty journal. *)
-let grow_journal t =
-  let cap = Int.max 64 (2 * Array.length t.jlo) in
-  let grow a =
-    let a' = Array.make cap 0 in
-    Array.blit a 0 a' 0 t.jn;
-    a'
-  in
-  t.jlo <- grow t.jlo;
-  t.jlen <- grow t.jlen
-
-(* Journal a clamped (in-arena) range. The newest-entry containment check
-   absorbs the common poison/unpoison-the-same-block churn without growing
-   the journal; overlapping entries are harmless (restore blits twice). *)
-let note_dirty t lo len =
-  if t.armed != None && len > 0 then begin
-    let n = t.jn in
-    if
-      not
-        (n > 0
-        && lo >= t.jlo.(n - 1)
-        && lo + len <= t.jlo.(n - 1) + t.jlen.(n - 1))
-    then begin
-      if n = Array.length t.jlo then grow_journal t;
-      t.jlo.(n) <- lo;
-      t.jlen.(n) <- len;
-      t.jn <- n + 1
-    end
-  end
-
 let set t p v =
   assert (v >= 0 && v < 256);
   t.stores <- t.stores + 1;
   if p >= 0 && p < Bytes.length t.bytes then begin
-    note_dirty t p 1;
+    Dirty.widen t.dirty ~lo:p ~hi:(p + 1);
     Bytes.set t.bytes p (Char.chr v)
   end
 
 (* Uncounted store: the chaos engine's corruption primitive. Bypassing the
    stores counter is the point — an injected fault must not perturb the
    event-count-derived cost model, or the determinism and bench gates would
-   see phantom work. It still lands in the journal: a corrupted segment is
-   dirty, and restore must repair it. *)
+   see phantom work. It still widens the dirty window: a corrupted segment
+   is dirty, and restore must repair it. *)
 let poke t p v =
   assert (v >= 0 && v < 256);
   if p >= 0 && p < Bytes.length t.bytes then begin
-    note_dirty t p 1;
+    Dirty.widen t.dirty ~lo:p ~hi:(p + 1);
     Bytes.set t.bytes p (Char.chr v)
   end
 
@@ -190,7 +147,7 @@ let fill_range t ~lo ~hi v =
   let len = hi' - lo' in
   if len > 0 then begin
     t.stores <- t.stores + len;
-    note_dirty t lo' len;
+    Dirty.widen t.dirty ~lo:lo' ~hi:hi';
     Bytes.unsafe_fill t.bytes lo' len (Char.chr v)
   end
 
@@ -202,7 +159,7 @@ let blit_pattern t ~lo ~pattern ~pat_off ~len =
   let len' = Int.min (len - cut_lo) (Bytes.length t.bytes - lo') in
   if len' > 0 then begin
     t.stores <- t.stores + len';
-    note_dirty t lo' len';
+    Dirty.widen t.dirty ~lo:lo' ~hi:(lo' + len');
     Bytes.unsafe_blit pattern pat_off' t.bytes lo' len'
   end
 
@@ -219,50 +176,31 @@ let snapshot t =
   let s =
     { s_bytes = Bytes.copy t.bytes; s_loads = t.loads; s_stores = t.stores }
   in
-  if Array.length t.jlo = 0 then grow_journal t;
-  t.jn <- 0;
-  t.armed <- Some s;
+  Dirty.arm t.dirty s;
   s
 
-(* A snapshot other than the armed one (an older one, say) predates part
-   of what the journal forgot at the last [snapshot]: journal the whole
-   plane, and the ordinary blit below does the full repair. *)
 let restore t s =
   assert (Bytes.length s.s_bytes = Bytes.length t.bytes);
-  (match t.armed with
-  | Some a when a == s -> ()
-  | _ ->
-    if Array.length t.jlo = 0 then grow_journal t;
-    t.jlo.(0) <- 0;
-    t.jlen.(0) <- Bytes.length t.bytes;
-    t.jn <- 1;
-    t.armed <- Some s);
-  for i = 0 to t.jn - 1 do
-    let lo = t.jlo.(i) in
-    Bytes.blit s.s_bytes lo t.bytes lo t.jlen.(i)
-  done;
-  t.jn <- 0;
+  Dirty.rewind t.dirty s;
+  let lo = Dirty.lo t.dirty and hi = Dirty.hi t.dirty in
+  if lo < hi then Bytes.blit s.s_bytes lo t.bytes lo (hi - lo);
+  Dirty.clear t.dirty;
   t.loads <- s.s_loads;
   t.stores <- s.s_stores
 
-let journal_segments t =
-  let sum = ref 0 in
-  for i = 0 to t.jn - 1 do
-    sum := !sum + t.jlen.(i)
-  done;
-  !sum
+let dirty_segments t = Int.max 0 (Dirty.hi t.dirty - Dirty.lo t.dirty)
 
-(* The [pick]-th newest entry sits at index [jn - 1 - k]; the newer ones
-   above it shift down one slot, keeping the order. *)
-let chaos_drop_journal t ~pick =
-  let n = t.jn in
-  if n = 0 then None
+(* Narrow the window to [lo', hi') through [Dirty]'s own API: clear, then
+   widen. A one-segment window is left cleared: widening by the empty
+   [lo', lo') would pin an end that the next store widens from. *)
+let chaos_trim_window t ~pick =
+  let lo = Dirty.lo t.dirty and hi = Dirty.hi t.dirty in
+  if hi <= lo then None
   else begin
-    let k = ((pick mod n) + n) mod n in
-    let i = n - 1 - k in
-    let victim = (t.jlo.(i), t.jlen.(i)) in
-    Array.blit t.jlo (i + 1) t.jlo i k;
-    Array.blit t.jlen (i + 1) t.jlen i k;
-    t.jn <- n - 1;
-    Some victim
+    let seg, lo', hi' =
+      if pick land 1 = 0 then (hi - 1, lo, hi - 1) else (lo, lo + 1, hi)
+    in
+    Dirty.clear t.dirty;
+    if lo' < hi' then Dirty.widen t.dirty ~lo:lo' ~hi:hi';
+    Some seg
   end

@@ -95,44 +95,41 @@ val reset_counters : t -> unit
 
 (** {1 Snapshot / restore — the fuzz-mode execution profile}
 
-    [snapshot] copies the whole shadow plane once and arms a dirty-segment
-    journal: from then on every store kernel ({!set}, {!poke},
-    {!fill_range}, {!blit_pattern}) records the clamped range it touched,
-    unless the newest entry already contains it. [restore] blits the
-    snapshot back over only the journaled ranges — the incremental
-    re-poisoning that makes per-exec reset cost O(dirty segments) instead
-    of O(arena) — and restores the load/store counters so a restored run
-    is event-count-identical to a fresh one.
-
-    The journal is two growable [int array]s (range starts and lengths)
-    and a count, allocated by the first [snapshot] and kept across
-    restores: once they have grown to an exec's working size, journaling a
-    store allocates nothing. A shadow that is never snapshotted never
-    allocates them. *)
+    [snapshot] copies the whole shadow plane once and arms a
+    {!Giantsan_memsim.Dirty} window over its segments, the same mechanism
+    the arena and the owner map rewind through: from then on every store
+    kernel ({!set}, {!poke}, {!fill_range}, {!blit_pattern}) widens the
+    window to cover the clamped range it touched. [restore] blits the
+    snapshot back over only that window — the incremental re-poisoning
+    that makes per-exec reset cost O(dirty segments) instead of O(arena) —
+    and restores the load/store counters so a restored run is
+    event-count-identical to a fresh one. Widening is two integer compares
+    and never allocates. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-(** Capture the shadow plane and counters; clears the dirty journal and
-    arms it relative to this snapshot. The first call also allocates the
-    journal's arrays. *)
+(** Capture the shadow plane and counters; empties the dirty window and
+    arms it relative to this snapshot. *)
 
 val restore : t -> snapshot -> unit
-(** Blit the snapshot back over every journaled range — O(segments
-    written since the armed snapshot) — restore the counters, and clear
-    the journal (it stays armed for the next exec). Any snapshot taken
-    from this [t] is accepted: the journal only covers writes since the
-    {e armed} snapshot, so restoring another one (an older one) journals
-    the whole plane first, repairs it through the same blit, and arms
-    that snapshot. Allocates nothing unless it re-arms. *)
+(** Blit the snapshot back over the dirty window — O(segments written
+    since the armed snapshot, plus the gaps between them) — restore the
+    counters, and empty the window (it stays armed for the next exec).
+    Any snapshot taken from this [t] is accepted: the window only covers
+    writes since the {e armed} snapshot, so restoring another one (an
+    older one) widens it to the whole plane first, repairs it through the
+    same blit, and arms that snapshot. Allocates nothing unless it
+    re-arms. *)
 
-val journal_segments : t -> int
-(** Total journaled segments, with multiplicity — the work {!restore} will
-    do, which is what the fuzz-mode throughput model charges for. *)
+val dirty_segments : t -> int
+(** Width of the dirty window, 0 when it is empty — the work {!restore}
+    will do, which is what the fuzz-mode throughput model charges for. *)
 
-val chaos_drop_journal : t -> pick:int -> (int * int) option
-(** Fault-injection hook: remove the [pick]-th journaled range (newest
-    first, modulo length) so the next {!restore} under-repairs and leaves
-    stale segments behind — which the shadow-vs-oracle selfcheck must then
-    flag. Returns the dropped range, or [None] when the journal is empty.
-    Nothing outside fault injection may use this. *)
+val chaos_trim_window : t -> pick:int -> int option
+(** Fault-injection hook: trim one segment off the dirty window — the
+    highest when [pick] is even, the lowest when it is odd — so the next
+    {!restore} under-repairs and leaves that segment stale, which the
+    shadow-vs-oracle selfcheck must then flag. Returns the trimmed
+    segment, or [None] when the window is empty. Nothing outside fault
+    injection may use this. *)

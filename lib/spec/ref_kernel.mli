@@ -57,7 +57,8 @@ val check_unaligned_scalar :
   Giantsan_core.Region_check.outcome
 (** The word kernel's unaligned lockstep twin, over the live shadow:
     [Region_check.check_scalar] after aligning [l] down, with the same
-    empty-before-align rule as [Region_check.check_unaligned]. *)
+    empty-before-align rule and blame clamp as
+    [Region_check.check_unaligned]. *)
 
 val word_at : t -> int -> int64
 (** Reference for [Shadow_mem.load_word]/[peek_word]: eight single-byte

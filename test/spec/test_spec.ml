@@ -211,8 +211,8 @@ let test_region_check_matches_reference =
         (match (real, reference) with
         | (RC.Safe_fast | RC.Safe_slow | RC.Safe_word), `Safe -> ()
         | RC.Bad a, `Bad _ ->
-          (* blame containment: anywhere in the aligned window *)
-          if not (a >= l land lnot 7 && a < l + len) then ok := false
+          (* blame containment: inside the checked region itself *)
+          if not (a >= l && a < l + len) then ok := false
         | (RC.Safe_fast | RC.Safe_slow | RC.Safe_word), `Bad _
         | RC.Bad _, `Safe ->
           ok := false);

@@ -250,10 +250,10 @@ let test_traced_event_order =
 
 (* The write side under the fuzz-mode profile: one seeded malloc/free
    stream (64 slots, sizes up to 2 KiB), with a snapshot armed and
-   restored every [churn_restore] ops, so every poisoning store lands in
-   an armed shadow journal. The heap does the same work on every backend,
-   so any minor word a backend spends beyond Native's is spent by its
-   plane hooks: GiantSan's and ASan's poison kernels and journal, PAC's
+   restored every [churn_restore] ops, so every poisoning store widens an
+   armed shadow dirty window. The heap does the same work on every
+   backend, so any minor word a backend spends beyond Native's is spent by
+   its plane hooks: GiantSan's and ASan's poison kernels and window, PAC's
    sign, strip and table restore (LFP has no plane). *)
 let churn_ops = 4096
 let churn_slots = 64
@@ -265,8 +265,7 @@ let churn_stream =
       ( Giantsan_util.Rng.int rng churn_slots,
         Giantsan_util.Rng.int_in rng 0 2048 ))
 
-(* Minor words of one pass over the stream, after a warm-up pass that
-   grows the journal to its working size. *)
+(* Minor words of one pass over the stream, after a warm-up pass. *)
 let churn_words id =
   Trace.disable ();
   let san = Backend.create id Helpers.mid_config in
@@ -291,7 +290,7 @@ let churn_words id =
   Helpers.minor_words_of pass
 
 let test_churn_words_match_native =
-  Helpers.qt "malloc+free under an armed journal: Native's minor words"
+  Helpers.qt "malloc+free under an armed dirty window: Native's minor words"
     `Quick (fun () ->
       let native = churn_words Backend.Native in
       List.iter

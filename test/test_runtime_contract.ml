@@ -91,6 +91,108 @@ let test_trace_events id () =
   end
   else Alcotest.(check int) "Native emits no events" 0 (List.length events)
 
+(* A cache anchored off a segment boundary: GiantSan's cached path checks
+   from the anchor's segment, as an uncached access does (a segment's
+   addressable bytes form a prefix), and must not trip the aligned
+   kernel's assertion. Every backend must give each cached access the
+   report of the matching uncached one: in bounds, past the end, and below
+   the object. *)
+let test_unaligned_cache_base () =
+  let show = Option.fold ~none:"clean" ~some:Report.to_string in
+  List.iter
+    (fun id ->
+      for k = 0 to 7 do
+        let san = fresh id in
+        let base = (san.San.malloc 64).Memsim.Memobj.base + k in
+        List.iter
+          (fun (off, width) ->
+            let what =
+              Printf.sprintf "%s base+%d off %d width %d" (Backend.name id) k
+                off width
+            in
+            let cached =
+              match san.San.cached_access (san.San.new_cache ~base) ~off ~width
+              with
+              | r -> show r
+              | exception e -> Printexc.to_string e
+            in
+            Alcotest.(check string) what
+              (show (san.San.access ~base ~addr:(base + off) ~width))
+              cached)
+          [ (0, 1); (8, 4); (60 - k, 4); (64 - k, 1); (-1, 1); (-k - 1, 2) ]
+      done)
+    Backend.all
+
+let addr_of = Option.map (fun (r : Report.t) -> r.Report.addr)
+
+(* The blamed byte lies in the checked region: an unanchored access names
+   its own address, not the first byte of its segment, and a region check
+   its first bad byte; below address 0 too. *)
+let test_blame_in_region () =
+  List.iter
+    (fun id ->
+      if detector id then begin
+        let san = fresh id in
+        let b = (san.San.malloc 64).Memsim.Memobj.base in
+        let name = Backend.name id in
+        Alcotest.(check (option int)) (name ^ " access b-3") (Some (b - 3))
+          (addr_of (san.San.access ~base:0 ~addr:(b - 3) ~width:1));
+        Alcotest.(check (option int)) (name ^ " access -3") (Some (-3))
+          (addr_of (san.San.access ~base:0 ~addr:(-3) ~width:1))
+      end)
+    Backend.all;
+  List.iter
+    (fun id ->
+      let san = fresh id in
+      let b = (san.San.malloc 64).Memsim.Memobj.base in
+      let name = Backend.name id in
+      Alcotest.(check (option int)) (name ^ " region [b-5, b+3)") (Some (b - 5))
+        (addr_of (san.San.check_region ~lo:(b - 5) ~hi:(b + 3)));
+      Alcotest.(check (option int)) (name ^ " region [-12, 3)") (Some (-12))
+        (addr_of (san.San.check_region ~lo:(-12) ~hi:3)))
+    Backend.[ Giantsan; Asan ]
+
+(* The same over random heaps, for the shadow backends: live and freed
+   objects, anchored accesses above and below their anchor, unanchored
+   ones and region checks, at unaligned addresses and widths, some below
+   address 0. An anchored access checks [min base addr, max base
+   (addr + width)), an unanchored one [addr, addr + width); every report
+   must name a byte in it. *)
+let prop_blame_in_region seed =
+  let rng = Giantsan_util.Rng.create seed in
+  List.for_all
+    (fun id ->
+      let san = Backend.create id Helpers.small_config in
+      let bases =
+        Array.init 6 (fun _ ->
+            (san.San.malloc (Giantsan_util.Rng.int_in rng 1 200))
+              .Memsim.Memobj.base)
+      in
+      Array.iter
+        (fun b -> if Giantsan_util.Rng.int rng 3 = 0 then ignore (san.San.free b))
+        bases;
+      let within lo hi r =
+        match addr_of r with
+        | None -> true
+        | Some a ->
+          lo <= a && a < hi
+          || QCheck.Test.fail_reportf "%s blamed %d outside [%d, %d)"
+               (Backend.name id) a lo hi
+      in
+      List.for_all
+        (fun _ ->
+          let anchor = Giantsan_util.Rng.pick rng bases in
+          let addr = anchor + Giantsan_util.Rng.int_in rng (-40) 240 in
+          let width = Giantsan_util.Rng.pick rng [| 1; 2; 4; 8 |] in
+          let lo = Giantsan_util.Rng.int_in rng (-24) (anchor + 240) in
+          let hi = lo + Giantsan_util.Rng.int_in rng 0 96 in
+          within (Int.min anchor addr) (Int.max anchor (addr + width))
+            (san.San.access ~base:anchor ~addr ~width)
+          && within addr (addr + width) (san.San.access ~base:0 ~addr ~width)
+          && within lo hi (san.San.check_region ~lo ~hi))
+        (List.init 24 Fun.id))
+    Backend.[ Giantsan; Asan ]
+
 let suite =
   ( "contract",
     List.concat_map
@@ -104,4 +206,12 @@ let suite =
           case "malloc/free counts" test_counts;
           case "trace events" test_trace_events;
         ])
-      Backend.all )
+      Backend.all
+    @ [
+        Alcotest.test_case "unaligned cache base: cached = uncached verdict"
+          `Quick test_unaligned_cache_base;
+        Alcotest.test_case "blamed address lies in the checked region" `Quick
+          test_blame_in_region;
+        Helpers.q "random checks: the blamed address lies in the region"
+          QCheck.small_int prop_blame_in_region;
+      ] )

@@ -113,8 +113,8 @@ let test_batched_kernels_zero_length_and_arena_end =
       Ref_kernel.blit_pattern m2 ~lo:30 ~pattern ~pat_off:2 ~len:0;
       Alcotest.(check bool) "zero-length blit" true (agrees_with_ref m1 m2))
 
-(* Take A, mutate, take B, mutate, restore A: the journal was reset at B,
-   so restoring A must repair the whole plane, not just B's journal. *)
+(* Take A, mutate, take B, mutate, restore A: the window was emptied at B,
+   so restoring A must repair the whole plane, not just B's window. *)
 let test_restore_older_snapshot =
   Helpers.qt "restoring an older snapshot repairs the whole plane" `Quick
     (fun () ->
@@ -136,173 +136,173 @@ let test_restore_older_snapshot =
       Shadow_mem.restore m sb;
       Alcotest.(check string) "then B again" at_b (plane m);
       Shadow_mem.set m 60 9;
-      Alcotest.(check int) "armed B, journaled" 1
-        (Shadow_mem.journal_segments m);
+      Alcotest.(check int) "armed B, one dirty segment" 1
+        (Shadow_mem.dirty_segments m);
       Shadow_mem.restore m sb;
       Alcotest.(check string) "armed B, windowed" at_b (plane m))
 
-(* The dirty journal against a reference list journal (the plain
-   newest-first transcription of its rules): every store kernel appends
-   its clamped range unless the newest entry contains it, [snapshot]
-   empties and arms it, restoring another snapshot journals the whole
-   plane first, and the chaos hook removes the k-th newest entry. Random
-   streams run both side by side, with arena straddles and long enough
-   unsnapshotted stretches to grow the journal past its first capacity;
-   after every step the journaled segments, each dropped victim and the
-   plane (restored or not) must agree. *)
+(* The dirty window against a reference hull (the plain [lo, hi)
+   transcription of its rules): every store kernel widens the hull to its
+   clamped range, [snapshot] empties it and arms the snapshot, restoring
+   another snapshot widens it to the whole plane first, and the chaos hook
+   trims the top segment off on an even pick, the bottom one on an odd
+   pick. Random streams run both side by side, with arena straddles and
+   unsnapshotted stretches; after every step the window width, each
+   trimmed segment and the plane (restored or not) must agree. *)
 
-type journal_op =
-  | J_set of int * int
-  | J_poke of int * int
-  | J_fill of int * int * int  (** lo, len, value *)
-  | J_blit of int * int * int  (** lo, len, pattern offset *)
-  | J_snap
-  | J_restore of int  (** [0] is the armed snapshot, larger ones older *)
-  | J_drop of int
+type window_op =
+  | W_set of int * int
+  | W_poke of int * int
+  | W_fill of int * int * int  (** lo, len, value *)
+  | W_blit of int * int * int  (** lo, len, pattern offset *)
+  | W_snap
+  | W_restore of int  (** [0] is the armed snapshot, larger ones older *)
+  | W_trim of int
 
-let pp_journal_op = function
-  | J_set (p, v) -> Printf.sprintf "set %d %d" p v
-  | J_poke (p, v) -> Printf.sprintf "poke %d %d" p v
-  | J_fill (lo, len, v) -> Printf.sprintf "fill %d+%d %d" lo len v
-  | J_blit (lo, len, off) -> Printf.sprintf "blit %d+%d @%d" lo len off
-  | J_snap -> "snapshot"
-  | J_restore i -> Printf.sprintf "restore %d" i
-  | J_drop k -> Printf.sprintf "drop %d" k
+let pp_window_op = function
+  | W_set (p, v) -> Printf.sprintf "set %d %d" p v
+  | W_poke (p, v) -> Printf.sprintf "poke %d %d" p v
+  | W_fill (lo, len, v) -> Printf.sprintf "fill %d+%d %d" lo len v
+  | W_blit (lo, len, off) -> Printf.sprintf "blit %d+%d @%d" lo len off
+  | W_snap -> "snapshot"
+  | W_restore i -> Printf.sprintf "restore %d" i
+  | W_trim k -> Printf.sprintf "trim %d" k
 
-let journal_segs = 96
-let journal_pattern = Bytes.init 64 (fun i -> Char.chr (((7 * i) + 1) land 0xff))
+let window_segs = 96
+let window_pattern = Bytes.init 64 (fun i -> Char.chr (((7 * i) + 1) land 0xff))
 
-(* Bursts of stores, each ended by a snapshot, restore or chaos drop: a
-   burst of up to 150 stores grows the journal past its first capacity
-   of 64 entries. *)
-let arb_journal_ops =
+(* Bursts of up to 150 stores, each ended by a snapshot, restore or chaos
+   trim; a third are at most two stores long, so one-segment windows get
+   trimmed empty and then widened again. *)
+let arb_window_ops =
   let open QCheck.Gen in
-  let pos = int_range (-8) (journal_segs + 8) in
+  let pos = int_range (-8) (window_segs + 8) in
   let store =
     frequency
       [
-        (4, map2 (fun p v -> J_set (p, v)) pos (int_range 0 255));
-        (1, map2 (fun p v -> J_poke (p, v)) pos (int_range 0 255));
+        (4, map2 (fun p v -> W_set (p, v)) pos (int_range 0 255));
+        (1, map2 (fun p v -> W_poke (p, v)) pos (int_range 0 255));
         ( 4,
           map3
-            (fun lo len v -> J_fill (lo, len, v))
+            (fun lo len v -> W_fill (lo, len, v))
             pos (int_range 0 40) (int_range 0 255) );
         ( 4,
           map3
-            (fun lo len off -> J_blit (lo, len, off))
+            (fun lo len off -> W_blit (lo, len, off))
             pos (int_range 0 32) (int_range 0 32) );
       ]
   in
   let control =
     frequency
       [
-        (2, return J_snap);
-        (2, map (fun i -> J_restore i) (int_range 0 2));
-        (1, map (fun k -> J_drop k) (int_range (-3) 200));
+        (2, return W_snap);
+        (2, map (fun i -> W_restore i) (int_range 0 2));
+        (1, map (fun k -> W_trim k) (int_range (-3) 200));
       ]
   in
   let burst =
-    map2 (fun stores c -> stores @ [ c ]) (list_size (int_range 0 150) store)
+    map2
+      (fun stores c -> stores @ [ c ])
+      (list_size (frequency [ (1, int_range 0 2); (2, int_range 0 150) ]) store)
       control
   in
   QCheck.make
-    ~print:(fun ops -> String.concat "; " (List.map pp_journal_op ops))
+    ~print:(fun ops -> String.concat "; " (List.map pp_window_op ops))
     (map List.concat (list_size (int_range 1 8) burst))
 
-type ref_journal = {
+type ref_hull = {
   plane : Bytes.t;
-  mutable journal : (int * int) list;  (* newest first *)
+  mutable hull : (int * int) option;  (* [lo, hi), never empty *)
   mutable armed : int option;  (* index into the snapshot list *)
 }
 
-let ref_note r lo len =
-  if r.armed <> None && len > 0 then
-    match r.journal with
-    | (l, n) :: _ when lo >= l && lo + len <= l + n -> ()
-    | _ -> r.journal <- (lo, len) :: r.journal
+let ref_widen r lo hi =
+  r.hull <-
+    (match r.hull with
+    | None -> Some (lo, hi)
+    | Some (l, h) -> Some (Int.min l lo, Int.max h hi))
 
 (* clamped store of [len] bytes from [src] at [lo]; [src k] is byte [k] *)
 let ref_store r ~lo ~len src =
-  let lo' = Int.max 0 lo and hi' = Int.min journal_segs (lo + len) in
+  let lo' = Int.max 0 lo and hi' = Int.min window_segs (lo + len) in
   if hi' > lo' then begin
-    ref_note r lo' (hi' - lo');
+    ref_widen r lo' hi';
     for p = lo' to hi' - 1 do
       Bytes.set r.plane p (src (p - lo))
     done
   end
 
-let run_journal_ops ops =
-  let m = Shadow_mem.create ~segments:journal_segs ~fill:0xfe in
-  let r =
-    { plane = Bytes.make journal_segs '\xfe'; journal = []; armed = None }
-  in
+let run_window_ops ops =
+  let m = Shadow_mem.create ~segments:window_segs ~fill:0xfe in
+  let r = { plane = Bytes.make window_segs '\xfe'; hull = None; armed = None } in
   (* newest first: (real snapshot, reference copy, its number) *)
   let snaps = ref [] and taken = ref 0 in
   let step = function
-    | J_set (p, v) ->
+    | W_set (p, v) ->
       Shadow_mem.set m p v;
       ref_store r ~lo:p ~len:1 (fun _ -> Char.chr v)
-    | J_poke (p, v) ->
+    | W_poke (p, v) ->
       Shadow_mem.poke m p v;
       ref_store r ~lo:p ~len:1 (fun _ -> Char.chr v)
-    | J_fill (lo, len, v) ->
+    | W_fill (lo, len, v) ->
       Shadow_mem.fill_range m ~lo ~hi:(lo + len) v;
       ref_store r ~lo ~len (fun _ -> Char.chr v)
-    | J_blit (lo, len, off) ->
-      Shadow_mem.blit_pattern m ~lo ~pattern:journal_pattern ~pat_off:off
-        ~len;
-      ref_store r ~lo ~len (fun k -> Bytes.get journal_pattern (off + k))
-    | J_snap ->
+    | W_blit (lo, len, off) ->
+      Shadow_mem.blit_pattern m ~lo ~pattern:window_pattern ~pat_off:off ~len;
+      ref_store r ~lo ~len (fun k -> Bytes.get window_pattern (off + k))
+    | W_snap ->
       let s = Shadow_mem.snapshot m in
       snaps := (s, Bytes.copy r.plane, !taken) :: !snaps;
-      r.journal <- [];
+      r.hull <- None;
       r.armed <- Some !taken;
       incr taken
-    | J_restore i -> (
+    | W_restore i -> (
       match List.nth_opt !snaps (i mod Int.max 1 (List.length !snaps)) with
       | None -> ()
       | Some (s, copy, id) ->
         Shadow_mem.restore m s;
         if r.armed <> Some id then begin
-          r.journal <- [ (0, journal_segs) ];
+          r.hull <- Some (0, window_segs);
           r.armed <- Some id
         end;
-        List.iter (fun (lo, len) -> Bytes.blit copy lo r.plane lo len) r.journal;
-        r.journal <- [])
-    | J_drop pick ->
+        Option.iter
+          (fun (lo, hi) -> Bytes.blit copy lo r.plane lo (hi - lo))
+          r.hull;
+        r.hull <- None)
+    | W_trim pick ->
       let want =
-        match List.length r.journal with
-        | 0 -> None
-        | n ->
-          let k = ((pick mod n) + n) mod n in
-          let victim = List.nth r.journal k in
-          r.journal <- List.filteri (fun i _ -> i <> k) r.journal;
-          Some victim
+        match r.hull with
+        | None -> None
+        | Some (lo, hi) ->
+          let seg, lo', hi' =
+            if pick mod 2 = 0 then (hi - 1, lo, hi - 1) else (lo, lo + 1, hi)
+          in
+          r.hull <- (if lo' < hi' then Some (lo', hi') else None);
+          Some seg
       in
-      if Shadow_mem.chaos_drop_journal m ~pick <> want then
-        QCheck.Test.fail_report "chaos_drop_journal dropped another entry"
+      if Shadow_mem.chaos_trim_window m ~pick <> want then
+        QCheck.Test.fail_report "chaos_trim_window trimmed another segment"
   in
   List.iter
     (fun op ->
       step op;
-      let segs = List.fold_left (fun a (_, len) -> a + len) 0 r.journal in
-      if Shadow_mem.journal_segments m <> segs then
-        QCheck.Test.fail_reportf "after %s: journal_segments %d, reference %d"
-          (pp_journal_op op)
-          (Shadow_mem.journal_segments m)
+      let segs = match r.hull with None -> 0 | Some (lo, hi) -> hi - lo in
+      if Shadow_mem.dirty_segments m <> segs then
+        QCheck.Test.fail_reportf "after %s: dirty_segments %d, reference %d"
+          (pp_window_op op)
+          (Shadow_mem.dirty_segments m)
           segs;
-      for p = 0 to journal_segs - 1 do
+      for p = 0 to window_segs - 1 do
         if Shadow_mem.peek m p <> Char.code (Bytes.get r.plane p) then
           QCheck.Test.fail_reportf "after %s: segment %d is %d, reference %d"
-            (pp_journal_op op) p (Shadow_mem.peek m p)
+            (pp_window_op op) p (Shadow_mem.peek m p)
             (Char.code (Bytes.get r.plane p))
       done)
     ops;
   true
 
-let test_journal_equals_reference =
-  Helpers.q "dirty journal = reference list journal" arb_journal_ops
-    run_journal_ops
+let test_window_equals_reference =
+  Helpers.q "dirty window = reference hull" arb_window_ops run_window_ops
 
 (* [skip_zero] against a [load] loop: same segment returned, same loads
    charged. Shadows are mostly zero with a few nonzero codes,
@@ -385,6 +385,6 @@ let suite =
       test_blit_pattern_window_slides_on_clamp;
       test_batched_kernels_zero_length_and_arena_end;
       test_restore_older_snapshot;
-      test_journal_equals_reference;
+      test_window_equals_reference;
       test_skip_zero_equals_load_loop;
     ] )
